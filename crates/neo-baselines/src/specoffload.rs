@@ -231,7 +231,6 @@ mod tests {
                 disk_free_tokens: 0,
                 gpu_capacity_tokens: 100,
                 prefill_device: &self.prefill_device,
-                admission_backlog: 0,
             };
             s.schedule(&ctx)
         }

@@ -80,7 +80,6 @@ fn ctx(fx: &Fixture) -> ScheduleContext<'_> {
         disk_free_tokens: 0,
         gpu_capacity_tokens: 30_000,
         prefill_device: &fx.prefill_device,
-        admission_backlog: 0,
     }
 }
 

@@ -14,7 +14,7 @@
 //!   least-KV-occupancy keeps tail latency flat — the fleet-level analogue of the
 //!   paper's point that KV headroom, not request count, is the binding resource.
 //!
-//! Every run is fully deterministic (fixed trace seeds, tie-break seed 0), so the
+//! Every run is fully deterministic (fixed trace seeds), so the
 //! emitted `results/fig_cluster_sweep.json` is bit-stable and CI regenerates and
 //! diffs it (`results-fresh`).
 

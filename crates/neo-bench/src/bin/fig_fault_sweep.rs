@@ -15,7 +15,7 @@
 //! A moderate completion SLO prices the retries: a request that cannot finish by its
 //! deadline is shed even with failover, so the failover advantage shown here is
 //! *goodput* (completions within SLO), not mere eventual completion. Every run is
-//! fully deterministic (fixed trace, plan, and tie-break seeds), so the emitted
+//! fully deterministic (fixed trace and plan seeds), so the emitted
 //! `results/fig_fault_sweep.json` is bit-stable and CI regenerates and diffs it
 //! (`results-fresh`).
 

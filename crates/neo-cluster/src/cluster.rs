@@ -1,4 +1,4 @@
-//! The fleet simulation: N servers, N links and a router in one event heap.
+//! The fleet simulation: N servers, N links and a router under one clock.
 //!
 //! # Anatomy
 //!
@@ -8,16 +8,13 @@
 //!  (arrivals) (Discipline)└─ link 2 ─► Server 2 (Engine 2)
 //! ```
 //!
-//! All of it lives in one `ClusterState` (private), the shared state of a
-//! [`neo_sim::event::EventEngine`]. The registered components are *alarm clocks* only:
-//! each advertises when its entity next has work (`next_tick`) and, when dispatched,
-//! calls `ClusterState::settle` — the single function that actually moves the
-//! cluster. `settle(now)` repeatedly takes the earliest due instant and processes
-//! every event at it in a fixed kind order (faults, then link deliveries, then engine
-//! steps, then retry re-dispatch, then frontend arrivals, then central dispatch), so
-//! the simulation's outputs are independent of which same-tick alarm the event engine
-//! happened to dispatch first — the property the fuzzed tie-break seeds verify
-//! bit-exactly.
+//! All of it lives in one [`Cluster`], and [`Cluster::run`] is one loop: take the
+//! earliest instant at which anything has work (`next_due`) and `settle` it, until
+//! nothing is due. A settle pass processes every event at its instant in a fixed kind
+//! order (faults, then link deliveries, then engine steps, then retry re-dispatch,
+//! then frontend arrivals, then central dispatch), so same-instant events always meet
+//! in the same order and every output is a function of the trace, the fleet and the
+//! configuration alone.
 //!
 //! # Failure model
 //!
@@ -49,7 +46,7 @@ use std::rc::Rc;
 use neo_core::Engine;
 use neo_serve::metrics::LatencySummary;
 use neo_serve::{DropReason, RequestHandle, Server};
-use neo_sim::event::{Component, ComponentId, EventEngine, SerialLine, TieBreak};
+use neo_sim::event::SerialLine;
 use neo_workload::{SloPolicy, Trace};
 use serde::Serialize;
 
@@ -78,11 +75,8 @@ pub struct ClusterConfig {
     pub link_bytes_per_s: f64,
     /// Request payload priced on the link: bytes per prompt token.
     pub bytes_per_token: f64,
-    /// Same-tick dispatch-order seed for the cluster event heap — `0` is the pinned
-    /// deterministic order, anything else a fuzzed permutation that must leave every
-    /// output bit-identical (see [`neo_sim::event::TieBreak::from_seed`]).
-    pub tie_break_seed: u64,
-    /// Event budget for the whole run (livelock guard).
+    /// Settle passes allowed for the whole run, one per processed instant (livelock
+    /// guard).
     pub max_events: u64,
     /// Timed faults to inject. The default (empty) plan leaves every output
     /// byte-identical to a faultless run.
@@ -114,7 +108,6 @@ impl Default for ClusterConfig {
             link_latency_s: 2e-4,
             link_bytes_per_s: 1.25e9,
             bytes_per_token: 4.0,
-            tie_break_seed: 0,
             max_events: 5_000_000,
             fault_plan: FaultPlan::default(),
             failover: true,
@@ -286,9 +279,8 @@ struct TokenSink {
     lasts: Vec<u64>,
 }
 
-/// Shared state of the cluster event engine. All movement happens in
-/// [`ClusterState::settle`]; the registered components only decide *when* it runs.
-pub(crate) struct ClusterState {
+/// A routed fleet of engines, ready to run a trace to completion.
+pub struct Cluster {
     slots: Vec<Slot>,
     requests: Vec<FrontendRequest>,
     /// Cursor into `requests` (sorted by arrival): the next frontend arrival.
@@ -319,7 +311,7 @@ pub(crate) struct ClusterState {
     config: ClusterConfig,
 }
 
-impl ClusterState {
+impl Cluster {
     /// The earliest instant at which anything in the cluster has work: a fault, a
     /// link delivery, an engine's next activity, a retry coming off backoff, or a
     /// frontend arrival. The central queue needs no wake-up of its own — it only
@@ -374,50 +366,36 @@ impl ClusterState {
         due
     }
 
-    /// Processes every cluster event due at or before `now`, earliest instant first,
-    /// and within one instant in the fixed kind order: faults → link deliveries →
-    /// engine steps → retry re-dispatch → frontend arrivals → central dispatch. This
-    /// global order is what makes every routing decision independent of the event
-    /// heap's same-tick dispatch order: whichever alarm called `settle` first, the
-    /// cluster replays identically.
-    fn settle(&mut self, now: f64) {
-        let mut passes: u64 = 0;
-        while let Some(at) = self.next_due() {
-            if at > now {
-                break;
-            }
-            passes += 1;
-            assert!(
-                passes <= self.config.max_events,
-                "cluster settle livelocked at t={at} ({} requests pending)",
-                self.requests.len() - self.next_arrival
-            );
-            self.apply_faults(at);
-            for e in 0..self.slots.len() {
-                while let Some(&(deliver_at, id)) = self.slots[e].inflight.front() {
-                    if deliver_at > at {
-                        break;
-                    }
-                    self.slots[e].inflight.pop_front();
-                    self.deliver(e, deliver_at, id);
+    /// Processes every cluster event due at the instant `at` in the fixed kind order
+    /// faults → link deliveries → engine steps → retry re-dispatch → frontend arrivals
+    /// → central dispatch. [`Cluster::run`] calls it once per instant, earliest first,
+    /// so every routing decision is a function of simulated time and this order alone.
+    fn settle(&mut self, at: f64) {
+        self.apply_faults(at);
+        for e in 0..self.slots.len() {
+            while let Some(&(deliver_at, id)) = self.slots[e].inflight.front() {
+                if deliver_at > at {
+                    break;
                 }
+                self.slots[e].inflight.pop_front();
+                self.deliver(e, deliver_at, id);
             }
-            for e in 0..self.slots.len() {
-                if self.slots[e].server.next_activity().is_some_and(|t| t <= at) {
-                    self.slots[e].server.poll(at);
-                }
-            }
-            self.drain_sink();
-            self.process_retries(at);
-            while self.requests.get(self.next_arrival).is_some_and(|r| r.arrival <= at) {
-                let id = self.next_arrival as u64;
-                self.next_arrival += 1;
-                if self.outcome[id as usize] == Outcome::Pending {
-                    self.route(at, id);
-                }
-            }
-            self.dispatch_central(at);
         }
+        for e in 0..self.slots.len() {
+            if self.slots[e].server.next_activity().is_some_and(|t| t <= at) {
+                self.slots[e].server.poll(at);
+            }
+        }
+        self.drain_sink();
+        self.process_retries(at);
+        while self.requests.get(self.next_arrival).is_some_and(|r| r.arrival <= at) {
+            let id = self.next_arrival as u64;
+            self.next_arrival += 1;
+            if self.outcome[id as usize] == Outcome::Pending {
+                self.route(at, id);
+            }
+        }
+        self.dispatch_central(at);
     }
 
     /// Applies every fault event due at or before `at`, in plan order.
@@ -594,7 +572,7 @@ impl ClusterState {
         request.prompt_len + request.output_len < self.slots[engine].capacity
     }
 
-    /// Terminal sweep after the event core drains: anything still pending can only
+    /// Terminal sweep after the run loop drains: anything still pending can only
     /// be parked against a fleet that never recovered — shed it so every request
     /// ends in exactly one terminal state.
     fn finalize(&mut self) {
@@ -898,70 +876,6 @@ impl ClusterState {
     }
 }
 
-/// An alarm clock over one cluster entity. `kind`/`idx` select which entity's due
-/// time it advertises; every dispatch settles the whole cluster (idempotently), so
-/// same-tick alarm order cannot change any outcome.
-struct Alarm {
-    id: ComponentId,
-    name: String,
-    kind: AlarmKind,
-}
-
-enum AlarmKind {
-    /// Wakes at `Server::next_activity` of engine `idx`.
-    Engine { idx: usize },
-    /// Wakes at the head delivery time of link `idx`.
-    Link { idx: usize },
-    /// Wakes at the next frontend arrival.
-    Router,
-    /// Wakes at the next effective fault event or retry coming off backoff.
-    Fault,
-}
-
-impl Alarm {
-    fn due(&self, state: &ClusterState) -> Option<f64> {
-        match self.kind {
-            AlarmKind::Engine { idx } => state.slots[idx].server.next_activity(),
-            AlarmKind::Link { idx } => state.slots[idx].inflight.front().map(|&(d, _)| d),
-            AlarmKind::Router => {
-                state.requests.get(state.next_arrival).map(|request| request.arrival)
-            }
-            AlarmKind::Fault => match (state.fault_due(), state.retry_due()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-        }
-    }
-}
-
-impl Component<ClusterState> for Alarm {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next_tick(&self, state: &ClusterState) -> Option<f64> {
-        self.due(state)
-    }
-
-    fn tick(&mut self, now: f64, state: &mut ClusterState) -> Option<f64> {
-        state.settle(now);
-        self.due(state)
-    }
-
-    fn event_label(&self) -> String {
-        "settle".to_string()
-    }
-}
-
-/// A routed fleet of engines, ready to run a trace to completion.
-pub struct Cluster {
-    engine: EventEngine<ClusterState>,
-}
-
 impl Cluster {
     /// Builds a cluster over named engines (fresh, exactly as [`Server::new`]
     /// requires) serving the given arrival trace.
@@ -1081,9 +995,8 @@ impl Cluster {
             arrivals_since_rebalance: 0,
             rebalances: 0,
         };
-        let engine_names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
         let request_count = requests.len();
-        let state = ClusterState {
+        Self {
             slots,
             engine_of: vec![usize::MAX; request_count],
             requests,
@@ -1100,52 +1013,33 @@ impl Cluster {
             retry_queue: Vec::new(),
             drops: Vec::new(),
             retries: 0,
-            config: config.clone(),
-        };
-        let mut event_engine = EventEngine::new(state, TieBreak::from_seed(config.tie_break_seed));
-        let mut id = 0;
-        for (idx, name) in engine_names.iter().enumerate() {
-            event_engine.add_component(Box::new(Alarm {
-                id,
-                name: format!("engine.{name}"),
-                kind: AlarmKind::Engine { idx },
-            }));
-            id += 1;
+            config,
         }
-        for (idx, name) in engine_names.iter().enumerate() {
-            event_engine.add_component(Box::new(Alarm {
-                id,
-                name: format!("link.{name}"),
-                kind: AlarmKind::Link { idx },
-            }));
-            id += 1;
-        }
-        event_engine.add_component(Box::new(Alarm {
-            id,
-            name: "router".to_string(),
-            kind: AlarmKind::Router,
-        }));
-        id += 1;
-        event_engine.add_component(Box::new(Alarm {
-            id,
-            name: "faults".to_string(),
-            kind: AlarmKind::Fault,
-        }));
-        Self { engine: event_engine }
     }
 
     /// Runs the fleet until every request reached a terminal state and summarises
-    /// the run.
+    /// the run: settles the earliest due instant, one pass per instant, until nothing
+    /// is due.
     ///
     /// # Panics
     ///
-    /// Panics if the run exceeds the configured event budget (livelock guard).
+    /// Panics if the run needs more than [`ClusterConfig::max_events`] settle passes
+    /// (livelock guard), naming the instant and the requests still pending.
     pub fn run(mut self) -> ClusterReport {
-        let max_events = self.engine.shared().config.max_events;
-        self.engine.run(max_events);
-        let (mut state, _) = self.engine.into_parts();
-        state.finalize();
-        state.report()
+        let mut passes: u64 = 0;
+        while let Some(at) = self.next_due() {
+            passes += 1;
+            assert!(
+                passes <= self.config.max_events,
+                "cluster livelocked at t={at} with {} requests pending: the run used up \
+                 max_events = {} settle passes",
+                self.outcome.iter().filter(|&&o| o == Outcome::Pending).count(),
+                self.config.max_events
+            );
+            self.settle(at);
+        }
+        self.finalize();
+        self.report()
     }
 }
 
@@ -1244,21 +1138,6 @@ mod tests {
             kv.engines[1].routed,
             rr.engines[1].routed
         );
-    }
-
-    #[test]
-    fn fuzzed_tie_break_seeds_leave_the_full_report_bit_identical() {
-        let reference = format!("{:?}", run(Discipline::LeastKv, 12, 5.0, homogeneous_pair()));
-        for seed in [1u64, 424242, u64::MAX] {
-            let trace = synthetic(12, 300, 12, ArrivalProcess::Uniform { rate: 5.0 }, 11);
-            let config = ClusterConfig {
-                discipline: Discipline::LeastKv,
-                tie_break_seed: seed,
-                ..ClusterConfig::default()
-            };
-            let fuzzed = format!("{:?}", Cluster::new(homogeneous_pair(), &trace, config).run());
-            assert_eq!(reference, fuzzed, "seed {seed} changed the cluster outcome");
-        }
     }
 
     #[test]
@@ -1390,22 +1269,17 @@ mod tests {
     }
 
     #[test]
-    fn fault_runs_stay_bit_identical_across_fuzzed_seeds() {
-        let plan = || FaultPlan::new().engine_fail(0.5, 0).engine_recover(2.0, 0);
-        let reference = {
-            let trace = synthetic(12, 300, 12, ArrivalProcess::Uniform { rate: 5.0 }, 11);
-            let config = ClusterConfig { fault_plan: plan(), ..ClusterConfig::default() };
-            format!("{:?}", Cluster::new(homogeneous_pair(), &trace, config).run())
+    #[should_panic(expected = "cluster livelocked at t=0.5 with 4 requests pending")]
+    fn max_events_budgets_the_whole_run() {
+        // Every request is routed at t=0 and lands at t=0.5: one settle pass covers the
+        // arrivals, and the budget is spent before the deliveries.
+        let trace = synthetic(4, 300, 12, ArrivalProcess::AllAtOnce, 5);
+        let config = ClusterConfig {
+            max_events: 1,
+            link_latency_s: 0.5,
+            bytes_per_token: 0.0,
+            ..ClusterConfig::default()
         };
-        for seed in [1u64, 424242] {
-            let trace = synthetic(12, 300, 12, ArrivalProcess::Uniform { rate: 5.0 }, 11);
-            let config = ClusterConfig {
-                fault_plan: plan(),
-                tie_break_seed: seed,
-                ..ClusterConfig::default()
-            };
-            let fuzzed = format!("{:?}", Cluster::new(homogeneous_pair(), &trace, config).run());
-            assert_eq!(reference, fuzzed, "seed {seed} changed a faulted run");
-        }
+        let _ = Cluster::new(homogeneous_pair(), &trace, config).run();
     }
 }

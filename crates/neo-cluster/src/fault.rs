@@ -4,8 +4,8 @@
 //! link degradation, per-request deadline expiry — applied to the fleet at exact
 //! simulated instants. The plan is data (serde-round-trippable), not callbacks, so a
 //! fault scenario is reproducible byte-for-byte: the same plan on the same trace
-//! yields the same [`crate::ClusterReport`] under every fuzzed tie-break seed, which
-//! is exactly the contract `tests/fault_determinism.rs` pins.
+//! yields the same [`crate::ClusterReport`], which `tests/fault_determinism.rs` pins
+//! for one failure trace.
 //!
 //! Plans are either hand-built (the builder methods) or sampled from a seed
 //! ([`FaultPlan::seeded_outages`]) for sweep drivers that need *many* reproducible
@@ -59,7 +59,7 @@ impl FaultEvent {
 }
 
 /// A deterministic schedule of faults, applied by [`crate::Cluster`] as timed events
-/// on the cluster's event core. The default plan is empty: with it, the fault
+/// in its settle loop. The default plan is empty: with it, the fault
 /// machinery is inert and every cluster output is byte-identical to a faultless run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {

@@ -4,31 +4,26 @@
 //! GPU node. Millions of users mean a *fleet*: N servers — possibly heterogeneous
 //! (T4 + A10G + H100, each paired with the model it serves in the paper's Table 1) —
 //! fronted by a router that decides, per request, which engine gets it. This crate runs
-//! that fleet as one discrete-event simulation on the [`neo_sim::event::EventEngine`]:
+//! that fleet as one simulation under one clock:
 //!
-//! * each engine/server pair is a [`neo_sim::event::Component`] woken at its
-//!   [`neo_serve::Server::next_activity`] time and advanced with
-//!   [`neo_serve::Server::poll`];
+//! * each engine/server pair wakes at its [`neo_serve::Server::next_activity`] time and
+//!   is advanced with [`neo_serve::Server::poll`];
 //! * each frontend→engine network hop is a serial FIFO link
-//!   ([`neo_sim::event::SerialLine`]) with its own component;
-//! * the router is a component woken at frontend arrival times, binding requests to
-//!   engines under a pluggable [`Discipline`].
+//!   ([`neo_sim::event::SerialLine`]);
+//! * the router binds requests to engines at frontend arrival times under a pluggable
+//!   [`Discipline`].
 //!
-//! # Order-invariance by construction
+//! # One settle order
 //!
-//! The event engine's contract is that same-tick dispatch order never matters
-//! ([`neo_sim::event::TieBreak::Fuzzed`] exists to prove it). Routing is the classic
-//! way to violate that: a router reading engine queue depths at tick *t* sees different
-//! depths depending on whether an engine's same-tick completion was dispatched first.
-//! This crate sidesteps the race structurally: components are pure *alarm clocks*.
-//! Every [`neo_sim::event::Component::tick`] funnels into one
-//! `ClusterState::settle(now)` pass that processes **all** cluster events due at or
-//! before `now` in a fixed global order — ascending time, then (within one instant)
-//! link deliveries → engine steps → frontend arrivals → central dispatch. Whichever
-//! alarm fires first settles the whole cluster identically, so every output (routing
-//! trace included) is bit-identical across fuzzed tie-break seeds. The
-//! `cluster_determinism` integration suite proptests this over ≥ 32 seeds and CI runs
-//! a fixed `NEO_EVENT_FUZZ_SEED` matrix.
+//! Routing is the classic place for event order to leak into outputs: a router reading
+//! engine queue depths at instant *t* sees different depths depending on whether an
+//! engine's same-instant completion was processed first. [`Cluster::run`] rules this
+//! out with one loop: it takes the earliest instant at which anything has work and
+//! settles it in a fixed global order — faults → link deliveries → engine steps →
+//! retry re-dispatch → frontend arrivals → central dispatch — then moves on to the next
+//! instant. Every output (routing trace included) is therefore a function of the trace,
+//! the fleet and the configuration alone; the `cluster_determinism` integration suite
+//! pins one routing trace with exact literals.
 //!
 //! # Failure model
 //!
@@ -36,7 +31,7 @@
 //! recoveries, link degradations, and per-request deadline expiries at exact
 //! simulated instants, applied in the same fixed settle order as everything else —
 //! so a fault scenario is as bit-reproducible as a faultless run (the
-//! `fault_determinism` suite proves it across fuzzed seeds). When an engine dies the
+//! `fault_determinism` suite pins one failure trace). When an engine dies the
 //! router marks it down and, with failover enabled, re-dispatches its orphaned
 //! requests to survivors under capped exponential backoff and a per-request retry
 //! budget; requests that exhaust the budget, miss an [`neo_workload::SloPolicy`]

@@ -2,25 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which overlap model the engine charges iteration time from.
-///
-/// Both paths price the same [`crate::batch::ScheduleDecision`] with the same cost
-/// model; they differ only in how compute/transfer overlap is derived.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OverlapModel {
-    /// The paper's closed-form iteration formulas ([`crate::pipeline`]). This is the
-    /// default and the pinned reference: every figure driver regenerates bit-identically
-    /// under it.
-    #[default]
-    ClosedForm,
-    /// Event-ordered execution of the decision's job graph
-    /// ([`crate::event_overlap`]): GPU, CPU and the two PCIe link directions run as
-    /// discrete-event components and overlap falls out of event ordering. Agrees with
-    /// the closed forms exactly for single-direction swap traffic and within one stage
-    /// time otherwise (never slower than the closed form).
-    EventOrdered,
-}
-
 /// Configuration shared by the engine and all schedulers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -51,15 +32,6 @@ pub struct EngineConfig {
     /// instead of submitting them. Requests are *delayed*, never dropped. The default is
     /// high enough that the paper-figure workloads are unaffected.
     pub max_waiting_requests: usize,
-    /// How iteration time is derived from a decision: the paper's closed forms
-    /// (default, pinned reference) or event-ordered execution of the decision's job
-    /// graph.
-    pub overlap_model: OverlapModel,
-    /// Same-tick dispatch order of the event-ordered path: `0` (default) dispatches
-    /// ties in component-id order; any other value seeds a fuzzed permutation used to
-    /// shake out ordering races (see [`neo_sim::event::TieBreak::from_seed`]). The
-    /// closed-form path ignores this.
-    pub event_tie_break_seed: u64,
     /// Whether the shared-prefix KV cache is enabled: prompt blocks of prefilled GPU
     /// sequences are indexed by token-run identity and later requests adopt matching
     /// prefixes copy-on-write instead of re-prefilling them. Off by default; with no
@@ -84,8 +56,6 @@ impl Default for EngineConfig {
             profile_noise: 0.0,
             layerwise_swap_overlap: true,
             max_waiting_requests: 1024,
-            overlap_model: OverlapModel::ClosedForm,
-            event_tie_break_seed: 0,
             prefix_cache: false,
             disk_tier: false,
         }
@@ -142,8 +112,6 @@ mod tests {
             profile_noise: 0.9,
             layerwise_swap_overlap: true,
             max_waiting_requests: 0,
-            overlap_model: OverlapModel::EventOrdered,
-            event_tie_break_seed: 3,
             prefix_cache: true,
             disk_tier: true,
         };
@@ -161,32 +129,6 @@ mod tests {
         let json = serde_json::to_string(&on).unwrap();
         let back: EngineConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(on, back);
-    }
-
-    #[test]
-    fn overlap_model_defaults_to_the_closed_form_reference() {
-        let c = EngineConfig::default();
-        assert_eq!(c.overlap_model, OverlapModel::ClosedForm);
-        assert_eq!(c.event_tie_break_seed, 0);
-        // Any seed is a valid configuration; validation has nothing to reject.
-        let fuzzed = EngineConfig {
-            overlap_model: OverlapModel::EventOrdered,
-            event_tie_break_seed: u64::MAX,
-            ..EngineConfig::default()
-        };
-        assert!(fuzzed.validate().is_empty());
-    }
-
-    #[test]
-    fn overlap_model_serde_round_trip() {
-        let c = EngineConfig {
-            overlap_model: OverlapModel::EventOrdered,
-            event_tie_break_seed: 42,
-            ..EngineConfig::default()
-        };
-        let json = serde_json::to_string(&c).unwrap();
-        let back: EngineConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 
     #[test]

@@ -19,9 +19,8 @@ use neo_sim::profiler::ProfiledCostModel;
 use neo_sim::{CostModel, SimClock};
 
 use crate::admit::AdmitError;
-use crate::config::{EngineConfig, OverlapModel};
-use crate::event_overlap::estimate_decision_event;
-use crate::pipeline::{estimate_decision, IterationEstimate};
+use crate::config::EngineConfig;
+use crate::pipeline::estimate_decision;
 use crate::request::{Request, RequestState};
 use crate::scheduler::{ScheduleContext, Scheduler};
 use crate::ExecutionMode;
@@ -87,7 +86,6 @@ pub struct Engine {
     iterations: u64,
     total_decode_tokens: u64,
     total_prefill_tokens: u64,
-    admission_backlog: usize,
     /// Fail-stopped: every submission is refused until [`Engine::recover`].
     down: bool,
     /// CPU-resident sequence whose wedged append the engine just freed room for (see
@@ -155,7 +153,6 @@ impl Engine {
             iterations: 0,
             total_decode_tokens: 0,
             total_prefill_tokens: 0,
-            admission_backlog: 0,
             down: false,
             cpu_append_reserved: None,
         }
@@ -293,14 +290,6 @@ impl Engine {
         !self.down && self.waiting.len() < self.config.max_waiting_requests
     }
 
-    /// Tells the engine how many accepted-but-not-yet-admitted requests the serving layer
-    /// is holding back. Purely advisory: it is surfaced to schedulers through
-    /// [`ScheduleContext::admission_backlog`] so load-aware policies can see pressure
-    /// beyond the waitqueue.
-    pub fn set_admission_backlog(&mut self, backlog: usize) {
-        self.admission_backlog = backlog;
-    }
-
     /// A live (submitted, not yet finished or evicted) request by id.
     pub fn request(&self, id: u64) -> Option<&Request> {
         self.requests.get(&id)
@@ -427,7 +416,6 @@ impl Engine {
                 disk_free_tokens: self.kv.free_tokens(Device::Disk),
                 gpu_capacity_tokens: self.kv.config().gpu_capacity_tokens,
                 prefill_device: &self.prefill_device,
-                admission_backlog: self.admission_backlog,
             };
             self.scheduler.schedule(&ctx)
         };
@@ -516,26 +504,15 @@ impl Engine {
             }
         }
 
-        // "Execute": charge the iteration's duration from the exact cost model, via the
-        // configured overlap model (closed forms are the pinned reference; the
-        // event-ordered path derives the overlap from event ordering instead).
-        let estimate: IterationEstimate = match self.config.overlap_model {
-            OverlapModel::ClosedForm => estimate_decision(
-                &self.cost,
-                &decision,
-                swap_out_tokens,
-                swap_in_tokens,
-                self.config.layerwise_swap_overlap,
-            ),
-            OverlapModel::EventOrdered => estimate_decision_event(
-                &self.cost,
-                &decision,
-                swap_out_tokens,
-                swap_in_tokens,
-                self.config.layerwise_swap_overlap,
-                neo_sim::event::TieBreak::from_seed(self.config.event_tie_break_seed),
-            ),
-        };
+        // "Execute": charge the iteration's duration from the exact cost model through
+        // the paper's closed-form iteration formulas.
+        let estimate = estimate_decision(
+            &self.cost,
+            &decision,
+            swap_out_tokens,
+            swap_in_tokens,
+            self.config.layerwise_swap_overlap,
+        );
         // NVMe traffic does not share the PCIe swap path's layer-wise overlap machinery:
         // disk demotions/promotions are charged serially on top of the iteration.
         let disk_time = self.cost.disk_write_time_total(demote_tokens)
@@ -920,7 +897,6 @@ mod tests {
         while !e.can_admit() {
             e.step();
         }
-        e.set_admission_backlog(3); // advisory; next step surfaces it to the scheduler
         e.run_to_completion(10_000);
         assert_eq!(e.completed().len(), 2);
     }

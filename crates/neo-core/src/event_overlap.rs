@@ -1,18 +1,17 @@
-//! Event-ordered iteration-time estimation: the overlap machinery as components.
+//! Event-ordered iteration-time estimation: the pricing oracle for the closed forms.
 //!
 //! [`crate::pipeline`] prices an iteration with closed forms — one formula per
 //! [`ExecutionMode`] that *assumes* how compute and transfers overlap. This module
 //! re-expresses the same machinery as a [`neo_sim::event::TaskGraph`] over four serial
 //! resources — the GPU compute stream, the CPU attention pool, and the two directions
-//! of each rank's PCIe link (d2h, h2d; per-rank wall-clock pricing per PR 5) — and lets
-//! the overlap *fall out of event ordering* instead.
+//! of each rank's PCIe link (d2h, h2d; priced per rank) — and lets the overlap *fall
+//! out of event ordering* instead.
 //!
-//! The closed-form path stays the pinned reference (all figure drivers regenerate
-//! bit-identically under it); the event-ordered path is the cross-check and the seam
-//! finer pipelining builds on. The two agree exactly when swap traffic flows in a
-//! single direction and the GPU is the per-layer critical resource, and within a small
-//! pinned tolerance otherwise, because the event model is *finer* in two ways the
-//! closed forms round up:
+//! The engine always charges the closed forms; this path is the oracle tests check
+//! them against. The two agree exactly when swap traffic flows in a single direction
+//! and the GPU is the per-layer critical resource, and within a small pinned tolerance
+//! otherwise, because the event model is *finer* in two ways the closed forms round
+//! up:
 //!
 //! * d2h and h2d traffic ride separate link directions concurrently, whereas the
 //!   closed forms serialize them into one per-layer transfer term;
@@ -24,7 +23,7 @@
 //! faster* than the closed form, never slower — the tolerance the cross-check tests
 //! pin.
 
-use neo_sim::event::{EventRecord, JobId, ResourceId, TaskGraph, TieBreak};
+use neo_sim::event::{EventRecord, JobId, ResourceId, TaskGraph};
 use neo_sim::profiler::IterationCost;
 
 use crate::batch::ScheduleDecision;
@@ -57,17 +56,16 @@ struct DecisionGraph {
 
 /// Estimates a decision by event-ordered execution of its job graph.
 ///
-/// Same signature and semantics as [`estimate_decision`], plus the same-tick
-/// [`TieBreak`] mode; `total_time` and `exposed_swap_time` come from the simulated
-/// makespan while the per-layer diagnostic fields (busy/bubble times, batch size) are
-/// shared with the closed-form estimate, which they describe equally well.
+/// Same signature and semantics as [`estimate_decision`]; `total_time` and
+/// `exposed_swap_time` come from the simulated makespan while the per-layer diagnostic
+/// fields (busy/bubble times, batch size) are shared with the closed-form estimate,
+/// which they describe equally well.
 pub fn estimate_decision_event(
     cost: &dyn IterationCost,
     decision: &ScheduleDecision,
     whole_swap_out_tokens: usize,
     whole_swap_in_tokens: usize,
     layerwise_overlap: bool,
-    tie_break: TieBreak,
 ) -> IterationEstimate {
     simulate_decision(
         cost,
@@ -75,7 +73,6 @@ pub fn estimate_decision_event(
         whole_swap_out_tokens,
         whole_swap_in_tokens,
         layerwise_overlap,
-        tie_break,
         false,
     )
     .0
@@ -90,7 +87,6 @@ pub fn trace_decision_event(
     whole_swap_out_tokens: usize,
     whole_swap_in_tokens: usize,
     layerwise_overlap: bool,
-    tie_break: TieBreak,
 ) -> (IterationEstimate, Vec<EventRecord>) {
     simulate_decision(
         cost,
@@ -98,7 +94,6 @@ pub fn trace_decision_event(
         whole_swap_out_tokens,
         whole_swap_in_tokens,
         layerwise_overlap,
-        tie_break,
         true,
     )
 }
@@ -109,7 +104,6 @@ fn simulate_decision(
     whole_swap_out_tokens: usize,
     whole_swap_in_tokens: usize,
     layerwise_overlap: bool,
-    tie_break: TieBreak,
     trace: bool,
 ) -> (IterationEstimate, Vec<EventRecord>) {
     let closed = estimate_decision(
@@ -138,7 +132,7 @@ fn simulate_decision(
             build_streamed(cost, decision, whole_swap_out_tokens, whole_swap_in_tokens)
         }
     };
-    let run = model.graph.simulate(tie_break, trace);
+    let run = model.graph.simulate(trace);
     let estimate = IterationEstimate {
         total_time: run.makespan + model.pre_post,
         exposed_swap_time: (run.makespan - model.base_compute).max(0.0),
@@ -354,7 +348,7 @@ mod tests {
         let gpu: Vec<(u64, usize)> = (0..24).map(|i| (i, 700)).collect();
         let d = decision(ExecutionMode::GpuOnly, decode_batch(&gpu, &[]), SubBatch::new());
         let closed = estimate_decision(&cm, &d, 0, 0, true);
-        let event = estimate_decision_event(&cm, &d, 0, 0, true, TieBreak::ById);
+        let event = estimate_decision_event(&cm, &d, 0, 0, true);
         assert!(
             (event.total_time - closed.total_time).abs() < 1e-12,
             "event {} closed {}",
@@ -380,7 +374,7 @@ mod tests {
         for whole_out in [0usize, 4000] {
             let d = decision(ExecutionMode::GpuOnly, batch0.clone(), SubBatch::new());
             let closed = estimate_decision(&cm, &d, whole_out, 0, true);
-            let event = estimate_decision_event(&cm, &d, whole_out, 0, true, TieBreak::ById);
+            let event = estimate_decision_event(&cm, &d, whole_out, 0, true);
             let rel = (event.total_time - closed.total_time).abs() / closed.total_time;
             assert!(rel < 1e-12, "whole_out {whole_out}: relative difference {rel}");
             assert!((event.exposed_swap_time - closed.exposed_swap_time).abs() < 1e-9);
@@ -393,7 +387,7 @@ mod tests {
         let gpu: Vec<(u64, usize)> = (0..16).map(|i| (i, 600)).collect();
         let d = decision(ExecutionMode::GpuOnly, decode_batch(&gpu, &[]), SubBatch::new());
         let closed = estimate_decision(&cm, &d, 3000, 0, false);
-        let event = estimate_decision_event(&cm, &d, 3000, 0, false, TieBreak::ById);
+        let event = estimate_decision_event(&cm, &d, 3000, 0, false);
         assert!((event.total_time - closed.total_time).abs() < 1e-9);
         assert!((event.exposed_swap_time - closed.exposed_swap_time).abs() < 1e-9);
     }
@@ -409,7 +403,7 @@ mod tests {
         let d =
             decision(ExecutionMode::Asymmetric, decode_batch(&gpu, &[]), decode_batch(&[], &cpu));
         let closed = estimate_decision(&cm, &d, 0, 0, true);
-        let event = estimate_decision_event(&cm, &d, 0, 0, true, TieBreak::ById);
+        let event = estimate_decision_event(&cm, &d, 0, 0, true);
         assert!(
             (event.total_time - closed.total_time).abs() / closed.total_time < 1e-12,
             "event {} closed {}",
@@ -428,7 +422,7 @@ mod tests {
         let d =
             decision(ExecutionMode::Asymmetric, decode_batch(&gpu, &[]), decode_batch(&[], &cpu));
         let closed = estimate_decision(&cm, &d, 0, 0, true);
-        let event = estimate_decision_event(&cm, &d, 0, 0, true, TieBreak::ById);
+        let event = estimate_decision_event(&cm, &d, 0, 0, true);
         assert!((event.total_time - closed.total_time).abs() / closed.total_time < 1e-12);
     }
 
@@ -442,7 +436,7 @@ mod tests {
         let gpu: Vec<(u64, usize)> = (0..24).map(|i| (i, 700)).collect();
         let d = decision(ExecutionMode::GpuOnly, decode_batch(&gpu, &[]), SubBatch::new());
         let closed = estimate_decision(&cm, &d, 2000, 2000, true);
-        let event = estimate_decision_event(&cm, &d, 2000, 2000, true, TieBreak::ById);
+        let event = estimate_decision_event(&cm, &d, 2000, 2000, true);
         assert!(event.total_time <= closed.total_time + 1e-12);
         let slack = cm.swap_out_time(2000) + cm.swap_in_time(2000);
         assert!(closed.total_time - event.total_time <= cm.n_layers() as f64 * slack + 1e-12);
@@ -456,7 +450,7 @@ mod tests {
             let d =
                 decision(ExecutionMode::Streamed, decode_batch(&[], &streamed), SubBatch::new());
             let closed = estimate_decision(&cm, &d, 0, 0, true);
-            let event = estimate_decision_event(&cm, &d, 0, 0, true, TieBreak::ById);
+            let event = estimate_decision_event(&cm, &d, 0, 0, true);
             // The event pipeline drains in L·max(c,t) + min(c,t) instead of the
             // closed form's t + L·max(c,t): never slower, within one stage time.
             assert!(event.total_time <= closed.total_time + 1e-12, "ctx {ctx}");
@@ -476,23 +470,8 @@ mod tests {
         let cm = cost();
         let long: Vec<(u64, usize)> = (0..16).map(|i| (i, 4000)).collect();
         let d = decision(ExecutionMode::Streamed, decode_batch(&[], &long), SubBatch::new());
-        let event = estimate_decision_event(&cm, &d, 0, 0, true, TieBreak::ById);
+        let event = estimate_decision_event(&cm, &d, 0, 0, true);
         assert!(event.exposed_swap_time > 0.0, "long contexts must expose transfer time");
-    }
-
-    #[test]
-    fn fuzzed_tie_break_leaves_the_estimate_bit_identical() {
-        let cm = cost();
-        let gpu: Vec<(u64, usize)> = (0..32).map(|i| (i, 800)).collect();
-        let cpu: Vec<(u64, usize)> = (100..124).map(|i| (i, 800)).collect();
-        let d =
-            decision(ExecutionMode::Asymmetric, decode_batch(&gpu, &[]), decode_batch(&[], &cpu));
-        let reference = estimate_decision_event(&cm, &d, 1500, 500, true, TieBreak::ById);
-        for seed in [1u64, 7, 42, 0xFEED] {
-            let fuzzed =
-                estimate_decision_event(&cm, &d, 1500, 500, true, TieBreak::Fuzzed { seed });
-            assert_eq!(reference, fuzzed, "seed {seed}");
-        }
     }
 
     #[test]
@@ -500,11 +479,11 @@ mod tests {
         let cm = cost();
         let gpu: Vec<(u64, usize)> = (0..8).map(|i| (i, 400)).collect();
         let d = decision(ExecutionMode::GpuOnly, decode_batch(&gpu, &[]), SubBatch::new());
-        let (est, trace) = trace_decision_event(&cm, &d, 0, 0, true, TieBreak::ById);
+        let (est, trace) = trace_decision_event(&cm, &d, 0, 0, true);
         assert!(!trace.is_empty());
         assert!(trace.windows(2).all(|w| w[0].tick <= w[1].tick));
         assert_eq!(trace.last().unwrap().tick + cm.pre_post_time(8, 8), est.total_time);
-        let (_, again) = trace_decision_event(&cm, &d, 0, 0, true, TieBreak::ById);
+        let (_, again) = trace_decision_event(&cm, &d, 0, 0, true);
         assert_eq!(trace, again);
     }
 }

@@ -23,12 +23,11 @@
 //! decisions to the paged KV cache and advances simulated time using the cost models
 //! from `neo-sim`.
 //!
-//! Iteration time is charged through one of two overlap models
-//! ([`config::OverlapModel`]): the paper's closed forms ([`pipeline`], the default and
-//! pinned reference) or event-ordered execution of the decision's job graph
-//! ([`event_overlap`]), where GPU compute, CPU attention and the two PCIe link
-//! directions run as discrete-event components on `neo_sim::event::EventEngine` and
-//! overlap falls out of event ordering.
+//! The engine charges every iteration through the paper's closed forms ([`pipeline`]).
+//! [`event_overlap`] re-derives the same times by event-ordered execution of the
+//! decision's job graph — GPU compute, CPU attention and the two PCIe link directions
+//! as serial resources on a `neo_sim::event::TaskGraph` — as the oracle the closed forms
+//! are checked against.
 //!
 //! # Example
 //!
@@ -63,7 +62,7 @@ pub mod scheduler;
 
 pub use admit::AdmitError;
 pub use batch::{PrefillItem, ScheduleDecision, SubBatch};
-pub use config::{EngineConfig, OverlapModel};
+pub use config::EngineConfig;
 pub use engine::{Engine, IterationReport};
 pub use event_overlap::{estimate_decision_event, trace_decision_event};
 pub use pipeline::IterationEstimate;

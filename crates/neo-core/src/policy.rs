@@ -402,7 +402,6 @@ mod tests {
                 disk_free_tokens: self.disk_free,
                 gpu_capacity_tokens: 10_000,
                 prefill_device: &self.prefill_device,
-                admission_backlog: 0,
             }
         }
     }

@@ -67,12 +67,6 @@ pub struct ScheduleContext<'a> {
     /// Device each partially-prefilled request's KV currently resides on (absent for
     /// requests that have not started prefill).
     pub prefill_device: &'a BTreeMap<u64, Device>,
-    /// Requests the serving layer has accepted but is holding back because the engine
-    /// reported admission backpressure ([`crate::Engine::can_admit`] was `false`).
-    /// Advisory load signal: none of the bundled policies act on it yet, but load-aware
-    /// schedulers (and the pipelined-offloading baselines planned in the roadmap) can use
-    /// it to see queueing pressure beyond the waitqueue.
-    pub admission_backlog: usize,
 }
 
 impl ScheduleContext<'_> {
@@ -347,7 +341,6 @@ mod tests {
                 disk_free_tokens: 0,
                 gpu_capacity_tokens: self.gpu_free,
                 prefill_device: &self.prefill_device,
-                admission_backlog: 0,
             };
             NeoScheduler::new().schedule(&ctx)
         }
@@ -479,7 +472,6 @@ mod tests {
             disk_free_tokens: 0,
             gpu_capacity_tokens: fx.gpu_free,
             prefill_device: &fx.prefill_device,
-            admission_backlog: 0,
         };
         let _ = s.schedule(&ctx);
         let _ = s.schedule(&ctx);

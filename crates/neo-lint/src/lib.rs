@@ -1,15 +1,15 @@
 //! Workspace determinism-hygiene static analysis (`neo-lint`).
 //!
 //! Every figure, golden trace, and CI gate in this NEO reproduction rests on
-//! one invariant: simulation output is **bit-identical** under fuzzed event
-//! tie-break seeds. That invariant is defended dynamically by the
-//! `NEO_EVENT_FUZZ_SEED` proptest matrices — but a `HashMap` iteration in a
-//! settle path, an ambient `Instant::now()`, or a NaN-swallowing float sort
-//! slips past those probabilistically, long after merge. `neo-lint` is the
-//! compile-time-style gate: a hand-rolled, comment/string/raw-string-aware
-//! token scanner ([`mod@scan`]) plus a rule engine ([`rules`]) that walks every
-//! `crates/*/src` and `shims/*/src` file and enforces the hygiene catalog in
-//! `docs/LINTS.md`:
+//! one invariant: simulation output is **bit-identical** from run to run, a
+//! function of its inputs alone. The pinned golden traces and the
+//! `results-fresh` regeneration check defend it dynamically — but a `HashMap`
+//! iteration in a settle path, an ambient `Instant::now()`, or a
+//! NaN-swallowing float sort slips past those whenever the pinned inputs
+//! happen not to expose it. `neo-lint` is the compile-time-style gate: a
+//! hand-rolled, comment/string/raw-string-aware token scanner ([`mod@scan`])
+//! plus a rule engine ([`rules`]) that walks every `crates/*/src` and
+//! `shims/*/src` file and enforces the hygiene catalog in `docs/LINTS.md`:
 //!
 //! 1. `no-unordered-iteration` — `HashMap`/`HashSet` banned in the
 //!    simulation-state crates; use ordered containers.

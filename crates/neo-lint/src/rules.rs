@@ -4,7 +4,7 @@
 //! comments and string literals can never trip them, and pragmas live in the
 //! comment view. Every rule is lexical by design — the point is a fast,
 //! dependency-free gate that catches the hygiene regressions which otherwise
-//! only fail probabilistically under the fuzzed-seed matrices (see
+//! fail only when a pinned trace happens to expose them (see
 //! `docs/LINTS.md` for the catalog rationale and the pragma grammar).
 
 use crate::scan::{has_ident, scan};
@@ -201,8 +201,8 @@ fn line_violation(rule: &'static str, line: &str) -> Option<String> {
         "no-ambient-time" => {
             let ident = ["Instant", "SystemTime"].iter().find(|ident| has_ident(line, ident))?;
             Some(format!(
-                "ambient `{ident}`: simulation time comes from `SimClock`/the event engine, \
-                 wall-clock reads are only allowed in the criterion shim"
+                "ambient `{ident}`: simulation time comes from `SimClock` and the simulated \
+                 clocks built on it, wall-clock reads are only allowed in the criterion shim"
             ))
         }
         "no-unseeded-rng" => {

@@ -17,8 +17,7 @@
 //!
 //! Admission applies backpressure instead of dropping: while the engine reports a full
 //! prefill waitqueue ([`neo_core::Engine::can_admit`] is `false`), arrivals wait in the
-//! server's FIFO backlog and are admitted as the queue drains. The backlog depth is also
-//! surfaced to schedulers via `ScheduleContext::admission_backlog`.
+//! server's FIFO backlog and are admitted as the queue drains.
 //!
 //! [`crate::run_online`] is a thin wrapper over this loop; real clients (or a future HTTP
 //! front-end) use [`Server::submit`] / [`Server::cancel`] directly.
@@ -779,7 +778,6 @@ impl Server {
                 }
             }
         }
-        self.engine.set_admission_backlog(self.backlog.len());
         let report = self.engine.step();
         self.iterations += 1;
         assert!(

@@ -1,11 +1,8 @@
-//! Simulation clock and event trace.
+//! Simulation clock.
 //!
 //! The serving harness in `neo-serve` advances time iteration by iteration: the scheduler
 //! forms a batch, the cost model produces the iteration's duration, and the clock moves
-//! forward. This module provides the clock plus an optional bounded event trace used by
-//! tests and the figure harnesses to inspect what the engine did.
-
-use serde::{Deserialize, Serialize};
+//! forward.
 
 /// Monotonically advancing simulated time, in seconds.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -48,70 +45,6 @@ impl SimClock {
     }
 }
 
-/// One recorded simulation event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimEvent {
-    /// Simulated time at which the event occurred.
-    pub time: f64,
-    /// Event category (e.g. `"iteration"`, `"swap_out"`, `"admit"`).
-    pub kind: String,
-    /// Free-form detail string.
-    pub detail: String,
-}
-
-/// A bounded in-memory trace of simulation events.
-///
-/// The trace keeps at most `capacity` most-recent events so long simulations do not
-/// accumulate unbounded memory.
-#[derive(Debug, Clone)]
-pub struct EventTrace {
-    events: std::collections::VecDeque<SimEvent>,
-    capacity: usize,
-    dropped: usize,
-}
-
-impl EventTrace {
-    /// Creates a trace retaining at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        Self { events: std::collections::VecDeque::new(), capacity: capacity.max(1), dropped: 0 }
-    }
-
-    /// Records an event at time `time`.
-    pub fn record(&mut self, time: f64, kind: impl Into<String>, detail: impl Into<String>) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(SimEvent { time, kind: kind.into(), detail: detail.into() });
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &SimEvent> {
-        self.events.iter()
-    }
-
-    /// Number of events evicted because the trace was full.
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl Default for EventTrace {
-    fn default() -> Self {
-        Self::new(4096)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,24 +80,5 @@ mod tests {
         let mut c = SimClock::new();
         c.advance(5.0);
         c.advance_to(1.0);
-    }
-
-    #[test]
-    fn trace_bounds_memory() {
-        let mut t = EventTrace::new(3);
-        for i in 0..10 {
-            t.record(i as f64, "iteration", format!("{i}"));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 7);
-        let times: Vec<f64> = t.events().map(|e| e.time).collect();
-        assert_eq!(times, vec![7.0, 8.0, 9.0]);
-    }
-
-    #[test]
-    fn empty_trace_reports_empty() {
-        let t = EventTrace::default();
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
     }
 }

@@ -22,11 +22,10 @@
 //! * [`transfer`] — double-buffered transfer/compute overlap terms used by the
 //!   pipelined-offloading baselines (PIPO-style KV streaming) to reason about how much
 //!   PCIe traffic hides behind per-layer compute.
-//! * [`clock`] — a simulation clock and event trace used by the serving harness.
-//! * [`event`] — the discrete-event core: a [`event::Component`] trait driven by an
-//!   [`event::EventEngine`] over a min-heap of wake-ups keyed `(next_tick, ComponentId)`,
-//!   with deterministic or seeded-fuzzed same-tick ordering, plus a [`event::TaskGraph`]
-//!   runner that executes job DAGs (layer compute, per-direction PCIe chunks) on serial
+//! * [`clock`] — the simulation clock used by the serving harness.
+//! * [`event`] — serial resources in simulated time: the [`event::SerialLine`] FIFO link
+//!   the cluster prices frontend→engine hops with, and the [`event::TaskGraph`] runner
+//!   that executes job DAGs (layer compute, per-direction PCIe chunks) on serial
 //!   resources so overlap falls out of event ordering instead of closed forms.
 //!
 //! # Example: per-operator costs
@@ -77,9 +76,7 @@ pub mod transfer;
 
 pub use clock::SimClock;
 pub use costmodel::{CostModel, RankBudget};
-pub use event::{
-    Component, ComponentId, EventEngine, EventRecord, SerialLine, TaskGraph, TaskGraphRun, TieBreak,
-};
+pub use event::{EventRecord, SerialLine, TaskGraph, TaskGraphRun};
 pub use hardware::{CpuSpec, GpuSpec, InterconnectSpec, PcieSpec, Testbed};
 pub use model_desc::ModelDesc;
 pub use profiler::{Interpolator1d, ProfiledCostModel};

@@ -1,14 +1,11 @@
 //! Cluster-level determinism contracts.
 //!
-//! The cluster layer is where same-tick dispatch order is most tempting to leak into
-//! outputs: a router reading engine queue depths at tick *t* would see different
-//! depths depending on which same-tick component the event heap dispatched first.
-//! `neo_cluster` is built so that cannot happen (every component tick settles the
-//! whole cluster in one fixed global order), and this suite pins the contract:
+//! The cluster layer is where event order is most tempting to leak into outputs: a
+//! router reading engine queue depths at instant *t* would see different depths
+//! depending on whether an engine's same-instant completion was processed first.
+//! `neo_cluster` is built so that cannot happen (its run loop settles each instant in
+//! one fixed global order), and this suite pins the contract:
 //!
-//! * the full [`neo_cluster::ClusterReport`] — routing trace included — is
-//!   bit-identical across ≥ 32 fuzzed tie-break seeds (proptest) and across the
-//!   `NEO_EVENT_FUZZ_SEED` CI matrix;
 //! * one routing trace is pinned with exact literals, so any change to the settle
 //!   order, the link model, or a discipline shows up as a reviewable diff;
 //! * total tokens served are conserved: every discipline streams exactly the trace's
@@ -33,8 +30,8 @@ fn pinned_trace() -> Trace {
     synthetic(10, 200, 8, ArrivalProcess::Uniform { rate: 5.0 }, 13)
 }
 
-fn run_cluster(discipline: Discipline, tie_break_seed: u64) -> ClusterReport {
-    let config = ClusterConfig { discipline, tie_break_seed, ..ClusterConfig::default() };
+fn run_cluster(discipline: Discipline) -> ClusterReport {
+    let config = ClusterConfig { discipline, ..ClusterConfig::default() };
     Cluster::new(hetero_pair(), &pinned_trace(), config).run()
 }
 
@@ -44,7 +41,7 @@ fn run_cluster(discipline: Discipline, tie_break_seed: u64) -> ClusterReport {
 /// least one of these records.
 #[test]
 fn least_kv_routing_trace_is_pinned() {
-    let report = run_cluster(Discipline::LeastKv, 0);
+    let report = run_cluster(Discipline::LeastKv);
     let expected = vec![
         RouteRecord { id: 0, time: 0.2, engine: 0 },
         RouteRecord { id: 1, time: 0.4, engine: 1 },
@@ -65,20 +62,6 @@ fn least_kv_routing_trace_is_pinned() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// ≥ 32 fuzzed tie-break seeds × every discipline: the full cluster report —
-    /// routes, per-engine summaries, TTFT/ITL with f64 round-trip precision — is
-    /// bit-identical to the deterministic (seed 0) dispatch order.
-    #[test]
-    fn fuzzed_dispatch_order_never_changes_the_cluster_report(
-        seed in 1u64..u64::MAX,
-        discipline_index in 0usize..4,
-    ) {
-        let discipline = Discipline::ALL[discipline_index];
-        let reference = format!("{:?}", run_cluster(discipline, 0));
-        let fuzzed = format!("{:?}", run_cluster(discipline, seed));
-        prop_assert_eq!(&reference, &fuzzed);
-    }
-
     /// Token conservation across router disciplines: whatever the routing, the fleet
     /// streams exactly the trace's output tokens and completes every request.
     #[test]
@@ -97,19 +80,5 @@ proptest! {
             prop_assert_eq!(per_engine, expected_tokens);
             prop_assert_eq!(report.routes.len(), trace.len());
         }
-    }
-}
-
-/// The CI seed-matrix entry point: `NEO_EVENT_FUZZ_SEED` (0 = deterministic order)
-/// must reproduce the seed-0 cluster report bit-identically for every discipline.
-/// The `cluster` CI job runs this test binary once per seed.
-#[test]
-fn ci_fuzz_seed_matches_the_deterministic_cluster_order() {
-    let seed: u64 =
-        std::env::var("NEO_EVENT_FUZZ_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xC0FFEE);
-    for discipline in Discipline::ALL {
-        let reference = format!("{:?}", run_cluster(discipline, 0));
-        let fuzzed = format!("{:?}", run_cluster(discipline, seed));
-        assert_eq!(reference, fuzzed, "{} diverged under seed {seed}", discipline.label());
     }
 }

@@ -1,104 +1,32 @@
-//! Event-engine determinism, replay, and closed-form agreement contracts.
+//! Pricing-oracle contracts: the event-ordered iteration pricing
+//! (`neo_core::event_overlap`) checked against the closed forms the engine charges.
 //!
-//! The discrete-event path (`OverlapModel::EventOrdered`) must be:
-//!
-//! * **order-invariant** — fuzzing the same-tick dispatch order with any seed leaves
-//!   every simulation output (iteration reports, TTFT/ITL summaries) bit-identical,
-//!   because well-formed components derive their transitions from simulated time and
-//!   shared state, never from dispatch order (proptested over ≥ 64 seeds, plus the
-//!   `NEO_EVENT_FUZZ_SEED` CI matrix);
 //! * **replayable** — the exact `(tick, component, event)` sequence of an h100_70b
 //!   decision window is pinned, in the style of the scheduling traces in
 //!   `tests/tp_accounting.rs`;
-//! * **agreeing with the pinned closed forms** — the default path regenerates every
-//!   figure bit-identically, and the event-ordered path tracks it within the pinned
-//!   tolerance asserted here (never slower, at most one stage time faster).
+//! * **agreeing with the closed forms** — every decision of real NEO runs on the T4,
+//!   A10G and H100 scenarios is re-priced through both paths: the event-ordered
+//!   estimate is never slower than the closed form and at most 8 % faster in
+//!   aggregate.
+
+use std::sync::{Arc, Mutex};
 
 use neo_bench::{Policy, Scenario};
-use neo_core::config::{EngineConfig, OverlapModel};
+use neo_core::config::EngineConfig;
+use neo_core::pipeline::estimate_decision;
 use neo_core::request::Request;
-use neo_core::{trace_decision_event, Engine, ExecutionMode, ScheduleDecision, SubBatch};
-use neo_serve::Server;
-use neo_sim::event::TieBreak;
-use proptest::prelude::*;
-
-/// The small T4 scenario (LLaMa-2-7B on g4dn.4xlarge) used by the determinism
-/// proptests: bursty enough to exercise offloading, swaps and both sub-batches, small
-/// enough to run 64+ fuzzed cases quickly.
-const T4_REQUESTS: usize = 10;
-const T4_PROMPT: usize = 240;
-const T4_OUTPUT: usize = 12;
+use neo_core::{
+    estimate_decision_event, trace_decision_event, Engine, ExecutionMode, ScheduleContext,
+    ScheduleDecision, Scheduler, SubBatch,
+};
+use neo_sim::CostModel;
 
 /// `NEO_KV_HIERARCHY=on` (the CI `prefix-cache` matrix) turns the shared-prefix cache
 /// on for every engine in this suite. None of these workloads share token runs, so the
-/// cache must be a pure no-op: every bit-identity, replay, and agreement contract below
-/// must hold unchanged — the "on" matrix leg re-proves the hierarchy's transparency.
+/// cache must be a pure no-op: the agreement contract below must hold unchanged — the
+/// "on" matrix leg re-proves the hierarchy's transparency.
 fn kv_hierarchy_on() -> bool {
     std::env::var("NEO_KV_HIERARCHY").map(|v| v == "on" || v == "1").unwrap_or(false)
-}
-
-fn t4_engine(seed: u64) -> Engine {
-    let config = EngineConfig {
-        overlap_model: OverlapModel::EventOrdered,
-        event_tie_break_seed: seed,
-        prefix_cache: kv_hierarchy_on(),
-        ..EngineConfig::default()
-    };
-    Scenario::t4_7b().engine_with_config(Policy::Neo, config)
-}
-
-/// Runs the T4 engine workload under the given fuzz seed and renders every iteration
-/// report with full `{:?}` (f64 round-trip) precision — the bit-identity surface.
-fn t4_iteration_reports(seed: u64) -> String {
-    let mut engine = t4_engine(seed);
-    for id in 0..T4_REQUESTS as u64 {
-        engine
-            .submit(Request::new(id, 0.0, T4_PROMPT + (id as usize % 3) * 40, T4_OUTPUT))
-            .unwrap();
-    }
-    let mut rendered = String::new();
-    while !engine.is_idle() {
-        rendered.push_str(&format!("{:?}\n", engine.step()));
-    }
-    rendered
-}
-
-/// Runs the same workload through the serving loop (staggered arrivals, token
-/// streaming) and renders the full report — TTFT/ITL summaries included — with `{:?}`
-/// precision.
-fn t4_server_report(seed: u64) -> String {
-    let mut server = Server::new(t4_engine(seed));
-    for i in 0..T4_REQUESTS {
-        server.submit(i as f64 * 0.05, T4_PROMPT, T4_OUTPUT).unwrap();
-    }
-    format!("{:?}", server.run_until_idle())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// ≥ 64 fuzzed tie-break seeds: iteration reports and TTFT/ITL summaries are
-    /// bit-identical to the deterministic (`ById`, seed 0) order.
-    #[test]
-    fn fuzzed_tie_break_order_is_bit_identical_on_t4(seed in 1u64..u64::MAX) {
-        let reference = t4_iteration_reports(0);
-        let fuzzed = t4_iteration_reports(seed);
-        prop_assert_eq!(&reference, &fuzzed);
-        let reference_report = t4_server_report(0);
-        let fuzzed_report = t4_server_report(seed);
-        prop_assert_eq!(&reference_report, &fuzzed_report);
-    }
-}
-
-/// The CI seed-matrix entry point: `NEO_EVENT_FUZZ_SEED` (0 = deterministic order)
-/// must reproduce the seed-0 outputs bit-identically. The fuzzed-order CI job runs
-/// this test binary once per seed.
-#[test]
-fn ci_fuzz_seed_matches_the_deterministic_order() {
-    let seed: u64 =
-        std::env::var("NEO_EVENT_FUZZ_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xC0FFEE);
-    assert_eq!(t4_iteration_reports(0), t4_iteration_reports(seed));
-    assert_eq!(t4_server_report(0), t4_server_report(seed));
 }
 
 /// A representative h100_70b (tp = 2) asymmetric decision: a prefill chunk headed for
@@ -132,15 +60,14 @@ fn h100_decision() -> ScheduleDecision {
 
 /// Golden trace: the exact `(tick, component, event)` sequence of the first ten
 /// dispatches of the h100_70b decision window, plus the window's totals, pinned with
-/// `{:?}` round-trip literals. Any change to event ordering, job construction or the
+/// `{:?}` round-trip literals. Any change to dispatch ordering, job construction or the
 /// cost model shows up here as a bit-level diff.
 #[test]
 fn h100_70b_event_trace_is_pinned() {
     let scenario = Scenario::h100_70b_tp(2);
     let cost = scenario.cost_model();
     let decision = h100_decision();
-    let (estimate, trace) =
-        trace_decision_event(&cost, &decision, 3000, 2000, true, TieBreak::ById);
+    let (estimate, trace) = trace_decision_event(&cost, &decision, 3000, 2000, true);
 
     // 80 layers × (4 compute + 2 link jobs), two dispatches (start/finish, possibly
     // fused) each; the exact length is part of the replay contract.
@@ -164,10 +91,43 @@ fn h100_70b_event_trace_is_pinned() {
     assert_eq!(estimate.exposed_swap_time, 0.00016584533333303952);
 }
 
-/// Engine-level agreement: under identical workloads the two overlap models take
-/// identical scheduling trajectories (same modes, batch sizes, token counts per
-/// iteration) and the event-ordered durations track the closed forms within the pinned
-/// tolerance — never slower, at most 8 % faster in aggregate.
+/// `(closed form, event-ordered)` price of every non-idle decision, in simulated
+/// seconds.
+type Prices = Arc<Mutex<Vec<(f64, f64)>>>;
+
+/// A [`Scheduler`] decorator that returns the wrapped policy's decisions unchanged and
+/// re-prices each one through both paths against the engine's exact cost model
+/// (assuming every requested swap succeeds — both paths see the same inputs either
+/// way).
+struct BothPaths {
+    inner: Box<dyn Scheduler>,
+    exact: CostModel,
+    layerwise_overlap: bool,
+    prices: Prices,
+}
+
+impl Scheduler for BothPaths {
+    fn schedule(&mut self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
+        let decision = self.inner.schedule(ctx);
+        if !decision.is_idle() {
+            let tokens = |ids: &[u64]| -> usize { ids.iter().map(|&id| ctx.context_len(id)).sum() };
+            let (out, into) = (tokens(&decision.swap_out), tokens(&decision.swap_in));
+            let layerwise = self.layerwise_overlap;
+            let closed = estimate_decision(&self.exact, &decision, out, into, layerwise);
+            let event = estimate_decision_event(&self.exact, &decision, out, into, layerwise);
+            self.prices.lock().unwrap().push((closed.total_time, event.total_time));
+        }
+        decision
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// Oracle agreement on real runs: every decision NEO makes while draining each
+/// scenario's workload is priced by the event-ordered path no slower than by the
+/// closed forms, and the two totals differ by at most 8 %.
 #[test]
 fn event_path_agrees_with_closed_form_within_pinned_tolerance() {
     // Workloads sized so each scenario drains: the T4 has far less KV headroom than
@@ -177,44 +137,32 @@ fn event_path_agrees_with_closed_form_within_pinned_tolerance() {
         ("a10g_8b", Scenario::a10g_8b(), 16, 1200),
         ("h100_70b", Scenario::h100_70b(), 16, 1200),
     ] {
-        let run = |model: OverlapModel| {
-            let config = EngineConfig {
-                overlap_model: model,
-                prefix_cache: kv_hierarchy_on(),
-                ..EngineConfig::default()
-            };
-            let mut engine = scenario.engine_with_config(Policy::Neo, config);
-            for id in 0..n_requests {
-                engine.submit(Request::new(id, 0.0, prompt, 24)).unwrap();
-            }
-            let mut reports = Vec::new();
-            while !engine.is_idle() {
-                reports.push(engine.step());
-            }
-            reports
+        let config = EngineConfig { prefix_cache: kv_hierarchy_on(), ..EngineConfig::default() };
+        let prices = Prices::default();
+        let scheduler = BothPaths {
+            inner: Policy::Neo.scheduler(),
+            exact: scenario.cost_model().with_max_batch_tokens(config.max_batch_tokens),
+            layerwise_overlap: config.layerwise_swap_overlap,
+            prices: Arc::clone(&prices),
         };
-        let closed = run(OverlapModel::ClosedForm);
-        let event = run(OverlapModel::EventOrdered);
-        assert_eq!(closed.len(), event.len(), "{label}: iteration counts diverged");
+        let mut engine = Engine::new(scenario.cost_model(), config, Box::new(scheduler));
+        for id in 0..n_requests {
+            engine.submit(Request::new(id, 0.0, prompt, 24)).unwrap();
+        }
+        while !engine.is_idle() {
+            engine.step();
+        }
+        let prices = prices.lock().unwrap();
+        assert!(!prices.is_empty(), "{label}: no decision was priced");
         let mut closed_total = 0.0;
         let mut event_total = 0.0;
-        for (c, e) in closed.iter().zip(&event) {
-            // The scheduling trajectory is overlap-model-independent: schedulers see
-            // queues and the profiled cost model, never the charged durations.
-            assert_eq!(c.mode, e.mode, "{label} iter {}", c.iteration);
-            assert_eq!(c.batch_size, e.batch_size, "{label} iter {}", c.iteration);
-            assert_eq!(c.prefill_tokens, e.prefill_tokens, "{label} iter {}", c.iteration);
-            assert_eq!(c.decode_tokens, e.decode_tokens, "{label} iter {}", c.iteration);
-            assert_eq!(c.cpu_offloaded, e.cpu_offloaded, "{label} iter {}", c.iteration);
+        for (i, &(closed, event)) in prices.iter().enumerate() {
             assert!(
-                e.duration <= c.duration + 1e-9,
-                "{label} iter {}: event {} > closed {}",
-                c.iteration,
-                e.duration,
-                c.duration
+                event <= closed + 1e-9,
+                "{label} decision {i}: event {event} > closed {closed}"
             );
-            closed_total += c.duration;
-            event_total += e.duration;
+            closed_total += closed;
+            event_total += event;
         }
         let rel = (closed_total - event_total) / closed_total;
         assert!(
@@ -223,37 +171,4 @@ fn event_path_agrees_with_closed_form_within_pinned_tolerance() {
             rel * 100.0
         );
     }
-}
-
-/// Serving-level agreement: the event-ordered server drains the same workload with the
-/// same completion counts and a makespan within the pinned tolerance of the closed-form
-/// reference.
-#[test]
-fn event_path_serves_the_same_workload_within_tolerance() {
-    let run = |model: OverlapModel| {
-        let config = EngineConfig {
-            overlap_model: model,
-            prefix_cache: kv_hierarchy_on(),
-            ..EngineConfig::default()
-        };
-        let mut server = Server::new(Scenario::a10g_8b().engine_with_config(Policy::Neo, config));
-        for _ in 0..12 {
-            server.submit(0.0, 800, 16).unwrap();
-        }
-        server.run_until_idle()
-    };
-    let closed = run(OverlapModel::ClosedForm);
-    let event = run(OverlapModel::EventOrdered);
-    assert_eq!(closed.completed, event.completed);
-    assert_eq!(closed.completed, 12);
-    let rel = (closed.makespan - event.makespan) / closed.makespan;
-    assert!(
-        (-1e-9..=0.08).contains(&rel),
-        "event makespan {} vs closed {} ({:.2}%)",
-        event.makespan,
-        closed.makespan,
-        rel * 100.0
-    );
-    let (closed_ttft, event_ttft) = (closed.ttft.unwrap(), event.ttft.unwrap());
-    assert!((closed_ttft.mean - event_ttft.mean).abs() / closed_ttft.mean < 0.08);
 }

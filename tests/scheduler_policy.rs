@@ -75,7 +75,6 @@ impl Fixture {
             disk_free_tokens: 0,
             gpu_capacity_tokens: self.gpu_free,
             prefill_device: &self.prefill_device,
-            admission_backlog: 0,
         }
     }
 }
