@@ -36,16 +36,14 @@
 //! clock past it. Requests delivered to an engine whose clock has run ahead are
 //! admitted at the engine's current time — exactly the behaviour of a real engine that
 //! was mid-iteration when the request landed. Cluster-level TTFT is therefore measured
-//! from the *frontend* arrival (via streaming callbacks), never from the server-local
-//! admission time.
+//! from the *frontend* arrival, by folding the token timeline each server keeps,
+//! never from the server-local admission time.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use neo_core::Engine;
-use neo_serve::metrics::LatencySummary;
-use neo_serve::{DropReason, RequestHandle, Server};
+use neo_serve::metrics::{stream_latency, LatencySummary};
+use neo_serve::{DropReason, RequestHandle, RequestStatus, Server};
 use neo_sim::event::SerialLine;
 use neo_workload::{SloPolicy, Trace};
 use serde::Serialize;
@@ -211,10 +209,6 @@ struct Slot {
     /// `(deliver_at, id)` in delivery order (monotone: the link is serial FIFO).
     inflight: VecDeque<(f64, u64)>,
     routed: usize,
-    /// Prompt tokens routed here whose first token has not streamed yet — KV
-    /// commitments the engine's occupancy counters cannot see yet (the `LeastKv`
-    /// signal's in-flight term).
-    pending_prompt_tokens: usize,
     /// Whether the engine is in service; a down slot admits nothing and has no
     /// activity until an `EngineRecover` fault.
     up: bool,
@@ -223,11 +217,11 @@ struct Slot {
     capacity: usize,
 }
 
-/// Where a live request currently sits — the index the failover path uses to find
-/// and detach it.
+/// Where a request currently sits — the index the failover path uses to find and
+/// detach it. A request is complete once the server it sits on has finished it.
 #[derive(Debug, Clone, Copy)]
 enum Site {
-    /// Not yet routed, or already terminal.
+    /// Not yet routed, or detached and about to be re-homed.
     Idle,
     /// On engine `e`'s frontend link.
     OnLink(usize),
@@ -237,13 +231,7 @@ enum Site {
     CentralQueue,
     /// Waiting out a failover backoff.
     RetryQueue,
-}
-
-/// Terminal-state ledger entry: exactly one of these outcomes per request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    Pending,
-    Completed,
+    /// Shed with a typed reason (terminal).
     Dropped,
 }
 
@@ -268,17 +256,6 @@ struct RouterState {
     rebalances: usize,
 }
 
-/// Token events observed by the per-request streaming callbacks.
-#[derive(Default)]
-struct TokenSink {
-    /// Emission times per frontend id.
-    token_times: Vec<Vec<f64>>,
-    /// Frontend ids whose first token arrived since the last settle drained them.
-    firsts: Vec<u64>,
-    /// Frontend ids whose last token arrived since the last settle drained them.
-    lasts: Vec<u64>,
-}
-
 /// A routed fleet of engines, ready to run a trace to completion.
 pub struct Cluster {
     slots: Vec<Slot>,
@@ -287,17 +264,12 @@ pub struct Cluster {
     next_arrival: usize,
     router: RouterState,
     records: Vec<RouteRecord>,
-    /// Engine each frontend id was bound to (`usize::MAX` until routed).
-    engine_of: Vec<usize>,
-    token_sink: Rc<RefCell<TokenSink>>,
     /// Fault plan (plus SLO deadline events), sorted by time; `fault_cursor` is the
     /// next unapplied event.
     fault_events: Vec<FaultEvent>,
     fault_cursor: usize,
     /// Where each frontend id currently sits.
     site: Vec<Site>,
-    /// Terminal-state ledger: exactly one outcome per request.
-    outcome: Vec<Outcome>,
     /// Dispatches so far per request (first dispatch counts; retries increment).
     attempts: Vec<u32>,
     /// Completion deadline per request (`f64::INFINITY` without an SLO policy).
@@ -331,26 +303,14 @@ impl Cluster {
         if let Some(request) = self.requests.get(self.next_arrival) {
             fold(request.arrival);
         }
-        if let Some(at) = self.fault_due() {
-            fold(at);
+        // Never the deadline of an ended request: `settle` consumes those as they lead.
+        if let Some(event) = self.fault_events.get(self.fault_cursor) {
+            fold(event.at);
         }
         if let Some(at) = self.retry_due() {
             fold(at);
         }
         due
-    }
-
-    /// The next fault event that would actually do something. A `DeadlineExpire` of
-    /// an already-terminal request is a no-op and must not wake the cluster (it is
-    /// still consumed, cursor-advancing, whenever a real event settles past it).
-    fn fault_due(&self) -> Option<f64> {
-        self.fault_events[self.fault_cursor..]
-            .iter()
-            .find(|event| {
-                !(event.kind == FaultKind::DeadlineExpire
-                    && self.outcome[event.request as usize] != Outcome::Pending)
-            })
-            .map(|event| event.at)
     }
 
     /// The earliest `ready_at` among parked retries that have somewhere to go. An
@@ -370,6 +330,8 @@ impl Cluster {
     /// faults → link deliveries → engine steps → retry re-dispatch → frontend arrivals
     /// → central dispatch. [`Cluster::run`] calls it once per instant, earliest first,
     /// so every routing decision is a function of simulated time and this order alone.
+    /// The pass ends by consuming the leading deadline events of requests that already
+    /// ended: they are no-ops and must not wake the cluster.
     fn settle(&mut self, at: f64) {
         self.apply_faults(at);
         for e in 0..self.slots.len() {
@@ -386,16 +348,32 @@ impl Cluster {
                 self.slots[e].server.poll(at);
             }
         }
-        self.drain_sink();
         self.process_retries(at);
         while self.requests.get(self.next_arrival).is_some_and(|r| r.arrival <= at) {
             let id = self.next_arrival as u64;
             self.next_arrival += 1;
-            if self.outcome[id as usize] == Outcome::Pending {
+            if self.is_pending(id) {
                 self.route(at, id);
             }
         }
         self.dispatch_central(at);
+        while self.fault_events.get(self.fault_cursor).is_some_and(|event| {
+            event.kind == FaultKind::DeadlineExpire && !self.is_pending(event.request)
+        }) {
+            self.fault_cursor += 1;
+        }
+    }
+
+    /// Whether request `id` completed: the server it sits on has finished it.
+    fn completed(&self, id: u64) -> bool {
+        matches!(self.site[id as usize], Site::OnServer(e, handle)
+            if matches!(self.slots[e].server.status(handle), RequestStatus::Finished { .. }))
+    }
+
+    /// Whether request `id` has yet to reach its terminal state (completed or
+    /// dropped).
+    fn is_pending(&self, id: u64) -> bool {
+        !matches!(self.site[id as usize], Site::Dropped) && !self.completed(id)
     }
 
     /// Applies every fault event due at or before `at`, in plan order.
@@ -424,9 +402,7 @@ impl Cluster {
                     link.reconfigure(self.config.link_latency_s, self.config.link_bytes_per_s);
                 }
                 FaultKind::DeadlineExpire => {
-                    // Completions already streamed this instant must win the tie.
-                    self.drain_sink();
-                    if self.outcome[event.request as usize] == Outcome::Pending {
+                    if self.is_pending(event.request) {
                         self.drop_request(event.at, event.request, DropReason::DeadlineExpired);
                     }
                 }
@@ -435,38 +411,31 @@ impl Cluster {
     }
 
     /// Fail-stops engine `e` at `at`: its KV is lost, the slot goes down, and every
-    /// request it held (on the link or admitted) is orphaned in id order.
+    /// pending request it held (on the link or admitted) is orphaned in id order.
     fn fail_engine(&mut self, at: f64, engine: usize) {
         if !self.slots[engine].up {
             return;
         }
-        // Tokens streamed before the fault landed are real; account them first.
-        self.drain_sink();
+        let victims: Vec<u64> = (0..self.site.len() as u64)
+            .filter(|&id| {
+                matches!(self.site[id as usize], Site::OnLink(e) | Site::OnServer(e, _) if e == engine)
+                    && self.is_pending(id)
+            })
+            .collect();
         let _ = self.slots[engine].server.fail();
         self.slots[engine].up = false;
         self.slots[engine].inflight.clear();
-        self.slots[engine].pending_prompt_tokens = 0;
-        let victims: Vec<u64> = self
-            .site
-            .iter()
-            .enumerate()
-            .filter(
-                |(_, site)| matches!(site, Site::OnLink(e) | Site::OnServer(e, _) if *e == engine),
-            )
-            .map(|(id, _)| id as u64)
-            .collect();
         for id in victims {
             self.site[id as usize] = Site::Idle;
-            self.token_sink.borrow_mut().token_times[id as usize].clear();
             self.orphan(at, id);
         }
     }
 
-    /// Decides the fate of a detached live request (its `site` must already be
-    /// `Idle` and its slot accounting settled): park it for a retry, or shed it.
+    /// Decides the fate of a live request that has nowhere to be (its `site` must
+    /// already be `Idle`): an orphan of a dead engine, or an arrival whose admissible
+    /// engines are all down. Parks it for a retry once the fleet heals, or sheds it.
     fn orphan(&mut self, at: f64, id: u64) {
         let idx = id as usize;
-        self.token_sink.borrow_mut().token_times[idx].clear();
         if !self.config.failover {
             self.drop_request(at, id, DropReason::EngineFailed);
             return;
@@ -491,29 +460,14 @@ impl Cluster {
     /// Sheds request `id`: detaches it from wherever it sits, marks it terminal, and
     /// records the typed reason.
     fn drop_request(&mut self, at: f64, id: u64, reason: DropReason) {
-        let idx = id as usize;
-        match self.site[idx] {
-            Site::OnLink(e) => {
-                self.slots[e].inflight.retain(|&(_, x)| x != id);
-                let prompt = self.requests[idx].prompt_len;
-                self.slots[e].pending_prompt_tokens =
-                    self.slots[e].pending_prompt_tokens.saturating_sub(prompt);
-            }
-            Site::OnServer(e, handle) => {
-                if self.token_sink.borrow().token_times[idx].is_empty() {
-                    let prompt = self.requests[idx].prompt_len;
-                    self.slots[e].pending_prompt_tokens =
-                        self.slots[e].pending_prompt_tokens.saturating_sub(prompt);
-                }
-                self.slots[e].server.drop_now(handle, reason);
-            }
+        match self.site[id as usize] {
+            Site::OnLink(e) => self.slots[e].inflight.retain(|&(_, x)| x != id),
+            Site::OnServer(e, handle) => self.slots[e].server.drop_now(handle, reason),
             Site::CentralQueue => self.router.central.retain(|&x| x != id),
             Site::RetryQueue => self.retry_queue.retain(|entry| entry.id != id),
-            Site::Idle => {}
+            Site::Idle | Site::Dropped => {}
         }
-        self.token_sink.borrow_mut().token_times[idx].clear();
-        self.site[idx] = Site::Idle;
-        self.outcome[idx] = Outcome::Dropped;
+        self.site[id as usize] = Site::Dropped;
         self.drops.push(DropRecord { id, time: at, reason: reason.label().to_string() });
     }
 
@@ -577,76 +531,22 @@ impl Cluster {
     /// ends in exactly one terminal state.
     fn finalize(&mut self) {
         let at = self.slots.iter().map(|slot| slot.server.now()).fold(0.0, f64::max);
-        for id in 0..self.requests.len() {
-            if self.outcome[id] == Outcome::Pending {
-                self.drop_request(at, id as u64, DropReason::EngineFailed);
+        for id in 0..self.requests.len() as u64 {
+            if self.is_pending(id) {
+                self.drop_request(at, id, DropReason::EngineFailed);
             }
         }
     }
 
-    /// Hands a delivered request to its engine's server, wiring the streaming
-    /// callback that timestamps every token against the frontend clock. A rejected
-    /// or undeliverable submission re-enters the failover path.
+    /// Hands a delivered request to its engine's server. A refused submission (the
+    /// engine is down) re-enters the failover path.
     fn deliver(&mut self, engine: usize, at: f64, id: u64) {
-        let idx = id as usize;
-        if self.outcome[idx] != Outcome::Pending {
-            return;
-        }
-        let request = self.requests[idx];
-        if !self.slots[engine].up {
-            // The wire outlived the engine: treat the delivery as lost.
-            self.slots[engine].pending_prompt_tokens =
-                self.slots[engine].pending_prompt_tokens.saturating_sub(request.prompt_len);
-            self.site[idx] = Site::Idle;
-            self.orphan(at, id);
-            return;
-        }
-        let sink = Rc::clone(&self.token_sink);
-        let submitted = self.slots[engine].server.submit_with_callback(
-            at,
-            request.prompt_len,
-            request.output_len,
-            move |event| {
-                let mut sink = sink.borrow_mut();
-                if event.index == 0 {
-                    sink.firsts.push(id);
-                }
-                if event.is_last {
-                    sink.lasts.push(id);
-                }
-                sink.token_times[id as usize].push(event.time);
-            },
-        );
-        match submitted {
-            Ok(handle) => self.site[idx] = Site::OnServer(engine, handle),
+        let request = self.requests[id as usize];
+        match self.slots[engine].server.submit(at, request.prompt_len, request.output_len) {
+            Ok(handle) => self.site[id as usize] = Site::OnServer(engine, handle),
             Err(_) => {
-                self.slots[engine].pending_prompt_tokens =
-                    self.slots[engine].pending_prompt_tokens.saturating_sub(request.prompt_len);
-                self.site[idx] = Site::Idle;
-                self.orphan(at, id);
-            }
-        }
-    }
-
-    /// Releases the `pending_prompt_tokens` commitment of every request whose first
-    /// token streamed since the last drain (its prompt is now visible in the
-    /// engine's own KV occupancy counters), and marks requests whose last token
-    /// streamed as completed.
-    fn drain_sink(&mut self) {
-        let (firsts, lasts): (Vec<u64>, Vec<u64>) = {
-            let mut sink = self.token_sink.borrow_mut();
-            (sink.firsts.drain(..).collect(), sink.lasts.drain(..).collect())
-        };
-        for id in firsts {
-            let engine = self.engine_of[id as usize];
-            let prompt = self.requests[id as usize].prompt_len;
-            self.slots[engine].pending_prompt_tokens =
-                self.slots[engine].pending_prompt_tokens.saturating_sub(prompt);
-        }
-        for id in lasts {
-            if self.outcome[id as usize] == Outcome::Pending {
-                self.outcome[id as usize] = Outcome::Completed;
                 self.site[id as usize] = Site::Idle;
+                self.orphan(at, id);
             }
         }
     }
@@ -673,7 +573,7 @@ impl Cluster {
                         self.router.rr_next = start + k + 1;
                         self.bind(at, id, engine);
                     }
-                    None => self.fallback_unroutable(at, id),
+                    None => self.orphan(at, id),
                 }
             }
             Discipline::DFcfs => {
@@ -690,14 +590,14 @@ impl Cluster {
                         .min_by_key(|&e| (self.outstanding(e), e));
                     match best {
                         Some(engine) => self.bind(at, id, engine),
-                        None => self.fallback_unroutable(at, id),
+                        None => self.orphan(at, id),
                     }
                 }
                 self.maybe_rebalance();
             }
             Discipline::LeastKv => match self.least_kv_engine(id) {
                 Some(engine) => self.bind(at, id, engine),
-                None => self.fallback_unroutable(at, id),
+                None => self.orphan(at, id),
             },
             Discipline::CFcfs => {
                 self.site[id as usize] = Site::CentralQueue;
@@ -705,12 +605,6 @@ impl Cluster {
                 self.router.max_central = self.router.max_central.max(self.router.central.len());
             }
         }
-    }
-
-    /// A request some engine could hold, but none can take right now (the admissible
-    /// ones are all down): park it for a retry once the fleet heals.
-    fn fallback_unroutable(&mut self, at: f64, id: u64) {
-        self.orphan(at, id);
     }
 
     /// Outstanding work per engine as the request-count disciplines see it: the
@@ -734,7 +628,7 @@ impl Cluster {
             let Some(best) = best else {
                 self.router.central.pop_front();
                 self.site[id as usize] = Site::Idle;
-                self.fallback_unroutable(at, id);
+                self.orphan(at, id);
                 continue;
             };
             if self.outstanding(best) >= self.config.dispatch_window {
@@ -746,8 +640,9 @@ impl Cluster {
     }
 
     /// The `LeastKv` pressure score of one engine: KV tokens resident on its fullest
-    /// rank plus in-flight prompt commitments, normalised by its tightest rank's KV
-    /// capacity — so a T4's small cache saturates its score long before an H100's.
+    /// rank plus in-flight prompt commitments (prompts on its link and prompts its
+    /// server holds unstarted), normalised by its tightest rank's KV capacity — so a
+    /// T4's small cache saturates its score long before an H100's.
     fn kv_score(&self, engine: usize) -> f64 {
         let slot = &self.slots[engine];
         let capacity = slot
@@ -767,7 +662,9 @@ impl Cluster {
             .map(|occupancy| occupancy.used_tokens)
             .max()
             .unwrap_or(0);
-        (used + slot.pending_prompt_tokens) as f64 / capacity as f64
+        let on_link: usize =
+            slot.inflight.iter().map(|&(_, id)| self.requests[id as usize].prompt_len).sum();
+        (used + slot.server.unstarted_prompt_tokens() + on_link) as f64 / capacity as f64
     }
 
     /// The least-loaded eligible engine for `id` under the KV-pressure score, or
@@ -819,28 +716,28 @@ impl Cluster {
     fn bind(&mut self, at: f64, id: u64, engine: usize) {
         let request = self.requests[id as usize];
         self.records.push(RouteRecord { id, time: at, engine });
-        self.engine_of[id as usize] = engine;
         self.attempts[id as usize] += 1;
         let bytes = request.prompt_len as f64 * self.config.bytes_per_token;
         let deliver_at = self.slots[engine].link.delivery(at, bytes);
         self.slots[engine].inflight.push_back((deliver_at, id));
-        self.slots[engine].pending_prompt_tokens += request.prompt_len;
         self.slots[engine].routed += 1;
         self.site[id as usize] = Site::OnLink(engine);
     }
 
     fn report(&self) -> ClusterReport {
-        let sink = self.token_sink.borrow();
-        let mut ttfts = Vec::new();
-        let mut gaps = Vec::new();
-        let mut streamed: u64 = 0;
-        for (id, times) in sink.token_times.iter().enumerate() {
-            streamed += times.len() as u64;
-            if let Some(&first) = times.first() {
-                ttfts.push(first - self.requests[id].arrival);
+        // The final attempt of each completed request, in frontend-id order; the
+        // partial output of dropped requests and of abandoned attempts never counts.
+        let mut timelines: Vec<(f64, &[f64])> = Vec::new();
+        for (id, request) in self.requests.iter().enumerate() {
+            if let Site::OnServer(e, handle) = self.site[id] {
+                if self.completed(id as u64) {
+                    timelines.push((request.arrival, self.slots[e].server.token_times(handle)));
+                }
             }
-            gaps.extend(times.windows(2).map(|w| w[1] - w[0]));
         }
+        let streamed = timelines.iter().map(|(_, times)| times.len() as u64).sum();
+        let completed = timelines.len();
+        let (ttft, itl) = stream_latency(timelines);
         let engines: Vec<EngineSummary> = self
             .slots
             .iter()
@@ -860,13 +757,13 @@ impl Cluster {
         ClusterReport {
             discipline: self.router.discipline.label().to_string(),
             requests: self.requests.len(),
-            completed: self.outcome.iter().filter(|&&o| o == Outcome::Completed).count(),
+            completed,
             dropped: self.drops.len(),
             retries: self.retries,
             makespan: engines.iter().map(|e| e.makespan).fold(0.0, f64::max),
             streamed_tokens: streamed,
-            ttft: LatencySummary::from_samples(&ttfts),
-            itl: LatencySummary::from_samples(&gaps),
+            ttft,
+            itl,
             rebalances: self.router.rebalances,
             max_central_queue: self.router.max_central,
             engines,
@@ -919,7 +816,6 @@ impl Cluster {
                 link: SerialLine::new(config.link_latency_s, config.link_bytes_per_s),
                 inflight: VecDeque::new(),
                 routed: 0,
-                pending_prompt_tokens: 0,
                 up: true,
             })
             .collect();
@@ -978,11 +874,6 @@ impl Cluster {
             }
             fault_events.sort_by(|a, b| a.at.total_cmp(&b.at));
         }
-        let token_sink = Rc::new(RefCell::new(TokenSink {
-            token_times: vec![Vec::new(); requests.len()],
-            firsts: Vec::new(),
-            lasts: Vec::new(),
-        }));
         let router = RouterState {
             discipline: config.discipline,
             rr_next: 0,
@@ -998,16 +889,13 @@ impl Cluster {
         let request_count = requests.len();
         Self {
             slots,
-            engine_of: vec![usize::MAX; request_count],
             requests,
             next_arrival: 0,
             router,
             records: Vec::new(),
-            token_sink,
             fault_events,
             fault_cursor: 0,
             site: vec![Site::Idle; request_count],
-            outcome: vec![Outcome::Pending; request_count],
             attempts: vec![0; request_count],
             deadline,
             retry_queue: Vec::new(),
@@ -1033,7 +921,7 @@ impl Cluster {
                 passes <= self.config.max_events,
                 "cluster livelocked at t={at} with {} requests pending: the run used up \
                  max_events = {} settle passes",
-                self.outcome.iter().filter(|&&o| o == Outcome::Pending).count(),
+                (0..self.requests.len() as u64).filter(|&id| self.is_pending(id)).count(),
                 self.config.max_events
             );
             self.settle(at);

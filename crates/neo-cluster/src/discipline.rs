@@ -31,8 +31,9 @@ pub enum Discipline {
     /// queues get.
     DFcfs,
     /// Least-KV-occupancy: early binding to the engine whose KV pressure —
-    /// `(max per-rank used tokens + prompt tokens routed but not yet prefilled) /
-    /// min per-rank KV capacity` from [`neo_core::Engine::rank_occupancy`] and
+    /// `(max per-rank used tokens + prompt tokens routed but not yet started, on the
+    /// link or in [`neo_serve::Server::unstarted_prompt_tokens`]) / min per-rank KV
+    /// capacity` from [`neo_core::Engine::rank_occupancy`] and
     /// [`neo_core::Engine::rank_budgets`] — is lowest. Capacity-aware, so a
     /// heterogeneous fleet loads its T4 proportionally to the T4's cache, not to its
     /// share of the request count.

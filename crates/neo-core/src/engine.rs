@@ -83,6 +83,9 @@ pub struct Engine {
     disk_run: Vec<u64>,
     prefill_device: BTreeMap<u64, Device>,
     completed: Vec<Request>,
+    /// Ids that produced an output token in the most recent [`Engine::step`], in
+    /// ascending order, each once.
+    emitted: Vec<u64>,
     iterations: u64,
     total_decode_tokens: u64,
     total_prefill_tokens: u64,
@@ -150,6 +153,7 @@ impl Engine {
             disk_run: Vec::new(),
             prefill_device: BTreeMap::new(),
             completed: Vec::new(),
+            emitted: Vec::new(),
             iterations: 0,
             total_decode_tokens: 0,
             total_prefill_tokens: 0,
@@ -332,6 +336,14 @@ impl Engine {
         &self.completed
     }
 
+    /// Requests that produced an output token in the most recent [`Engine::step`] —
+    /// by completing their prefill or by decoding — in ascending id order, each once.
+    /// Empty after an idle step. Right after the step, an id [`Engine::request`] no
+    /// longer finds retired in it, with its full output.
+    pub fn emitted(&self) -> &[u64] {
+        &self.emitted
+    }
+
     /// Total output tokens generated so far.
     pub fn total_decode_tokens(&self) -> u64 {
         self.total_decode_tokens
@@ -400,6 +412,7 @@ impl Engine {
     /// Executes one iteration and returns its report.
     pub fn step(&mut self) -> IterationReport {
         self.iterations += 1;
+        self.emitted.clear();
         let start_time = self.clock.now();
 
         let decision = {
@@ -547,6 +560,7 @@ impl Engine {
                 // The prefill iteration also emits the first output token.
                 request.advance_decode(end_time);
                 decode_tokens += 1;
+                self.emitted.push(item.req);
                 let finished = request.is_finished();
                 let runs = request.prompt_runs.clone();
                 // Register the finished prompt's blocks in the prefix cache *before*
@@ -558,7 +572,7 @@ impl Engine {
                 self.waiting.retain(|&w| w != item.req);
                 self.prefill_device.remove(&item.req);
                 if finished {
-                    self.retire(item.req, item.target);
+                    self.retire(item.req);
                 } else if let Some(request) = self.requests.get_mut(&item.req) {
                     match item.target {
                         Device::Gpu => {
@@ -606,9 +620,9 @@ impl Engine {
             let Some(request) = self.requests.get_mut(&id) else { continue };
             request.advance_decode(end_time);
             decode_tokens += 1;
+            self.emitted.push(id);
             if request.is_finished() {
-                let device = self.kv.device_of(id).unwrap_or(Device::Gpu);
-                self.retire(id, device);
+                self.retire(id);
             }
         }
 
@@ -638,6 +652,8 @@ impl Engine {
 
         self.total_prefill_tokens += prefill_tokens as u64;
         self.total_decode_tokens += decode_tokens as u64;
+        self.emitted.sort_unstable();
+        self.emitted.dedup();
 
         IterationReport {
             iteration: self.iterations,
@@ -682,7 +698,7 @@ impl Engine {
     }
 
     /// Removes a finished request from every queue, frees its KV cache and archives it.
-    fn retire(&mut self, id: u64, _device: Device) {
+    fn retire(&mut self, id: u64) {
         self.release_execution_state(id);
         self.waiting.retain(|&x| x != id);
         if let Some(r) = self.requests.remove(&id) {
@@ -922,6 +938,70 @@ mod tests {
             ranks[0].used_bytes,
             ranks[0].used_tokens as u64 * e.cost_model().kv_bytes_per_token() as u64 / 2
         );
+    }
+
+    /// Emissions seen by [`run_checking_emitters`], by kind.
+    #[derive(Default)]
+    struct Emissions {
+        firsts: usize,
+        decodes: usize,
+        recomputes: usize,
+        retirements: usize,
+    }
+
+    /// Runs `e` until idle, checking after every step that `emitted()` lists exactly
+    /// the ids whose output grew.
+    fn run_checking_emitters(e: &mut Engine) -> Emissions {
+        let mut seen = Emissions::default();
+        while !e.is_idle() {
+            let before: Vec<(u64, usize, bool)> =
+                e.requests.iter().map(|(&id, r)| (id, r.generated, r.prefill_complete())).collect();
+            e.step();
+            // A request that left the engine during the step retired, so it grew too.
+            let grew: Vec<&(u64, usize, bool)> = before
+                .iter()
+                .filter(|&&(id, generated, _)| {
+                    e.request(id).map_or(true, |r| r.generated > generated)
+                })
+                .collect();
+            let ids: Vec<u64> = grew.iter().map(|&&(id, ..)| id).collect();
+            assert_eq!(e.emitted(), &ids[..], "iteration {}", e.iterations());
+            for &&(id, generated, prefill_done) in &grew {
+                match (e.request(id), generated, prefill_done) {
+                    (None, ..) => seen.retirements += 1,
+                    (Some(_), 0, _) => seen.firsts += 1,
+                    (Some(_), _, false) => seen.recomputes += 1,
+                    (Some(_), _, true) => seen.decodes += 1,
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn emitted_lists_exactly_the_requests_whose_output_grew() {
+        let mut e = a10g_engine();
+        e.submit(Request::new(1, 0.0, 100, 1)).unwrap();
+        e.submit(Request::new(2, 0.0, 1_200, 4)).unwrap();
+        e.submit(Request::new(3, 0.0, 50, 3)).unwrap();
+        let seen = run_checking_emitters(&mut e);
+        assert_eq!(seen.retirements, 3, "every request retires exactly once");
+        assert!(seen.firsts >= 2, "requests 2 and 3 stream a first token at prefill completion");
+        assert!(seen.decodes >= 2, "and then decode");
+        assert!(e.step().idle);
+        assert!(e.emitted().is_empty(), "an idle step empties the list");
+
+        // The CPU-exact-fit wedge breaker preempts a sequence that already streamed
+        // tokens; its re-prefill must name it as an emitter like any prefill does.
+        let mut testbed = Testbed::g4dn_4xlarge();
+        testbed.cpu_cache_fraction = 0.0005;
+        let cost = CostModel::new(ModelDesc::llama2_7b(), testbed, 1);
+        let mut e = Engine::new(cost, EngineConfig::default(), Box::new(CpuGreedyPolicy));
+        e.submit(Request::new(0, 0.0, 31, 30)).unwrap();
+        e.submit(Request::new(1, 0.0, 31, 30)).unwrap();
+        let seen = run_checking_emitters(&mut e);
+        assert!(seen.recomputes >= 1, "the breaker's victim recomputes after streaming");
+        assert_eq!(seen.retirements, 2);
     }
 
     #[test]

@@ -43,8 +43,6 @@ pub struct Request {
     pub generated: usize,
     /// Current lifecycle state.
     pub state: RequestState,
-    /// Time the first output token was produced, if any.
-    pub first_token_time: Option<f64>,
     /// Time the request finished, if it has.
     pub finish_time: Option<f64>,
     /// Prompt token identity as runs, for shared-prefix caching. Empty means the prompt
@@ -71,7 +69,6 @@ impl Request {
             prefilled: 0,
             generated: 0,
             state: RequestState::Waiting,
-            first_token_time: None,
             finish_time: None,
             prompt_runs: Vec::new(),
         }
@@ -154,9 +151,6 @@ impl Request {
     pub fn advance_decode(&mut self, now: f64) {
         assert!(self.prefill_complete(), "cannot decode before prefill completes");
         assert!(!self.is_finished(), "request already produced all output tokens");
-        if self.generated == 0 {
-            self.first_token_time = Some(now);
-        }
         self.generated += 1;
         if self.is_finished() {
             self.state = RequestState::Finished;
@@ -187,11 +181,6 @@ impl Request {
     pub fn per_token_latency(&self) -> Option<f64> {
         self.latency().map(|l| l / self.output_len as f64)
     }
-
-    /// Time to first output token (first token − arrival), if any token was produced.
-    pub fn ttft(&self) -> Option<f64> {
-        self.first_token_time.map(|t| t - self.arrival_time)
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +202,6 @@ mod tests {
 
         r.state = RequestState::RunningGpu;
         r.advance_decode(1.0);
-        assert_eq!(r.first_token_time, Some(1.0));
         r.advance_decode(1.5);
         r.advance_decode(2.0);
         assert!(r.is_finished());
@@ -230,7 +218,6 @@ mod tests {
         r.advance_decode(5.0);
         assert_eq!(r.latency(), Some(3.0));
         assert_eq!(r.per_token_latency(), Some(1.5));
-        assert_eq!(r.ttft(), Some(1.0));
     }
 
     #[test]
@@ -238,7 +225,6 @@ mod tests {
         let r = Request::new(1, 0.0, 4, 2);
         assert_eq!(r.latency(), None);
         assert_eq!(r.per_token_latency(), None);
-        assert_eq!(r.ttft(), None);
         assert!(!r.is_running());
     }
 
@@ -256,7 +242,6 @@ mod tests {
         r.advance_prefill(10);
         r.advance_decode(2.0);
         assert_eq!(r.generated, 2);
-        assert_eq!(r.first_token_time, Some(1.0));
     }
 
     #[test]
@@ -278,7 +263,6 @@ mod tests {
         assert!(!r.is_running());
         assert!(!r.is_finished(), "cancelled requests never count as completed");
         assert_eq!(r.latency(), None);
-        assert_eq!(r.ttft(), Some(1.0), "already-streamed tokens keep their TTFT");
     }
 
     #[test]

@@ -95,6 +95,24 @@ impl LatencySummary {
     }
 }
 
+/// Streaming-latency summaries over per-request token timelines, given as
+/// `(arrival, token times)` pairs: time to first token (first token − arrival) and
+/// inter-token latency (gaps between consecutive tokens of one request). Samples are
+/// taken in the order given. Either summary is `None` when it has no samples.
+pub fn stream_latency<'a>(
+    timelines: impl IntoIterator<Item = (f64, &'a [f64])>,
+) -> (Option<LatencySummary>, Option<LatencySummary>) {
+    let mut ttfts = Vec::new();
+    let mut gaps = Vec::new();
+    for (arrival, times) in timelines {
+        if let Some(&first) = times.first() {
+            ttfts.push(first - arrival);
+        }
+        gaps.extend(times.windows(2).map(|w| w[1] - w[0]));
+    }
+    (LatencySummary::from_samples(&ttfts), LatencySummary::from_samples(&gaps))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,8 +10,10 @@
 //!
 //! * **arrival events** — a submitted request becomes visible at its arrival time and
 //!   enters the admission backlog;
-//! * **step-complete** — after every [`neo_core::Engine::step`] the server diffs each
-//!   live request's progress and fires one [`TokenEvent`] per newly generated token;
+//! * **step-complete** — after every [`neo_core::Engine::step`] the server visits the
+//!   requests the engine reports as that step's emitters ([`neo_core::Engine::emitted`]),
+//!   appends each new token to the request's timeline, and fires one [`TokenEvent`] per
+//!   token;
 //! * **cancel events** — a scheduled cancellation evicts the request wherever it is
 //!   (backlog, waitqueue, or mid-decode).
 //!
@@ -22,14 +24,14 @@
 //! [`crate::run_online`] is a thin wrapper over this loop; real clients (or a future HTTP
 //! front-end) use [`Server::submit`] / [`Server::cancel`] directly.
 
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use neo_core::request::{Request, RequestState};
 use neo_core::{AdmitError, Engine, IterationReport};
 use neo_kvcache::TokenRun;
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::LatencySummary;
+use crate::metrics::{stream_latency, LatencySummary};
 
 /// One streamed output token, delivered to the submitting client's callback.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -201,7 +203,7 @@ struct Session {
     runs: Vec<TokenRun>,
     state: SessionState,
     callback: Option<TokenCallback>,
-    /// Emission time of each streamed token (drives TTFT/ITL metrics).
+    /// Emission time of each streamed token: the one record of the request's stream.
     token_times: Vec<f64>,
 }
 
@@ -222,16 +224,14 @@ pub struct Server {
     sessions: Vec<Session>,
     /// Arrived-but-not-admitted request ids, FIFO.
     backlog: VecDeque<u64>,
-    /// Ids currently admitted into the engine; keeps token dispatch O(running
-    /// requests) per iteration instead of O(everything ever submitted). Ordered, so
-    /// delivery stays deterministic (ascending id = arrival order).
-    running: BTreeSet<u64>,
     next_seq: u64,
     max_iterations: u64,
     iterations: u64,
     busy_iterations: u64,
     offload_iterations: u64,
     streamed_tokens: u64,
+    /// Prompt tokens of held requests that have not streamed a token yet.
+    unstarted_prompt_tokens: usize,
     max_backlog: usize,
     /// Requests evicted by cancellation (terminal state [`RequestState::Cancelled`]).
     cancelled: Vec<Request>,
@@ -239,8 +239,6 @@ pub struct Server {
     dropped: Vec<(u64, DropReason)>,
     /// Admission backlog limit; `None` means backpressure only, never `BacklogFull`.
     max_backlog_limit: Option<usize>,
-    /// How much of `engine.completed()` has already been dispatched to callbacks.
-    completed_cursor: usize,
     last_report: Option<IterationReport>,
 }
 
@@ -273,18 +271,17 @@ impl Server {
             events: BinaryHeap::new(),
             sessions: Vec::new(),
             backlog: VecDeque::new(),
-            running: BTreeSet::new(),
             next_seq: 0,
             max_iterations: u64::MAX,
             iterations: 0,
             busy_iterations: 0,
             offload_iterations: 0,
             streamed_tokens: 0,
+            unstarted_prompt_tokens: 0,
             max_backlog: 0,
             cancelled: Vec::new(),
             dropped: Vec::new(),
             max_backlog_limit: None,
-            completed_cursor: 0,
             last_report: None,
         }
     }
@@ -393,6 +390,13 @@ impl Server {
             steps += 1;
         }
         steps
+    }
+
+    /// Prompt tokens of the requests this server holds — scheduled, backlogged, or
+    /// live in the engine — that have not streamed a token yet: KV load the engine's
+    /// occupancy counters do not fully show yet.
+    pub fn unstarted_prompt_tokens(&self) -> usize {
+        self.unstarted_prompt_tokens
     }
 
     /// Highest admission-backlog depth observed so far.
@@ -509,6 +513,7 @@ impl Server {
             callback,
             token_times: Vec::new(),
         });
+        self.unstarted_prompt_tokens += prompt_len;
         self.push_event(arrival, EventKind::Arrival(id));
         Ok(RequestHandle { id })
     }
@@ -526,7 +531,8 @@ impl Server {
     pub fn fail(&mut self) -> Vec<u64> {
         let _ = self.engine.fail();
         self.backlog.clear();
-        self.running.clear();
+        // Everything held is shed, and finished requests all streamed.
+        self.unstarted_prompt_tokens = 0;
         let mut orphans = Vec::new();
         for (id, session) in self.sessions.iter_mut().enumerate() {
             match session.state {
@@ -555,24 +561,20 @@ impl Server {
     /// already-dropped request is a no-op.
     pub fn drop_now(&mut self, handle: RequestHandle, reason: DropReason) {
         let id = handle.id;
-        let state = self.sessions[id as usize].state;
-        match state {
+        match self.sessions[id as usize].state {
             SessionState::Scheduled | SessionState::Backlogged => {
                 self.backlog.retain(|&x| x != id);
-                self.sessions[id as usize].state = SessionState::Dropped { reason };
-                self.dropped.push((id, reason));
             }
             SessionState::Running => {
                 // neo-lint: allow(panic-hygiene) -- the session state machine guarantees a live engine-side request; evicting quietly on a miss would corrupt drop accounting
                 let _ = self.engine.evict(id).expect("running session is live");
-                self.running.remove(&id);
-                self.sessions[id as usize].state = SessionState::Dropped { reason };
-                self.dropped.push((id, reason));
             }
             SessionState::Finished { .. }
             | SessionState::Cancelled
-            | SessionState::Dropped { .. } => {}
+            | SessionState::Dropped { .. } => return,
         }
+        self.end_unfinished(id, SessionState::Dropped { reason });
+        self.dropped.push((id, reason));
     }
 
     /// Requests shed by this server, with the reason, in drop order.
@@ -647,30 +649,37 @@ impl Server {
     }
 
     fn deliver_cancel(&mut self, id: u64) {
-        let state = self.sessions[id as usize].state;
-        match state {
+        let request = match self.sessions[id as usize].state {
             SessionState::Scheduled | SessionState::Backlogged => {
                 self.backlog.retain(|&x| x != id);
-                let session = &mut self.sessions[id as usize];
-                session.state = SessionState::Cancelled;
+                let session = &self.sessions[id as usize];
                 // Build the terminal record the engine would have returned had the
                 // request been admitted.
                 let mut request =
                     Request::new(id, session.arrival, session.prompt_len, session.output_len);
                 request.state = RequestState::Cancelled;
-                self.cancelled.push(request);
+                request
             }
             SessionState::Running => {
                 // neo-lint: allow(panic-hygiene) -- the session state machine guarantees a live engine-side request; cancelling quietly on a miss would corrupt cancel accounting
-                let request = self.engine.evict(id).expect("running session is live");
-                self.running.remove(&id);
-                self.sessions[id as usize].state = SessionState::Cancelled;
-                self.cancelled.push(request);
+                self.engine.evict(id).expect("running session is live")
             }
             SessionState::Finished { .. }
             | SessionState::Cancelled
-            | SessionState::Dropped { .. } => {}
+            | SessionState::Dropped { .. } => return,
+        };
+        self.end_unfinished(id, SessionState::Cancelled);
+        self.cancelled.push(request);
+    }
+
+    /// Moves an unfinished session to a terminal `state`; a request that never
+    /// streamed stops counting as unstarted.
+    fn end_unfinished(&mut self, id: u64, state: SessionState) {
+        let session = &mut self.sessions[id as usize];
+        if session.token_times.is_empty() {
+            self.unstarted_prompt_tokens -= session.prompt_len;
         }
+        session.state = state;
     }
 
     /// Admits backlogged requests in FIFO order while the engine has admission room.
@@ -679,7 +688,6 @@ impl Server {
             let Some(id) = self.backlog.pop_front() else { break };
             let session = &mut self.sessions[id as usize];
             session.state = SessionState::Running;
-            self.running.insert(id);
             self.engine
                 .submit(Request::with_runs(
                     id,
@@ -693,32 +701,20 @@ impl Server {
         }
     }
 
-    /// Fires streaming callbacks for every token emitted by the last iteration.
+    /// Streams the tokens of the last iteration's emitters, in id (= submission)
+    /// order: appends each to its request's timeline and fires its callback.
     fn dispatch_tokens(&mut self) {
         let now = self.engine.now();
-        // Newly retired requests first: their sessions flip to Finished, and the cursor
-        // keeps this scan O(new completions).
-        let completed = self.engine.completed();
-        let mut due: Vec<(u64, usize, bool, f64)> = completed[self.completed_cursor..]
-            .iter()
-            .map(|r| (r.id, r.generated, true, r.finish_time.unwrap_or(now)))
-            .collect();
-        self.completed_cursor = completed.len();
-        for &(id, ..) in &due {
-            self.running.remove(&id);
-        }
-        // Then every still-running request with new tokens.
-        for &id in &self.running {
-            if let Some(request) = self.engine.request(id) {
-                if request.generated > self.sessions[id as usize].token_times.len() {
-                    due.push((id, request.generated, false, now));
-                }
-            }
-        }
-        // Deterministic delivery order: by id (= submission/arrival order).
-        due.sort_unstable_by_key(|&(id, ..)| id);
-        for (id, generated, finished, finish_time) in due {
+        for &id in self.engine.emitted() {
             let session = &mut self.sessions[id as usize];
+            // An emitter the engine no longer holds retired in this step.
+            let (generated, finished) = match self.engine.request(id) {
+                Some(request) => (request.generated, false),
+                None => (session.output_len, true),
+            };
+            if session.token_times.is_empty() {
+                self.unstarted_prompt_tokens -= session.prompt_len;
+            }
             for index in session.token_times.len()..generated {
                 session.token_times.push(now);
                 self.streamed_tokens += 1;
@@ -733,7 +729,7 @@ impl Server {
                 }
             }
             if finished {
-                session.state = SessionState::Finished { finish_time };
+                session.state = SessionState::Finished { finish_time: now };
             }
         }
     }
@@ -804,16 +800,19 @@ impl Server {
         self.report()
     }
 
+    /// Emission time of each token `handle` has streamed so far, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle does not belong to this server.
+    pub fn token_times(&self, handle: RequestHandle) -> &[f64] {
+        &self.sessions[handle.id as usize].token_times
+    }
+
     /// Summarises the loop so far (normally read after [`Server::run_until_idle`]).
     pub fn report(&self) -> ServerReport {
-        let mut ttfts = Vec::new();
-        let mut gaps = Vec::new();
-        for session in &self.sessions {
-            if let Some(&first) = session.token_times.first() {
-                ttfts.push(first - session.arrival);
-            }
-            gaps.extend(session.token_times.windows(2).map(|w| w[1] - w[0]));
-        }
+        let (ttft, itl) =
+            stream_latency(self.sessions.iter().map(|s| (s.arrival, &s.token_times[..])));
         ServerReport {
             completed: self.engine.completed().len(),
             cancelled: self.cancelled.len(),
@@ -823,8 +822,8 @@ impl Server {
             busy_iterations: self.busy_iterations,
             offload_fraction: self.offload_iterations as f64 / self.busy_iterations.max(1) as f64,
             streamed_tokens: self.streamed_tokens,
-            ttft: LatencySummary::from_samples(&ttfts),
-            itl: LatencySummary::from_samples(&gaps),
+            ttft,
+            itl,
             max_backlog: self.max_backlog,
         }
     }
@@ -1174,6 +1173,43 @@ mod tests {
         assert_eq!(server.dropped(), &[(victim.id(), DropReason::DeadlineExpired)]);
         server.drop_now(survivor, DropReason::DeadlineExpired);
         assert_eq!(server.report().dropped, 1, "finished requests cannot be dropped");
+    }
+
+    #[test]
+    fn unstarted_prompt_tokens_count_held_requests_until_their_first_token() {
+        // A one-slot waitqueue holds `queued` in the backlog behind `long`, whose
+        // 2000-token prompt prefills in 512-token chunks.
+        let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
+        let config = EngineConfig { max_waiting_requests: 1, ..EngineConfig::default() };
+        let engine = Engine::new(cost, config, Box::new(NeoScheduler::new()));
+        let mut server = Server::new(engine);
+        let long = server.submit(0.0, 2_000, 4).unwrap();
+        let queued = server.submit(0.0, 300, 4).unwrap();
+        let later = server.submit(50.0, 200, 4).unwrap();
+        let doomed = server.submit(60.0, 100, 4).unwrap();
+        assert_eq!(server.unstarted_prompt_tokens(), 2_600);
+        server.cancel_now(doomed);
+        assert!(server.tick());
+        assert!(matches!(server.status(doomed), RequestStatus::Cancelled { generated: 0 }));
+        assert_eq!(server.status(queued), RequestStatus::Backlogged);
+        assert_eq!(server.status(later), RequestStatus::Scheduled);
+        assert_eq!(server.unstarted_prompt_tokens(), 2_500, "cancelled before it started");
+        let prefilled = server.engine().request(long.id()).map_or(0, |r| r.prefilled);
+        assert!(prefilled > 0 && prefilled < 2_000, "long is mid-prefill");
+        server.drop_now(long, DropReason::DeadlineExpired);
+        assert_eq!(server.unstarted_prompt_tokens(), 500, "dropped mid-prefill");
+        while server.token_times(queued).is_empty() {
+            assert!(server.tick());
+        }
+        assert_eq!(server.unstarted_prompt_tokens(), 200, "queued streamed its first token");
+        let _ = server.fail();
+        assert_eq!(server.unstarted_prompt_tokens(), 0, "a failed server holds nothing");
+        server.recover();
+        server.submit(server.now(), 400, 4).unwrap();
+        server.submit(server.now() + 1.0, 300, 4).unwrap();
+        assert_eq!(server.unstarted_prompt_tokens(), 700);
+        let _ = server.run_until_idle();
+        assert_eq!(server.unstarted_prompt_tokens(), 0);
     }
 
     #[test]

@@ -85,9 +85,10 @@ proptest! {
 
     /// Conservation under faults: every request reaches exactly one terminal state,
     /// retries stay within the per-request budget, a faulted run never streams more
-    /// than the clean run (discarded partial output is not double-counted), and
-    /// exactly the completed requests have a first token. Each case checks seeded
-    /// outages and the pinned plan that exercises every fault kind.
+    /// than the clean run (discarded partial output is not double-counted), and the
+    /// latency summaries carry exactly the completed requests' final attempts: one
+    /// first token and `output - 1` gaps each. Each case checks seeded outages and
+    /// the pinned plan that exercises every fault kind.
     #[test]
     fn every_request_reaches_exactly_one_terminal_state(
         plan_seed in 0u64..1_000_000u64,
@@ -111,6 +112,8 @@ proptest! {
             } else {
                 prop_assert_eq!(report.completed, 0);
             }
+            let gaps = report.itl.map_or(0, |itl| itl.count);
+            prop_assert_eq!(gaps as u64, report.streamed_tokens - report.completed as u64);
         }
     }
 }

@@ -13,9 +13,17 @@ use neo_workload::{azure_code_like, osc_like, ArrivalProcess};
 
 #[test]
 fn streaming_callbacks_fire_once_per_token_in_arrival_order() {
-    let scenario = Scenario::a10g_8b();
     let trace = azure_code_like(30, ArrivalProcess::Poisson { rate: 1.0 }, 11);
-    for policy in [Policy::Neo, Policy::VllmLike] {
+    // The T4 runs out of KV and recomputes preempted prompts: a re-prefilled request
+    // emits through the prefill path, and no token may be missed or repeated. NEO only:
+    // there a GPU-only policy admits request 0, whose context only the CPU pool can
+    // hold, and never finishes.
+    let cases = [
+        (Scenario::a10g_8b(), Policy::Neo, false),
+        (Scenario::a10g_8b(), Policy::VllmLike, false),
+        (Scenario::t4_7b(), Policy::Neo, true),
+    ];
+    for (scenario, policy, recomputes) in cases {
         let mut server = Server::new(scenario.engine(policy)).with_max_iterations(20_000_000);
         let log: Rc<RefCell<Vec<TokenEvent>>> = Rc::new(RefCell::new(Vec::new()));
         for event in trace.events() {
@@ -28,6 +36,13 @@ fn streaming_callbacks_fire_once_per_token_in_arrival_order() {
         }
         let report = server.run_until_idle();
         assert_eq!(report.completed, trace.len());
+        if recomputes {
+            let prompts: u64 = trace.requests().iter().map(|r| r.prompt_len as u64).sum();
+            assert!(
+                server.engine().total_prefill_tokens() > prompts,
+                "the T4 case must recompute preempted prompts"
+            );
+        }
 
         let log = log.borrow();
         let expected_tokens: usize = trace.requests().iter().map(|r| r.output_len).sum();
@@ -42,6 +57,9 @@ fn streaming_callbacks_fire_once_per_token_in_arrival_order() {
             assert!(mine.iter().enumerate().all(|(i, t)| t.index == i));
             assert!(mine.last().unwrap().is_last);
             assert!(mine[..mine.len() - 1].iter().all(|t| !t.is_last));
+            // A request emits at most one token per iteration, so a token streamed late
+            // would share its time with the next one.
+            assert!(mine.windows(2).all(|w| w[0].time < w[1].time), "{}", policy.label());
         }
     }
 }
