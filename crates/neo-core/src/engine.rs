@@ -11,7 +11,7 @@
 //! comparisons only reflect scheduling differences — mirroring how the paper implements
 //! FastDecode+ on top of NEO's own runtime.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use neo_kvcache::manager::{KvCacheConfig, KvCacheManager};
 use neo_kvcache::{expand, Device, TokenRun};
@@ -83,6 +83,8 @@ pub struct Engine {
     disk_run: Vec<u64>,
     prefill_device: BTreeMap<u64, Device>,
     completed: Vec<Request>,
+    /// Ids of the requests in `completed`, for the duplicate-id check.
+    retired: BTreeSet<u64>,
     /// Ids that produced an output token in the most recent [`Engine::step`], in
     /// ascending order, each once.
     emitted: Vec<u64>,
@@ -153,6 +155,7 @@ impl Engine {
             disk_run: Vec::new(),
             prefill_device: BTreeMap::new(),
             completed: Vec::new(),
+            retired: BTreeSet::new(),
             emitted: Vec::new(),
             iterations: 0,
             total_decode_tokens: 0,
@@ -190,8 +193,7 @@ impl Engine {
     /// ids are a caller bug, not an admission outcome.
     pub fn submit(&mut self, request: Request) -> Result<(), AdmitError> {
         assert!(
-            !self.requests.contains_key(&request.id)
-                && !self.completed.iter().any(|r| r.id == request.id),
+            !self.requests.contains_key(&request.id) && !self.retired.contains(&request.id),
             "duplicate request id {}",
             request.id
         );
@@ -702,6 +704,7 @@ impl Engine {
         self.release_execution_state(id);
         self.waiting.retain(|&x| x != id);
         if let Some(r) = self.requests.remove(&id) {
+            self.retired.insert(id);
             self.completed.push(r);
         }
     }
@@ -830,6 +833,16 @@ mod tests {
             let _ = e.submit(Request::new(1, 0.0, 10, 5));
         }));
         assert!(result.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate request id")]
+    fn resubmitting_a_completed_id_panics() {
+        let mut e = a10g_engine();
+        e.submit(Request::new(1, 0.0, 10, 5)).unwrap();
+        e.run_to_completion(10_000);
+        assert_eq!(e.completed().len(), 1);
+        let _ = e.submit(Request::new(1, e.now(), 10, 5));
     }
 
     #[test]

@@ -95,6 +95,9 @@ pub struct KvCacheManager {
     cpu: KvPool,
     disk: KvPool,
     prefix: Option<PrefixIndex>,
+    /// GPU blocks held only by the prefix index: indexed, refcount 1. Kept in step on
+    /// every transition that changes it, so free-space queries never scan the index.
+    evictable_blocks: usize,
     prefix_hit_tokens: usize,
     cow_splits: usize,
     seqs: BTreeMap<u64, SeqEntry>,
@@ -127,6 +130,7 @@ impl KvCacheManager {
             cpu: KvPool::new(Device::Cpu, config.cpu_capacity_tokens, config.block_size),
             disk: KvPool::new(Device::Disk, disk_capacity_tokens, config.block_size),
             prefix: if prefix_cache { Some(PrefixIndex::new(config.block_size)) } else { None },
+            evictable_blocks: 0,
             prefix_hit_tokens: 0,
             cow_splits: 0,
             config,
@@ -176,13 +180,6 @@ impl KvCacheManager {
         self.prefix.as_ref().map(|p| p.blocks()).unwrap_or_default()
     }
 
-    /// Ids of all tracked sequences, in ascending order.
-    pub fn sequence_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.seqs.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Number of sequences currently tracked.
     pub fn num_sequences(&self) -> usize {
         self.seqs.len()
@@ -218,20 +215,23 @@ impl KvCacheManager {
         self.seqs.get(&seq_id).map(|e| &e.table).ok_or(KvCacheError::UnknownSequence(seq_id))
     }
 
-    /// GPU blocks held only by the prefix index (refcount 1): reclaimable on demand, so
-    /// they count as free capacity everywhere the scheduler looks.
-    fn evictable_gpu_blocks(&self) -> usize {
-        match &self.prefix {
-            Some(p) => {
-                p.blocks().into_iter().filter(|&b| matches!(self.gpu.ref_count(b), Ok(1))).count()
-            }
-            None => 0,
-        }
+    /// Tokens' worth of GPU blocks held only by the prefix index (refcount 1): they are
+    /// reclaimable on demand, so they count as free capacity everywhere the scheduler
+    /// looks.
+    pub fn evictable_tokens(&self) -> usize {
+        self.evictable_blocks * self.config.block_size
     }
 
-    /// Tokens' worth of GPU blocks held only by the prefix index (evictable on demand).
-    pub fn evictable_tokens(&self) -> usize {
-        self.evictable_gpu_blocks() * self.config.block_size
+    /// Releases a sequence's reference to each of its blocks on `device`. A GPU block
+    /// the index also holds becomes evictable when only the index's reference is left.
+    fn release_seq_blocks(&mut self, device: Device, blocks: &[usize]) -> Result<(), KvCacheError> {
+        self.pool_mut(device).release_blocks(blocks)?;
+        if let (Device::Gpu, Some(prefix)) = (device, &self.prefix) {
+            let gpu = &self.gpu;
+            self.evictable_blocks +=
+                blocks.iter().filter(|&&b| prefix.holds(b) && gpu.ref_count(b) == Ok(1)).count();
+        }
+        Ok(())
     }
 
     /// Evicts index-only blocks (LRU leaves first) until at least `n_blocks` GPU blocks
@@ -254,6 +254,7 @@ impl KvCacheManager {
                 // release cannot fail; an error here means the index and the pool
                 // disagree and stopping eviction (returning) is the safe response.
                 Some(block) => {
+                    self.evictable_blocks -= 1;
                     if self.gpu.release_blocks(&[block]).is_err() {
                         return;
                     }
@@ -336,7 +337,7 @@ impl KvCacheManager {
         let mut entry = self.seqs.remove(&seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
         let tokens = entry.table.num_tokens();
         let blocks = entry.table.take_blocks();
-        self.pool_mut(entry.device).release_blocks(&blocks)?;
+        self.release_seq_blocks(entry.device, &blocks)?;
         Ok(tokens)
     }
 
@@ -364,7 +365,7 @@ impl KvCacheManager {
         let old_blocks = entry.table.take_blocks();
         entry.table.append(tokens, new_blocks)?;
         entry.device = to;
-        self.pool_mut(from).release_blocks(&old_blocks)?;
+        self.release_seq_blocks(from, &old_blocks)?;
         Ok(SwapStats {
             seq_id,
             tokens,
@@ -424,6 +425,9 @@ impl KvCacheManager {
         }
         let shared = hit.blocks[..full_take].to_vec();
         for &b in &shared {
+            if self.gpu.ref_count(b)? == 1 {
+                self.evictable_blocks -= 1;
+            }
             self.gpu.retain(b)?;
         }
         let mut table = BlockTable::new(bs);
@@ -456,10 +460,15 @@ impl KvCacheManager {
         let blocks: Vec<usize> = entry.table.blocks().to_vec();
         let Some(prefix) = self.prefix.as_mut() else { return Ok(()) };
         let outcome = prefix.insert(&tokens[..n], &blocks);
+        // Newly indexed blocks are also the sequence's, so none becomes evictable; a
+        // pruned block stops being evictable if only the index held it.
         for &b in &outcome.retained {
             self.gpu.retain(b)?;
         }
         for &b in &outcome.released {
+            if self.gpu.ref_count(b)? == 1 {
+                self.evictable_blocks -= 1;
+            }
             self.gpu.release_blocks(&[b])?;
         }
         Ok(())
@@ -689,6 +698,14 @@ mod tests {
         assert_eq!(m.evictable_tokens(), 7 * 16);
         assert_eq!(m.free_tokens(Device::Gpu), 320);
         assert!(m.pool(Device::Gpu).used_tokens() > 0);
+        // A longer prompt adopts the six full blocks and COW-copies the tail, then its
+        // insertion prunes the index-only tail node: no block is left to the index alone.
+        let longer = prompt(7, 112);
+        assert_eq!(m.adopt_prefix(3, &longer, 111).unwrap().cached_tokens, 100);
+        m.append_tokens(3, 12).unwrap();
+        m.insert_prefix(3, &longer).unwrap();
+        assert_eq!(m.evictable_tokens(), 0);
+        assert_eq!(m.free_tokens(Device::Gpu), 320 - 7 * 16);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! The index itself owns no memory; it only names blocks. The [`crate::KvCacheManager`]
 //! holds one allocator reference per indexed block, and eviction (LRU over leaves whose
 //! block nobody else references) is driven by the manager when the GPU pool runs dry.
+//! The leaves are kept in LRU order as nodes gain and lose children and are touched, so
+//! an eviction walks only the oldest leaves instead of the whole tree.
+
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -92,6 +96,11 @@ pub struct PrefixIndex {
     free_slots: Vec<usize>,
     roots: Vec<usize>,
     clock: u64,
+    /// Exactly the childless nodes, keyed `(last_touch, block, node)`: LRU order with
+    /// the eviction tie-breaks built in.
+    leaves: BTreeSet<(u64, usize, usize)>,
+    /// `held[b]`: whether block `b` backs a node (grown on demand).
+    held: Vec<bool>,
 }
 
 impl PrefixIndex {
@@ -102,7 +111,7 @@ impl PrefixIndex {
     /// Panics if `block_size` is zero.
     pub fn new(block_size: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        Self { block_size, nodes: Vec::new(), free_slots: Vec::new(), roots: Vec::new(), clock: 0 }
+        Self { block_size, ..Self::default() }
     }
 
     /// Tokens per block.
@@ -125,6 +134,11 @@ impl PrefixIndex {
         self.nodes.iter().flatten().map(|n| n.block).collect()
     }
 
+    /// Whether `block` backs a node of the index.
+    pub(crate) fn holds(&self, block: usize) -> bool {
+        self.held.get(block).copied().unwrap_or(false)
+    }
+
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
@@ -140,11 +154,49 @@ impl PrefixIndex {
         self.nodes[idx].as_mut().expect("live node")
     }
 
-    fn children_of(&self, parent: Option<usize>) -> Vec<usize> {
+    fn children_of(&self, parent: Option<usize>) -> &[usize] {
         match parent {
-            Some(p) => self.node(p).children.clone(),
-            None => self.roots.clone(),
+            Some(p) => &self.node(p).children,
+            None => &self.roots,
         }
+    }
+
+    /// The child of `parent` whose content is exactly `chunk`.
+    fn child_with(&self, parent: Option<usize>, chunk: &[Token]) -> Option<usize> {
+        self.children_of(parent).iter().copied().find(|&c| self.node(c).content == chunk)
+    }
+
+    /// The leaf-set key of node `idx`.
+    fn leaf_key(&self, idx: usize) -> (u64, usize, usize) {
+        let node = self.node(idx);
+        (node.last_touch, node.block, idx)
+    }
+
+    /// Stamps node `idx` as used at `now`, re-keying it if it is a leaf.
+    fn touch(&mut self, idx: usize, now: u64) {
+        if self.node(idx).children.is_empty() {
+            let key = self.leaf_key(idx);
+            self.leaves.remove(&key);
+            self.leaves.insert((now, key.1, idx));
+        }
+        self.node_mut(idx).last_touch = now;
+    }
+
+    /// Removes the leaf children of `parent` whose content is a strict prefix of
+    /// `chunk` (subsumed partial tails), in child order, returning their blocks.
+    fn prune_subsumed(&mut self, parent: Option<usize>, chunk: &[Token]) -> Vec<usize> {
+        let subsumed: Vec<usize> = self
+            .children_of(parent)
+            .iter()
+            .copied()
+            .filter(|&c| {
+                let n = self.node(c);
+                n.content.len() < chunk.len()
+                    && n.children.is_empty()
+                    && chunk.starts_with(&n.content)
+            })
+            .collect();
+        subsumed.into_iter().map(|c| self.remove_node(c)).collect()
     }
 
     fn add_node(
@@ -166,9 +218,19 @@ impl PrefixIndex {
             }
         };
         match parent {
-            Some(p) => self.node_mut(p).children.push(idx),
+            Some(p) => {
+                if self.node(p).children.is_empty() {
+                    self.leaves.remove(&self.leaf_key(p));
+                }
+                self.node_mut(p).children.push(idx);
+            }
             None => self.roots.push(idx),
         }
+        self.leaves.insert((now, block, idx));
+        if self.held.len() <= block {
+            self.held.resize(block + 1, false);
+        }
+        self.held[block] = true;
         idx
     }
 
@@ -177,9 +239,19 @@ impl PrefixIndex {
         // neo-lint: allow(panic-hygiene) -- indices come from the tree's own edges; a dead slot is a structural bug that must fail loudly, not corrupt the radix tree
         let node = self.nodes[idx].take().expect("live node");
         debug_assert!(node.children.is_empty(), "only leaves are removed");
-        match node.parent {
-            Some(p) => self.node_mut(p).children.retain(|&c| c != idx),
-            None => self.roots.retain(|&c| c != idx),
+        self.leaves.remove(&(node.last_touch, node.block, idx));
+        self.held[node.block] = false;
+        let siblings = match node.parent {
+            Some(p) => &mut self.node_mut(p).children,
+            None => &mut self.roots,
+        };
+        // `remove`, not `swap_remove`: sibling order fixes the order in which pruned
+        // blocks are released, and so which blocks later allocations get.
+        if let Some(pos) = siblings.iter().position(|&c| c == idx) {
+            siblings.remove(pos);
+        }
+        if let Some(p) = node.parent.filter(|&p| self.node(p).children.is_empty()) {
+            self.leaves.insert(self.leaf_key(p));
         }
         self.free_slots.push(idx);
         node.block
@@ -199,11 +271,9 @@ impl PrefixIndex {
                 return PrefixHit { blocks, partial: None };
             }
             let remaining = &tokens[start..];
-            let child_ids = self.children_of(parent);
             if remaining.len() >= bs {
-                let chunk = &remaining[..bs];
-                if let Some(&c) = child_ids.iter().find(|&&c| self.node(c).content == chunk) {
-                    self.node_mut(c).last_touch = now;
+                if let Some(c) = self.child_with(parent, &remaining[..bs]) {
+                    self.touch(c, now);
                     blocks.push(self.node(c).block);
                     parent = Some(c);
                     start += bs;
@@ -212,7 +282,7 @@ impl PrefixIndex {
             }
             // No full-block step: find the best partially matching child.
             let mut best: Option<(usize, usize, usize)> = None; // (cpl, block, node)
-            for &c in &child_ids {
+            for &c in self.children_of(parent) {
                 let content = &self.node(c).content;
                 let cpl = content.iter().zip(remaining.iter()).take_while(|(a, b)| a == b).count();
                 if cpl >= 1 {
@@ -228,7 +298,7 @@ impl PrefixIndex {
             }
             return match best {
                 Some((cpl, block, c)) => {
-                    self.node_mut(c).last_touch = now;
+                    self.touch(c, now);
                     PrefixHit { blocks, partial: Some((block, cpl)) }
                 }
                 None => PrefixHit { blocks, partial: None },
@@ -261,44 +331,27 @@ impl PrefixIndex {
         while i * bs < tokens.len() {
             let end = ((i + 1) * bs).min(tokens.len());
             let chunk = &tokens[i * bs..end];
-            let child_ids = self.children_of(parent);
             if chunk.len() == bs {
-                if let Some(&c) = child_ids.iter().find(|&&c| self.node(c).content == chunk) {
-                    self.node_mut(c).last_touch = now;
+                if let Some(c) = self.child_with(parent, chunk) {
+                    self.touch(c, now);
                     parent = Some(c);
                     i += 1;
                     continue;
                 }
                 // Prune partial siblings the new full block subsumes.
-                for &c in &child_ids {
-                    let n = self.node(c);
-                    if n.content.len() < bs
-                        && n.children.is_empty()
-                        && chunk.starts_with(&n.content)
-                    {
-                        outcome.released.push(self.remove_node(c));
-                    }
-                }
+                outcome.released.extend(self.prune_subsumed(parent, chunk));
                 let id = self.add_node(parent, chunk.to_vec(), blocks[i], now);
                 outcome.retained.push(blocks[i]);
                 parent = Some(id);
                 i += 1;
             } else {
                 // Partial tail: only index it if no existing child already serves it.
-                let covered = child_ids.iter().any(|&c| {
+                let covered = self.children_of(parent).iter().any(|&c| {
                     let content = &self.node(c).content;
                     content.len() >= chunk.len() && content[..chunk.len()] == *chunk
                 });
                 if !covered {
-                    for &c in &child_ids {
-                        let n = self.node(c);
-                        if n.content.len() < chunk.len()
-                            && n.children.is_empty()
-                            && chunk.starts_with(&n.content)
-                        {
-                            outcome.released.push(self.remove_node(c));
-                        }
-                    }
+                    outcome.released.extend(self.prune_subsumed(parent, chunk));
                     self.add_node(parent, chunk.to_vec(), blocks[i], now);
                     outcome.retained.push(blocks[i]);
                 }
@@ -311,24 +364,11 @@ impl PrefixIndex {
     /// Evicts the least-recently-touched *leaf* whose block satisfies `evictable`
     /// (ties broken by smallest block) and returns its block, or `None` when no leaf
     /// qualifies. Interior nodes become evictable as their subtrees drain, so repeated
-    /// calls free whole unreferenced subtrees bottom-up.
+    /// calls free whole unreferenced subtrees bottom-up. The walk visits leaves oldest
+    /// first and stops at the first one `evictable` accepts.
     pub fn evict_lru(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
-        let mut best: Option<(u64, usize, usize)> = None; // (last_touch, block, node)
-        for (idx, slot) in self.nodes.iter().enumerate() {
-            let Some(node) = slot else { continue };
-            if !node.children.is_empty() || !evictable(node.block) {
-                continue;
-            }
-            let key = (node.last_touch, node.block);
-            let better = match best {
-                None => true,
-                Some((t, b, _)) => key < (t, b),
-            };
-            if better {
-                best = Some((key.0, key.1, idx));
-            }
-        }
-        best.map(|(_, _, idx)| self.remove_node(idx))
+        let &(_, _, idx) = self.leaves.iter().find(|&&(_, block, _)| evictable(block))?;
+        Some(self.remove_node(idx))
     }
 }
 

@@ -139,16 +139,6 @@ impl CostModel {
         self.tp
     }
 
-    /// GPU roofline used for operator estimates.
-    pub fn gpu_roofline(&self) -> Roofline {
-        self.gpu
-    }
-
-    /// CPU roofline used for operator estimates.
-    pub fn cpu_roofline(&self) -> Roofline {
-        self.cpu
-    }
-
     // ------------------------------------------------------------------
     // Memory accounting
     // ------------------------------------------------------------------
@@ -471,11 +461,6 @@ impl CostModel {
     /// Per-iteration scheduling / Python / launch overhead outside the transformer layers.
     fn python_overhead(&self, n_seqs: usize) -> f64 {
         40e-6 + n_seqs as f64 * 0.3e-6
-    }
-
-    /// Convenience: per-layer linear-stage time split as `(Tpr, Tpo)`.
-    pub fn linear_split_gpu(&self, n_tokens: usize) -> (f64, f64) {
-        (self.pre_projection_time_gpu(n_tokens), self.post_projection_time_gpu(n_tokens))
     }
 }
 

@@ -201,20 +201,6 @@ impl CpuSpec {
             dispatch_overhead: 25e-6,
         }
     }
-
-    /// AWS Graviton4 socket (537.6 GB/s per socket, per WikiChip) — used for the
-    /// "more powerful CPUs" discussion in the paper's abstract.
-    pub fn graviton4() -> Self {
-        Self {
-            name: "Graviton4 (96 cores)".to_string(),
-            cores: 96,
-            mem_bytes: 768 * GIB,
-            mem_bw: 537.6e9,
-            flops: 96.0 * 45e9,
-            bandwidth_efficiency: 0.7,
-            dispatch_overhead: 25e-6,
-        }
-    }
 }
 
 impl PcieSpec {
@@ -316,27 +302,6 @@ impl Testbed {
             cpu_cache_fraction: 0.5,
             gpu_mem_utilization: 0.9,
         }
-    }
-
-    /// A hypothetical A10G testbed with a Graviton4-class host, used for the
-    /// "with more powerful CPUs, up to 79.3% gain" discussion.
-    pub fn a10g_graviton4() -> Self {
-        Self {
-            name: "a10g+graviton4".to_string(),
-            gpu: GpuSpec::a10g(),
-            num_gpus: 1,
-            cpu: CpuSpec::graviton4(),
-            pcie: PcieSpec::gen4_x16(),
-            disk: DiskSpec::g5_nvme(),
-            interconnect: None,
-            cpu_cache_fraction: 0.6,
-            gpu_mem_utilization: 0.9,
-        }
-    }
-
-    /// Total GPU memory across all GPUs in the testbed.
-    pub fn total_gpu_mem(&self) -> u64 {
-        self.gpu.mem_bytes * self.num_gpus as u64
     }
 
     /// Bytes of host DRAM available for the CPU KV cache.

@@ -51,12 +51,6 @@ impl Interpolator1d {
         let t = (x - x0) / (x1 - x0);
         y0 + t * (y1 - y0)
     }
-
-    /// The grid's x-range.
-    pub fn domain(&self) -> (f64, f64) {
-        // neo-lint: allow(panic-hygiene) -- the constructor asserts a non-empty strictly-increasing grid; a default range would silently flatten every interpolated cost
-        (self.xs[0], *self.xs.last().expect("non-empty grid"))
-    }
 }
 
 /// The cost queries the scheduler issues every iteration, answered by interpolation.

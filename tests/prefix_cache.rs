@@ -233,6 +233,16 @@ fn check_index_against_oracle(ops: &[(usize, u64, usize, usize)]) -> Result<(), 
         real_blocks.sort_unstable();
         prop_assert_eq!(real_blocks, oracle.sorted_blocks(), "indexed block set diverged");
     }
+    // Drain the tree: every parent that loses its last child must enter the LRU order
+    // under its own stamp, so the victims match the oracle down to the last root.
+    loop {
+        let real = idx.evict_lru(|_| true);
+        prop_assert_eq!(real, oracle.evict_lru(|_| true), "drain victim");
+        if real.is_none() {
+            break;
+        }
+    }
+    prop_assert!(idx.is_empty(), "draining empties the index");
     Ok(())
 }
 
@@ -274,6 +284,13 @@ fn check_manager_invariants(m: &KvCacheManager) -> Result<(), TestCaseError> {
             "indexed block {b} must stay allocated (rc = {rc:?})"
         );
     }
+    let index_only =
+        m.prefix_blocks().into_iter().filter(|&b| m.pool(Device::Gpu).ref_count(b) == Ok(1));
+    prop_assert_eq!(
+        m.evictable_tokens(),
+        index_only.count() * BS,
+        "the evictable count must match a recount of the index-only blocks"
+    );
     prop_assert!(m.evictable_tokens() <= m.pool(Device::Gpu).used_tokens());
     prop_assert_eq!(
         m.free_tokens(Device::Gpu),
