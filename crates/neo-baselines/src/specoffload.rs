@@ -104,17 +104,12 @@ impl SchedulerPolicy for SpecOffloadScheduler {
 
     /// The speculation: claim up to `spec_width` CPU-resident decodes into batch-1
     /// without consulting the balance inequalities, then let the profiled cost model
-    /// judge the claim after the fact and adapt the width (AIMD).
+    /// judge the claim after the fact and adapt the width (AIMD). The candidates are
+    /// NEO's ([`IterationPlan::cpu_decode_candidates`]), smallest context first, so a
+    /// request demoted to disk this iteration is never claimed.
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let cfg = ctx.config;
-        let mut candidates: Vec<(u64, usize)> = ctx
-            .cpu_run
-            .iter()
-            .filter(|id| !plan.swap_in.contains(id))
-            .map(|&id| (id, ctx.context_len(id)))
-            .collect();
-        candidates.extend(plan.swap_out.iter().map(|&id| (id, ctx.context_len(id))));
-        candidates.sort_by_key(|&(_, c)| c);
+        let candidates = plan.cpu_decode_candidates(ctx);
 
         // No GPU work at all to hide behind: run the CPU-residents as a plain CPU batch
         // (there is no latent capacity to speculate on, only idle hardware).
@@ -189,6 +184,9 @@ mod tests {
         gpu_run: Vec<u64>,
         cpu_run: Vec<u64>,
         prefill_device: BTreeMap<u64, Device>,
+        gpu_free: usize,
+        cpu_free: usize,
+        disk_free: usize,
         config: EngineConfig,
     }
 
@@ -200,6 +198,11 @@ mod tests {
                 gpu_run: vec![],
                 cpu_run: vec![],
                 prefill_device: BTreeMap::new(),
+                // Small enough that the swap-in watermark never pulls the CPU-resident
+                // candidates back to the GPU, so the speculation path stays exercised.
+                gpu_free: 100,
+                cpu_free: 400_000,
+                disk_free: 0,
                 config: EngineConfig::default(),
             }
         }
@@ -224,12 +227,10 @@ mod tests {
                 gpu_run: &self.gpu_run,
                 cpu_run: &self.cpu_run,
                 disk_run: &[],
-                // Small enough that the swap-in watermark never pulls the CPU-resident
-                // candidates back to the GPU, so the speculation path stays exercised.
-                gpu_free_tokens: 100,
-                cpu_free_tokens: 400_000,
-                disk_free_tokens: 0,
-                gpu_capacity_tokens: 100,
+                gpu_free_tokens: self.gpu_free,
+                cpu_free_tokens: self.cpu_free,
+                disk_free_tokens: self.disk_free,
+                gpu_capacity_tokens: self.gpu_free,
                 prefill_device: &self.prefill_device,
             };
             s.schedule(&ctx)
@@ -324,6 +325,30 @@ mod tests {
         assert_eq!(s.speculations(), 0);
         assert_eq!(d.batch1.cpu_decodes.len(), 6);
         assert!(d.batch0.is_empty());
+    }
+
+    #[test]
+    fn requests_demoted_to_disk_are_not_claimed() {
+        // Shedding a GPU decode into a full CPU cache demotes the two largest CPU
+        // residents to disk. Their KV leaves the CPU before the iteration runs, so the
+        // speculation must not decode them, however wide it is.
+        let mut fx = Fixture::new();
+        fx.config.disk_tier = true;
+        fx.gpu_free = 5;
+        fx.cpu_free = 10;
+        fx.disk_free = 100_000;
+        for id in 0..20 {
+            fx.add_running(id, 500, Device::Gpu);
+        }
+        for id in 100..110 {
+            fx.add_running(id, 300 + id as usize, Device::Cpu);
+        }
+        let cm = cost();
+        let mut s = SpecOffloadScheduler::with_spec_width(32);
+        let d = fx.schedule(&cm, &mut s);
+        assert_eq!(d.demote_disk, vec![109, 108]);
+        let claimed: Vec<u64> = d.batch1.cpu_decodes.iter().map(|&(id, _)| id).collect();
+        assert_eq!(claimed, [100, 101, 102, 103, 104, 105, 106, 107, d.swap_out[0]]);
     }
 
     #[test]

@@ -95,6 +95,27 @@ fn bench_neo_queue_depth(c: &mut Criterion) {
     group.finish();
 }
 
+/// An overloaded server's shape: a full GPU batch plus a prefill chunk, and 256 CPU
+/// residents of varied context, most of which fit under neither balancing inequality.
+/// Step 4 of NEO's schedule tests every one of them.
+fn bench_neo_cpu_heavy(c: &mut Criterion) {
+    let mut fx = build(1, 64, 256);
+    for (i, &id) in fx.cpu_run.iter().enumerate() {
+        let len = 400 + (i * 37) % 1600;
+        let mut r = Request::new(id, 0.0, len, 200);
+        r.advance_prefill(len);
+        fx.requests.insert(id, r);
+    }
+    let mut group = c.benchmark_group("scheduler/neo_cpu_heavy");
+    group.bench_function("256", |b| {
+        let mut sched = NeoScheduler::new();
+        // 600 free GPU tokens: the batch's new slots and the chunk fit, with too
+        // little room left to swap any CPU resident back in.
+        b.iter(|| sched.schedule(&ScheduleContext { gpu_free_tokens: 600, ..ctx(&fx) }));
+    });
+    group.finish();
+}
+
 fn bench_policies(c: &mut Criterion) {
     let fx = build(32, 64, 64);
     let mut group = c.benchmark_group("scheduler/policy_comparison");
@@ -121,5 +142,5 @@ fn bench_policies(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_neo_queue_depth, bench_policies);
+criterion_group!(benches, bench_neo_queue_depth, bench_neo_cpu_heavy, bench_policies);
 criterion_main!(benches);

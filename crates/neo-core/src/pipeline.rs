@@ -89,12 +89,25 @@ pub fn stage_times(cost: &dyn IterationCost, batch: &SubBatch) -> StageTimes {
     StageTimes { tl, tga, tca }
 }
 
-/// The paper's balancing inequalities (step 4 of §3.2), with relative slack: the CPU
-/// attention of each sub-batch must hide under the other's GPU shadow,
-/// `Tca1 ≤ Tl0` and `Tca0 ≤ Tl1 + Tga0`.
+/// The first balancing inequality, `Tca1 ≤ Tl0` with relative slack: batch-1's CPU
+/// attention hides under batch-0's linear stage.
+pub fn batch1_cpu_hidden(tca1: f64, tl0: f64, slack: f64) -> bool {
+    tca1 <= tl0 * (1.0 + slack)
+}
+
+/// The second balancing inequality, `Tca0 ≤ Tl1 + Tga0` with relative slack: batch-0's
+/// CPU attention hides under batch-1's linear stage plus batch-0's GPU attention.
+pub fn batch0_cpu_hidden(tca0: f64, tl1: f64, tga0: f64, slack: f64) -> bool {
+    tca0 <= (tl1 + tga0) * (1.0 + slack)
+}
+
+/// The paper's balancing inequalities (step 4 of §3.2), priced from scratch: the CPU
+/// attention of each sub-batch must hide under the other's GPU shadow
+/// ([`batch1_cpu_hidden`] and [`batch0_cpu_hidden`]).
 ///
-/// Shared by `NeoScheduler` (which enforces it while placing CPU decodes) and the
-/// SpecOffload baseline (which checks it *after* speculatively over-placing them), so
+/// The SpecOffload baseline checks its one-shot speculation with this. `NeoScheduler`
+/// tests the same two inequalities while placing CPU decodes one at a time, from stage
+/// times it keeps up to date instead of re-pricing both sub-batches per candidate, so
 /// the two policies always judge "hidden" by the same rule.
 pub fn balanced(
     cost: &dyn IterationCost,
@@ -104,8 +117,7 @@ pub fn balanced(
 ) -> bool {
     let s0 = stage_times(cost, batch0);
     let s1 = stage_times(cost, batch1);
-    let tol = 1.0 + slack;
-    s1.tca <= s0.tl * tol && s0.tca <= (s1.tl + s0.tga) * tol
+    batch1_cpu_hidden(s1.tca, s0.tl, slack) && batch0_cpu_hidden(s0.tca, s1.tl, s0.tga, slack)
 }
 
 /// Estimates one iteration of NEO's asymmetric pipelining.

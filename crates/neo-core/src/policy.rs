@@ -234,6 +234,23 @@ impl IterationPlan {
         }
     }
 
+    /// The CPU-resident decodes an offload split may place this iteration, with their
+    /// context lengths, in ascending context order (ties keep queue order): the CPU run
+    /// queue minus the requests this plan swaps in or demotes to disk, followed by the
+    /// ones it swaps out. A request demoted to disk this iteration has no CPU-resident
+    /// KV to decode from. Shared by `NeoScheduler` and the SpecOffload baseline.
+    pub fn cpu_decode_candidates(&self, ctx: &ScheduleContext<'_>) -> Vec<(u64, usize)> {
+        let mut candidates: Vec<(u64, usize)> = ctx
+            .cpu_run
+            .iter()
+            .filter(|id| !self.swap_in.contains(id) && !self.demote_disk.contains(id))
+            .map(|&id| (id, ctx.context_len(id)))
+            .collect();
+        candidates.extend(self.swap_out.iter().map(|&id| (id, ctx.context_len(id))));
+        candidates.sort_by_key(|&(_, c)| c);
+        candidates
+    }
+
     /// Finalises the plan into the decision the engine will execute.
     pub fn into_decision(self) -> ScheduleDecision {
         ScheduleDecision {

@@ -28,7 +28,9 @@ use neo_sim::profiler::IterationCost;
 
 use crate::batch::{ScheduleDecision, SubBatch};
 use crate::config::EngineConfig;
-use crate::pipeline::{balanced, estimate_asymmetric, estimate_gpu_only};
+use crate::pipeline::{
+    batch0_cpu_hidden, batch1_cpu_hidden, estimate_asymmetric, estimate_gpu_only,
+};
 use crate::policy::{IterationPlan, SchedulerPolicy};
 use crate::request::Request;
 use crate::ExecutionMode;
@@ -160,50 +162,67 @@ impl SchedulerPolicy for NeoScheduler {
 
     /// Steps 4 and 5: place CPU decode requests while the balancing inequalities hold,
     /// then shed prefill chunks that force swap-outs while balance keeps holding.
+    ///
+    /// Both steps ask the same questions as [`crate::pipeline::balanced`] with the same
+    /// cost-model arguments, but price only what a move changes: the stage times of both
+    /// sub-batches are kept up to date, and of the two inequalities the one whose inputs
+    /// are already known is tested first. A CPU candidate costs at most two queries when
+    /// it is rejected and one more when it is placed.
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let cost = ctx.cost;
         let cfg = ctx.config;
+        let slack = cfg.balance_slack;
 
-        // Step 4: CPU-resident candidates (minus swapped-in and disk-demoted, plus
-        // freshly swapped-out). A request demoted to disk this iteration has no
-        // CPU-resident KV to decode from.
-        let mut cpu_candidates: Vec<(u64, usize)> = ctx
-            .cpu_run
-            .iter()
-            .filter(|id| !plan.swap_in.contains(id) && !plan.demote_disk.contains(id))
-            .map(|&id| (id, ctx.context_len(id)))
-            .collect();
-        cpu_candidates.extend(plan.swap_out.iter().map(|&id| (id, ctx.context_len(id))));
-        cpu_candidates.sort_by_key(|&(_, c)| c);
+        // Step 4: CPU-resident candidates.
+        let cpu_candidates = plan.cpu_decode_candidates(ctx);
+        if cpu_candidates.is_empty() {
+            return;
+        }
 
         // Degenerate case: nothing at all runs on the GPU this iteration (no prefills, no
         // GPU decodes). The balancing inequalities would then forbid every CPU decode
         // (`Tca ≤ Tl0 = 0`), starving CPU-resident requests forever; run them as a plain
         // CPU batch instead — there is no GPU work to hide them behind anyway.
-        if plan.batch0.is_empty() && !cpu_candidates.is_empty() {
-            for (id, c) in cpu_candidates.drain(..) {
+        if plan.batch0.is_empty() {
+            for (id, c) in cpu_candidates {
                 if plan.batch1.sequences() >= cfg.max_batch_seqs {
                     break;
                 }
                 plan.batch1.cpu_decodes.push((id, c));
             }
+            return;
         }
+
+        // Placing CPU decodes never changes batch-0's prefills or GPU decodes, so its
+        // `Tga` is priced once for the whole step.
+        let b0 = &plan.batch0;
+        let (gpu_ctx0, gpu_reqs0) = (b0.gpu_decode_ctx(), b0.gpu_decodes.len());
+        let mut chunks0 = b0.prefill_chunks();
+        let tga0 = cost.gpu_attn_time(&chunks0, gpu_ctx0, gpu_reqs0);
+        let mut s0 = Side::new(cost, b0);
+        let mut s1 = Side::new(cost, &plan.batch1);
         for (id, c) in cpu_candidates {
             if plan.batch0.sequences() + plan.batch1.sequences() >= 2 * cfg.max_batch_seqs {
                 break;
             }
             // Try batch-1 first (it exists to absorb CPU attention under Tl0's shadow).
-            plan.batch1.cpu_decodes.push((id, c));
-            if balanced(cost, &plan.batch0, &plan.batch1, cfg.balance_slack) {
-                continue;
+            // Only its Tl and Tca move; `Tca0 ≤ Tl1 + Tga0` needs no new query.
+            if batch0_cpu_hidden(s0.tca, s1.tl_next, tga0, slack) {
+                let tca1 = s1.tca_with(cost, c);
+                if batch1_cpu_hidden(tca1, s0.tl, slack) {
+                    s1.place(cost, c, tca1);
+                    plan.batch1.cpu_decodes.push((id, c));
+                    continue;
+                }
             }
-            plan.batch1.cpu_decodes.pop();
-
-            plan.batch0.cpu_decodes.push((id, c));
-            if balanced(cost, &plan.batch0, &plan.batch1, cfg.balance_slack) {
-                continue;
+            // Then batch-0, where `Tca1 ≤ Tl0` is the inequality priced already.
+            if batch1_cpu_hidden(s1.tca, s0.tl_next, slack) {
+                let tca0 = s0.tca_with(cost, c);
+                if batch0_cpu_hidden(tca0, s1.tl, tga0, slack) {
+                    s0.place(cost, c, tca0);
+                    plan.batch0.cpu_decodes.push((id, c));
+                }
             }
-            plan.batch0.cpu_decodes.pop();
             // Violates both inequalities: leave it for the next iteration (Hiding CPU).
         }
 
@@ -211,21 +230,33 @@ impl SchedulerPolicy for NeoScheduler {
         // Only applies when there is CPU attention to balance against — if no CPU decodes
         // are scheduled, a CPU-targeted prefill is the only way the request can make
         // progress under GPU memory pressure and must not be shed (otherwise it would
-        // starve forever).
+        // starve forever). Batch-1 is final by now, and shedding moves only batch-0's
+        // `Tl` and `Tga`.
         let has_cpu_work =
             !plan.batch0.cpu_decodes.is_empty() || !plan.batch1.cpu_decodes.is_empty();
-        if has_cpu_work {
-            while let Some(pos) = plan.batch0.prefills.iter().rposition(|p| p.target == Device::Cpu)
+        if !has_cpu_work {
+            return;
+        }
+        let mut tokens0 = s0.tokens;
+        while let Some(pos) = plan.batch0.prefills.iter().rposition(|p| p.target == Device::Cpu) {
+            let removed = plan.batch0.prefills.remove(pos);
+            chunks0.remove(pos);
+            let tokens = tokens0 - removed.new_tokens;
+            if batch1_cpu_hidden(s1.tca, cost.linear_time(tokens), slack)
+                && batch0_cpu_hidden(
+                    s0.tca,
+                    s1.tl,
+                    cost.gpu_attn_time(&chunks0, gpu_ctx0, gpu_reqs0),
+                    slack,
+                )
             {
-                let removed = plan.batch0.prefills.remove(pos);
-                if balanced(cost, &plan.batch0, &plan.batch1, cfg.balance_slack) {
-                    continue; // removal kept the pipeline balanced; keep it removed
-                }
-                // Removing it unbalanced the pipeline (the CPU work no longer hides behind
-                // the linear stage): put it back and stop shedding.
-                plan.batch0.prefills.insert(pos, removed);
-                break;
+                tokens0 = tokens;
+                continue; // removal kept the pipeline balanced; keep it removed
             }
+            // Removing it unbalanced the pipeline (the CPU work no longer hides behind
+            // the linear stage): put it back and stop shedding.
+            plan.batch0.prefills.insert(pos, removed);
+            break;
         }
     }
 
@@ -276,11 +307,63 @@ impl SchedulerPolicy for NeoScheduler {
     }
 }
 
+/// One sub-batch's stage times while step 4 places CPU decodes into it.
+///
+/// A CPU decode of context `c` adds one linear-stage token and `(c, 1)` to the CPU
+/// attention arguments, and changes nothing else the balancing inequalities read. So the
+/// side keeps those integer arguments and the times they price to, with the next linear
+/// time priced ahead: testing a candidate then needs only its new `Tca`.
+struct Side {
+    /// Linear-stage tokens.
+    tokens: usize,
+    /// Total context of the CPU decodes.
+    cpu_ctx: usize,
+    /// Number of CPU decodes.
+    cpu_reqs: usize,
+    /// `Tl = linear_time(tokens)`.
+    tl: f64,
+    /// `Tca = cpu_attn_time(cpu_ctx, cpu_reqs)`.
+    tca: f64,
+    /// `linear_time(tokens + 1)`: the side's `Tl` once one more decode joins.
+    tl_next: f64,
+}
+
+impl Side {
+    fn new(cost: &dyn IterationCost, batch: &SubBatch) -> Self {
+        let tokens = batch.linear_tokens();
+        let (cpu_ctx, cpu_reqs) = (batch.cpu_decode_ctx(), batch.cpu_decodes.len());
+        Self {
+            tokens,
+            cpu_ctx,
+            cpu_reqs,
+            tl: cost.linear_time(tokens),
+            tca: cost.cpu_attn_time(cpu_ctx, cpu_reqs),
+            tl_next: cost.linear_time(tokens + 1),
+        }
+    }
+
+    /// `Tca` with one more CPU decode of context `c`.
+    fn tca_with(&self, cost: &dyn IterationCost, c: usize) -> f64 {
+        cost.cpu_attn_time(self.cpu_ctx + c, self.cpu_reqs + 1)
+    }
+
+    /// Adds a CPU decode of context `c`, whose `Tca` was priced by [`Side::tca_with`].
+    fn place(&mut self, cost: &dyn IterationCost, c: usize, tca: f64) {
+        self.tokens += 1;
+        self.cpu_ctx += c;
+        self.cpu_reqs += 1;
+        self.tl = self.tl_next;
+        self.tca = tca;
+        self.tl_next = cost.linear_time(self.tokens + 1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::stage_times;
     use neo_sim::{CostModel, ModelDesc, Testbed};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn cost() -> CostModel {
         CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1)
@@ -327,7 +410,7 @@ mod tests {
             }
         }
 
-        fn schedule(&self, cost: &CostModel) -> ScheduleDecision {
+        fn schedule(&self, cost: &dyn IterationCost) -> ScheduleDecision {
             let ctx = ScheduleContext {
                 cost,
                 config: &self.config,
@@ -476,6 +559,71 @@ mod tests {
         let _ = s.schedule(&ctx);
         let _ = s.schedule(&ctx);
         assert_eq!(s.iterations(), 2);
+    }
+
+    /// An exact cost model that counts the queries it answers.
+    struct CountingCost {
+        inner: CostModel,
+        calls: AtomicUsize,
+    }
+
+    impl CountingCost {
+        fn count<T>(&self, answer: T) -> T {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            answer
+        }
+    }
+
+    impl IterationCost for CountingCost {
+        fn linear_time(&self, n_tokens: usize) -> f64 {
+            self.count(self.inner.linear_time(n_tokens))
+        }
+        fn gpu_attn_time(&self, prefill: &[(usize, usize)], ctx: usize, reqs: usize) -> f64 {
+            self.count(IterationCost::gpu_attn_time(&self.inner, prefill, ctx, reqs))
+        }
+        fn cpu_attn_time(&self, ctx_total: usize, n_reqs: usize) -> f64 {
+            self.count(self.inner.cpu_attn_time(ctx_total, n_reqs))
+        }
+        fn swap_out_time(&self, n_tokens: usize) -> f64 {
+            self.count(self.inner.swap_out_time(n_tokens))
+        }
+        fn swap_in_time(&self, n_tokens: usize) -> f64 {
+            self.count(self.inner.swap_in_time(n_tokens))
+        }
+        fn pre_post_time(&self, n_tokens: usize, n_seqs: usize) -> f64 {
+            self.count(self.inner.pre_post_time(n_tokens, n_seqs))
+        }
+        fn n_layers(&self) -> usize {
+            self.count(self.inner.n_layers())
+        }
+        fn tp(&self) -> usize {
+            self.count(IterationCost::tp(&self.inner))
+        }
+    }
+
+    #[test]
+    fn balance_check_query_count_is_pinned() {
+        // An overloaded server's shape: a full GPU batch plus a prefill chunk, and 256
+        // CPU residents, most of which fit under neither inequality. Step 4 prices a
+        // rejected candidate with at most two queries and a placed one with at most
+        // three; step 5 re-prices batch-0 alone.
+        let mut fx = Fixture::new();
+        fx.gpu_free = 300; // the prefill chunk goes to the CPU cache, so step 5 runs too
+        for id in 0..40 {
+            fx.add_running(id, 800, Device::Gpu);
+        }
+        fx.add_waiting(1000, 1500);
+        for id in 100..356 {
+            fx.add_running(id, 400 + (id as usize * 37) % 1600, Device::Cpu);
+        }
+        let cost = CountingCost { inner: cost(), calls: AtomicUsize::new(0) };
+        let d = fx.schedule(&cost);
+        let placed = d.batch0.cpu_decodes.len() + d.batch1.cpu_decodes.len();
+        assert_eq!(placed, 70);
+        assert_eq!(d.batch0.prefills.len(), 1, "shedding the chunk would unbalance");
+        // Re-pricing both sub-batches from scratch for every candidate (push,
+        // `balanced`, pop) issued 2,751 queries for this schedule.
+        assert_eq!(cost.calls.load(Ordering::Relaxed), 553);
     }
 
     #[test]

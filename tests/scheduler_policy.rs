@@ -1,7 +1,7 @@
 //! Integration tests of the `SchedulerPolicy` seam: the blanket-driver equivalence
-//! contract, cross-policy decision invariants on randomised scheduling contexts, and
-//! pinned decision traces for the pipelined-offloading baselines on a small
-//! deterministic workload.
+//! contract, cross-policy decision invariants on randomised scheduling contexts, NEO's
+//! incremental offload split against its from-scratch form, and pinned decision traces
+//! for the pipelined-offloading baselines on a small deterministic workload.
 
 use std::collections::BTreeMap;
 
@@ -12,12 +12,16 @@ use neo_baselines::{
 use neo_bench::{Policy, Scenario};
 use neo_core::batch::ScheduleDecision;
 use neo_core::config::EngineConfig;
+use neo_core::pipeline::balanced;
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::request::Request;
 use neo_core::scheduler::{NeoScheduler, ScheduleContext, Scheduler};
 use neo_kvcache::Device;
+use neo_sim::profiler::{IterationCost, ProfiledCostModel};
 use neo_sim::{CostModel, ModelDesc, Testbed};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A deterministic, hand-built scheduling context.
 struct Fixture {
@@ -61,7 +65,7 @@ impl Fixture {
         }
     }
 
-    fn ctx<'a>(&'a self, cost: &'a CostModel) -> ScheduleContext<'a> {
+    fn ctx<'a>(&'a self, cost: &'a dyn IterationCost) -> ScheduleContext<'a> {
         ScheduleContext {
             cost,
             config: &self.config,
@@ -224,6 +228,181 @@ proptest! {
             prop_assert_eq!(engine.kv().num_sequences(), 0);
         }
     }
+}
+
+/// NEO with its offload split as first written: each CPU candidate is pushed, the
+/// iteration is re-priced from scratch with [`balanced`], and the candidate is popped if
+/// that fails; each shed attempt re-prices both sub-batches too. The oracle NEO's
+/// incremental split must match bit for bit.
+#[derive(Default)]
+struct FromScratchNeo(NeoScheduler);
+
+impl SchedulerPolicy for FromScratchNeo {
+    fn policy_name(&self) -> &'static str {
+        "neo-from-scratch"
+    }
+
+    fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
+        self.0.form_batches(ctx, plan);
+    }
+
+    fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
+        self.0.admit(ctx, plan);
+    }
+
+    fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
+        let (cost, cfg) = (ctx.cost, ctx.config);
+        let mut cpu_candidates: Vec<(u64, usize)> = ctx
+            .cpu_run
+            .iter()
+            .filter(|id| !plan.swap_in.contains(id) && !plan.demote_disk.contains(id))
+            .map(|&id| (id, ctx.context_len(id)))
+            .collect();
+        cpu_candidates.extend(plan.swap_out.iter().map(|&id| (id, ctx.context_len(id))));
+        cpu_candidates.sort_by_key(|&(_, c)| c);
+
+        if plan.batch0.is_empty() && !cpu_candidates.is_empty() {
+            for (id, c) in cpu_candidates.drain(..) {
+                if plan.batch1.sequences() >= cfg.max_batch_seqs {
+                    break;
+                }
+                plan.batch1.cpu_decodes.push((id, c));
+            }
+        }
+        for (id, c) in cpu_candidates {
+            if plan.batch0.sequences() + plan.batch1.sequences() >= 2 * cfg.max_batch_seqs {
+                break;
+            }
+            plan.batch1.cpu_decodes.push((id, c));
+            if balanced(cost, &plan.batch0, &plan.batch1, cfg.balance_slack) {
+                continue;
+            }
+            plan.batch1.cpu_decodes.pop();
+            plan.batch0.cpu_decodes.push((id, c));
+            if balanced(cost, &plan.batch0, &plan.batch1, cfg.balance_slack) {
+                continue;
+            }
+            plan.batch0.cpu_decodes.pop();
+        }
+
+        let has_cpu_work =
+            !plan.batch0.cpu_decodes.is_empty() || !plan.batch1.cpu_decodes.is_empty();
+        if has_cpu_work {
+            while let Some(pos) = plan.batch0.prefills.iter().rposition(|p| p.target == Device::Cpu)
+            {
+                let removed = plan.batch0.prefills.remove(pos);
+                if balanced(cost, &plan.batch0, &plan.batch1, cfg.balance_slack) {
+                    continue;
+                }
+                plan.batch0.prefills.insert(pos, removed);
+                break;
+            }
+        }
+    }
+
+    fn select_mode(&mut self, ctx: &ScheduleContext<'_>, plan: IterationPlan) -> ScheduleDecision {
+        self.0.select_mode(ctx, plan)
+    }
+}
+
+/// One randomised context for the split-equivalence property. `shape` aims it at one
+/// path of NEO's offload split and `seed` draws everything else:
+/// - 0: a GPU batch with CPU-targeted prefill chunks, which step 5 may shed;
+/// - 1: nothing on the GPU, so batch-0 is empty and the CPU residents run as a plain
+///   CPU batch;
+/// - 2: a `max_batch_seqs` small enough for the candidates to overrun.
+fn split_case(shape: usize, seed: u64) -> Fixture {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut fx = Fixture::new(rng.gen_range(0..4_000), rng.gen_range(20_000..400_000));
+    fx.config.balance_slack = rng.gen_range(0.0..0.2);
+    let (n_waiting, n_gpu, n_cpu): (u64, u64, u64) = match shape {
+        0 => (rng.gen_range(1..6), rng.gen_range(1..64), rng.gen_range(0..300)),
+        1 => {
+            fx.gpu_free = 0;
+            (0, 0, rng.gen_range(1..300))
+        }
+        _ => {
+            fx.config.max_batch_seqs = rng.gen_range(1..12);
+            (rng.gen_range(0..4), rng.gen_range(0..16), rng.gen_range(0..64))
+        }
+    };
+    for id in 0..n_waiting {
+        fx.add_waiting(id, rng.gen_range(16..3_000));
+        if rng.gen_range(0..2) == 0 {
+            // Partially prefilled, with its KV pinned to the CPU cache. Half of them have
+            // a short tail left: shedding that chunk barely moves `Tl0`, so the `Tga0`
+            // side of the balance decides.
+            let r = fx.requests.get_mut(&id).expect("just added");
+            let tail = if rng.gen_range(0..2) == 0 { r.prompt_len.min(48) } else { r.prompt_len };
+            let left = rng.gen_range(1..tail);
+            r.advance_prefill(r.prompt_len - left);
+            fx.prefill_device.insert(id, Device::Cpu);
+        }
+    }
+    for id in 100..100 + n_gpu {
+        fx.add_running(id, rng.gen_range(16..4_000), Device::Gpu);
+    }
+    for id in 1_000..1_000 + n_cpu {
+        fx.add_running(id, rng.gen_range(16..4_000), Device::Cpu);
+    }
+    fx
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// NEO's incremental offload split decides exactly what the from-scratch one does,
+    /// under the exact cost model and under a noisy profile, whose costs are not
+    /// monotone in context.
+    #[test]
+    fn prop_incremental_split_matches_from_scratch(case in (0usize..3, 0u64..1 << 48)) {
+        let (shape, seed) = case;
+        let fx = split_case(shape, seed);
+        let exact = a10g_cost();
+        let noisy = ProfiledCostModel::with_noise(a10g_cost(), 0.1);
+        let costs: [(&str, &dyn IterationCost); 2] = [("exact", &exact), ("noisy", &noisy)];
+        for (name, cost) in costs {
+            let ctx = fx.ctx(cost);
+            let incremental = NeoScheduler::new().schedule(&ctx);
+            let from_scratch = FromScratchNeo::default().schedule(&ctx);
+            prop_assert!(
+                incremental == from_scratch,
+                "shape {shape}, seed {seed}, {name} cost:\n{incremental:?}\n!= {from_scratch:?}"
+            );
+        }
+    }
+}
+
+/// The equivalence property's cases reach every path they aim at: step 5 sheds a
+/// chunk, batch-0 is empty while CPU residents wait, and the sequence cap stops step 4.
+#[test]
+fn split_cases_reach_every_path() {
+    let cost = a10g_cost();
+    let (mut shed, mut empty_batch0, mut capped) = (0, 0, 0);
+    for seed in 0..32 {
+        for shape in 0..3 {
+            let fx = split_case(shape, seed);
+            let ctx = fx.ctx(&cost);
+            let mut neo = FromScratchNeo::default();
+            let mut plan = IterationPlan::new(&ctx);
+            neo.form_batches(&ctx, &mut plan);
+            neo.admit(&ctx, &mut plan);
+            let candidates = plan.cpu_decode_candidates(&ctx).len();
+            let before = plan.clone();
+            neo.split_offload(&ctx, &mut plan);
+            let cpu_decodes =
+                |p: &IterationPlan| p.batch0.cpu_decodes.len() + p.batch1.cpu_decodes.len();
+            let placed = cpu_decodes(&plan) - cpu_decodes(&before);
+            shed += usize::from(plan.batch0.prefills.len() < before.batch0.prefills.len());
+            empty_batch0 += usize::from(before.batch0.is_empty() && candidates > 0);
+            capped += usize::from(
+                placed < candidates && plan.sequences() >= 2 * fx.config.max_batch_seqs,
+            );
+        }
+    }
+    assert!(shed > 0, "no case shed a prefill chunk");
+    assert!(empty_batch0 > 0, "no case left batch-0 empty");
+    assert!(capped > 0, "no case hit the sequence cap");
 }
 
 /// Compact signature of one executed iteration, for decision-trace pinning.
