@@ -77,7 +77,7 @@ mod tests {
                 cpu_decode_seen = true;
             }
         }
-        assert_eq!(e.completed().len(), 10);
+        assert_eq!(e.completed(), 10);
         assert!(cpu_decode_seen, "FastDecode+ must offload decode attention");
         assert!(!gpu_decode_seen, "FastDecode+ must never run pure GPU decode batches");
     }
@@ -93,7 +93,7 @@ mod tests {
         assert_eq!(e.kv().sequences_on(Device::Gpu).len(), 0);
         assert_eq!(e.kv().sequences_on(Device::Cpu).len(), 1);
         e.run_to_completion(100_000);
-        assert_eq!(e.completed().len(), 1);
+        assert_eq!(e.completed(), 1);
     }
 
     #[test]

@@ -132,7 +132,7 @@ mod tests {
             let r = e.step();
             offloaded += r.cpu_offloaded + r.swapped_out;
         }
-        assert_eq!(e.completed().len(), 20);
+        assert_eq!(e.completed(), 20);
         assert_eq!(offloaded, 0, "GPU-only baseline must never offload");
     }
 
@@ -163,7 +163,7 @@ mod tests {
             e.submit(Request::new(id, 0.0, 300, 30)).unwrap();
         }
         e.run_to_completion(500_000);
-        assert_eq!(e.completed().len(), 64, "requests must eventually finish by waiting");
+        assert_eq!(e.completed(), 64, "requests must eventually finish by waiting");
         // The T4 cannot hold all 64 requests at once, so the achieved batch sizes are
         // small — this is exactly why the paper's Figure 6c shows vLLM collapsing on T4.
         let kv = e.kv();

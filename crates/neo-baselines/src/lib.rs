@@ -39,7 +39,7 @@
 //! let mut engine = Engine::new(cost, EngineConfig::default(), Box::new(PipoScheduler::new()));
 //! engine.submit(Request::new(0, 0.0, 256, 16));
 //! engine.run_to_completion(100_000);
-//! assert_eq!(engine.completed().len(), 1);
+//! assert_eq!(engine.completed(), 1);
 //! assert_eq!(engine.scheduler_name(), "pipo");
 //! ```
 //!
@@ -60,7 +60,7 @@
 //!         engine.submit(Request::new(id, 0.0, 200, 16));
 //!     }
 //!     engine.run_to_completion(400_000);
-//!     assert_eq!(engine.completed().len(), 12);
+//!     assert_eq!(engine.completed(), 12);
 //!     engine.now() // makespan: lower is better
 //! };
 //! let gpu_only = run(Box::new(GpuOnlyScheduler::vllm_like()));

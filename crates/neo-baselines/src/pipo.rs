@@ -91,7 +91,7 @@ mod tests {
         assert_eq!(e.kv().sequences_on(Device::Gpu).len(), 0, "PIPO keeps no KV on the GPU");
         assert!(!e.kv().sequences_on(Device::Cpu).is_empty());
         e.run_to_completion(200_000);
-        assert_eq!(e.completed().len(), 8);
+        assert_eq!(e.completed(), 8);
     }
 
     #[test]
@@ -115,7 +115,7 @@ mod tests {
         assert_eq!(e.scheduler_name(), "pipo");
         e.submit(Request::new(1, 0.0, 100, 5)).unwrap();
         e.run_to_completion(10_000);
-        assert_eq!(e.completed().len(), 1);
+        assert_eq!(e.completed(), 1);
         assert_eq!(Scheduler::name(&PipoScheduler::new()), "pipo");
     }
 
@@ -138,7 +138,7 @@ mod tests {
                     n += 1;
                 }
             }
-            assert_eq!(e.completed().len(), 16);
+            assert_eq!(e.completed(), 16);
             total / n.max(1) as f64
         };
         let short = decode_iter_time(200);

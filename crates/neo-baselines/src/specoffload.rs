@@ -249,7 +249,7 @@ mod tests {
             e.submit(Request::new(id, 0.0, 300, 24)).unwrap();
         }
         e.run_to_completion(200_000);
-        assert_eq!(e.completed().len(), 16);
+        assert_eq!(e.completed(), 16);
         assert_eq!(Scheduler::name(&SpecOffloadScheduler::new()), "specoffload");
     }
 
@@ -268,7 +268,7 @@ mod tests {
                 offloaded_iterations += 1;
             }
         }
-        assert_eq!(e.completed().len(), 48);
+        assert_eq!(e.completed(), 48);
         assert!(offloaded_iterations > 0, "speculation never claimed CPU-resident decodes");
     }
 

@@ -45,7 +45,7 @@ use neo_core::Engine;
 use neo_serve::metrics::{stream_latency, LatencySummary};
 use neo_serve::{DropReason, RequestHandle, RequestStatus, Server};
 use neo_sim::event::SerialLine;
-use neo_workload::{SloPolicy, Trace};
+use neo_workload::{SloPolicy, Trace, TraceRequest};
 use serde::Serialize;
 
 use crate::discipline::Discipline;
@@ -192,14 +192,6 @@ pub struct ClusterReport {
     pub drops: Vec<DropRecord>,
 }
 
-/// One frontend request (a trace row with its global id implied by position).
-#[derive(Debug, Clone, Copy)]
-struct FrontendRequest {
-    arrival: f64,
-    prompt_len: usize,
-    output_len: usize,
-}
-
 /// One engine's seat in the cluster: its server, its link, and the requests in
 /// flight between router and engine.
 struct Slot {
@@ -212,8 +204,8 @@ struct Slot {
     /// Whether the engine is in service; a down slot admits nothing and has no
     /// activity until an `EngineRecover` fault.
     up: bool,
-    /// Largest context (prompt + output + 1) any pool of this engine can ever hold —
-    /// the admissibility bound for routing.
+    /// Largest context (prompt + output) any pool of this engine can ever hold — the
+    /// admissibility bound for routing.
     capacity: usize,
 }
 
@@ -259,7 +251,8 @@ struct RouterState {
 /// A routed fleet of engines, ready to run a trace to completion.
 pub struct Cluster {
     slots: Vec<Slot>,
-    requests: Vec<FrontendRequest>,
+    /// The arrival trace; a request's frontend id is its position.
+    requests: Vec<TraceRequest>,
     /// Cursor into `requests` (sorted by arrival): the next frontend arrival.
     next_arrival: usize,
     router: RouterState,
@@ -523,7 +516,7 @@ impl Cluster {
     /// regardless of the engine being up.
     fn admissible(&self, id: u64, engine: usize) -> bool {
         let request = self.requests[id as usize];
-        request.prompt_len + request.output_len < self.slots[engine].capacity
+        request.prompt_len + request.output_len <= self.slots[engine].capacity
     }
 
     /// Terminal sweep after the run loop drains: anything still pending can only
@@ -819,15 +812,7 @@ impl Cluster {
                 up: true,
             })
             .collect();
-        let requests: Vec<FrontendRequest> = trace
-            .requests()
-            .iter()
-            .map(|r| FrontendRequest {
-                arrival: r.arrival,
-                prompt_len: r.prompt_len,
-                output_len: r.output_len,
-            })
-            .collect();
+        let requests = trace.requests().to_vec();
         let deadline: Vec<f64> = requests
             .iter()
             .map(|r| config.slo.map_or(f64::INFINITY, |slo| slo.deadline(r.arrival, r.output_len)))
@@ -1102,6 +1087,16 @@ mod tests {
         assert_eq!(report.dropped, 2);
         assert!(report.drops.iter().all(|d| d.reason == "no_admissible_engine"));
         assert!(report.routes.is_empty(), "never-admissible requests must not bind");
+
+        // A request that exactly fills the engine's largest pool is admissible: a
+        // one-engine fleet routes and completes it.
+        let capacity = a10g_engine().max_context_capacity();
+        let exact_fit = TraceRequest { arrival: 0.0, prompt_len: capacity - 4, output_len: 4 };
+        let fleet = vec![("a10g".to_string(), a10g_engine())];
+        let report =
+            Cluster::new(fleet, &Trace::new(vec![exact_fit]), ClusterConfig::default()).run();
+        assert_eq!(report.completed, 1, "an exact fit must not be shed: {:?}", report.drops);
+        assert_eq!(report.routes.len(), 1);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! the KV swaps and prefill admissions it requested, "executes" the iteration by charging
 //! its duration from the exact cost model (the scheduler only ever saw the
 //! profiled/interpolated model, like the real system), generates output tokens, retires
-//! finished requests and advances the clock.
+//! finished requests and advances the clock. A retired request leaves the engine: it
+//! keeps counts, not an archive, and the serving layer's token timeline is the one
+//! record of when each token came.
 //!
 //! The same engine executes NEO and every baseline policy, so throughput/latency
 //! comparisons only reflect scheduling differences — mirroring how the paper implements
@@ -21,7 +23,7 @@ use neo_sim::{CostModel, SimClock};
 use crate::admit::AdmitError;
 use crate::config::EngineConfig;
 use crate::pipeline::estimate_decision;
-use crate::request::{Request, RequestState};
+use crate::request::Request;
 use crate::scheduler::{ScheduleContext, Scheduler};
 use crate::ExecutionMode;
 
@@ -82,8 +84,7 @@ pub struct Engine {
     cpu_run: Vec<u64>,
     disk_run: Vec<u64>,
     prefill_device: BTreeMap<u64, Device>,
-    completed: Vec<Request>,
-    /// Ids of the requests in `completed`, for the duplicate-id check.
+    /// Ids of every finished request, for the duplicate-id check.
     retired: BTreeSet<u64>,
     /// Ids that produced an output token in the most recent [`Engine::step`], in
     /// ascending order, each once.
@@ -109,7 +110,7 @@ impl std::fmt::Debug for Engine {
             .field("waiting", &self.waiting.len())
             .field("gpu_run", &self.gpu_run.len())
             .field("cpu_run", &self.cpu_run.len())
-            .field("completed", &self.completed.len())
+            .field("completed", &self.retired.len())
             .finish()
     }
 }
@@ -154,7 +155,6 @@ impl Engine {
             cpu_run: Vec::new(),
             disk_run: Vec::new(),
             prefill_device: BTreeMap::new(),
-            completed: Vec::new(),
             retired: BTreeSet::new(),
             emitted: Vec::new(),
             iterations: 0,
@@ -228,7 +228,7 @@ impl Engine {
     /// are GPU-resident and such requests may need to live on the CPU.
     fn adopt_prefix_on_submit(&mut self, id: u64) {
         let Some(req) = self.requests.get_mut(&id) else { return };
-        if req.total_tokens() > self.kv.config().gpu_capacity_tokens {
+        if req.total_tokens() > self.kv.pool(Device::Gpu).capacity_tokens() {
             return;
         }
         if req.prompt_runs.is_empty() {
@@ -250,19 +250,18 @@ impl Engine {
     /// The largest total context (prompt + output tokens) a single request can ever
     /// hold on this engine. A sequence's KV lives wholly on one device (swaps move
     /// whole sequences), so the binding limit is the *larger* of the two pools, not
-    /// their sum: a request above this can never finish and is refused at
-    /// [`Engine::submit`].
+    /// their sum, counted in whole blocks: a request above this can never finish and
+    /// is refused at [`Engine::submit`].
     pub fn max_context_capacity(&self) -> usize {
-        let config = self.kv.config();
-        config.gpu_capacity_tokens.max(config.cpu_capacity_tokens)
+        let gpu = self.kv.pool(Device::Gpu).capacity_tokens();
+        gpu.max(self.kv.pool(Device::Cpu).capacity_tokens())
     }
 
     /// Fail-stops the engine: every live request is evicted (its KV is lost, exactly
-    /// as a crashed process loses device and host memory) and returned in id order,
-    /// marked [`RequestState::Cancelled`]; until [`Engine::recover`] the engine
-    /// refuses submissions ([`AdmitError::EngineDown`]) and reports no admission room.
-    /// Already-completed requests stay archived — the failure loses state, not
-    /// history.
+    /// as a crashed process loses device and host memory) and returned in id order, as
+    /// it stood; until [`Engine::recover`] the engine refuses submissions
+    /// ([`AdmitError::EngineDown`]) and reports no admission room. Already-completed
+    /// requests stay counted — the failure loses state, not history.
     pub fn fail(&mut self) -> Vec<Request> {
         self.down = true;
         let mut ids: Vec<u64> = self.requests.keys().copied().collect();
@@ -303,14 +302,13 @@ impl Engine {
 
     /// Evicts a live request mid-flight (serving-layer cancellation): its KV blocks are
     /// freed immediately — even mid-decode — it is removed from every queue, and it is
-    /// returned marked [`RequestState::Cancelled`]. Returns `None` if the id is not live
-    /// (never submitted, already finished, or already evicted); finished requests stay in
+    /// returned as it stood. Returns `None` if the id is not live (never submitted,
+    /// already finished, or already evicted); finished requests stay counted in
     /// [`Engine::completed`].
     pub fn evict(&mut self, id: u64) -> Option<Request> {
-        let mut request = self.requests.remove(&id)?;
+        let request = self.requests.remove(&id)?;
         self.release_execution_state(id);
         self.waiting.retain(|&x| x != id);
-        request.state = RequestState::Cancelled;
         Some(request)
     }
 
@@ -333,9 +331,9 @@ impl Engine {
         self.requests.len()
     }
 
-    /// Requests that have finished, in completion order.
-    pub fn completed(&self) -> &[Request] {
-        &self.completed
+    /// Number of requests that have finished.
+    pub fn completed(&self) -> usize {
+        self.retired.len()
     }
 
     /// Requests that produced an output token in the most recent [`Engine::step`] —
@@ -429,7 +427,7 @@ impl Engine {
                 gpu_free_tokens: self.kv.free_tokens(Device::Gpu),
                 cpu_free_tokens: self.kv.free_tokens(Device::Cpu),
                 disk_free_tokens: self.kv.free_tokens(Device::Disk),
-                gpu_capacity_tokens: self.kv.config().gpu_capacity_tokens,
+                gpu_capacity_tokens: self.kv.pool(Device::Gpu).capacity_tokens(),
                 prefill_device: &self.prefill_device,
             };
             self.scheduler.schedule(&ctx)
@@ -469,7 +467,7 @@ impl Engine {
         }
 
         // Disk demotions free CPU cache room before the swap-outs that need it. Demoted
-        // requests stay `RunningCpu` (the disk tier is an extension of the host cache);
+        // requests move to `disk_run` (the disk tier is an extension of the host cache);
         // they just cannot decode until promoted back.
         let mut demote_tokens = 0usize;
         let mut demoted_disk = 0usize;
@@ -489,9 +487,6 @@ impl Engine {
             if self.kv.swap(id, Device::Cpu).is_ok() {
                 swap_out_tokens += self.requests[&id].context_len();
                 move_id(&mut self.gpu_run, &mut self.cpu_run, id);
-                if let Some(r) = self.requests.get_mut(&id) {
-                    r.state = RequestState::RunningCpu;
-                }
                 swapped_out += 1;
             }
         }
@@ -501,9 +496,6 @@ impl Engine {
             if self.kv.swap(id, Device::Gpu).is_ok() {
                 swap_in_tokens += self.requests[&id].context_len();
                 move_id(&mut self.cpu_run, &mut self.gpu_run, id);
-                if let Some(r) = self.requests.get_mut(&id) {
-                    r.state = RequestState::RunningGpu;
-                }
                 swapped_in += 1;
             }
         }
@@ -560,7 +552,7 @@ impl Engine {
             request.advance_prefill(item.new_tokens);
             if request.prefill_complete() {
                 // The prefill iteration also emits the first output token.
-                request.advance_decode(end_time);
+                request.advance_decode();
                 decode_tokens += 1;
                 self.emitted.push(item.req);
                 let finished = request.is_finished();
@@ -575,16 +567,10 @@ impl Engine {
                 self.prefill_device.remove(&item.req);
                 if finished {
                     self.retire(item.req);
-                } else if let Some(request) = self.requests.get_mut(&item.req) {
+                } else {
                     match item.target {
-                        Device::Gpu => {
-                            request.state = RequestState::RunningGpu;
-                            self.gpu_run.push(item.req);
-                        }
-                        Device::Cpu => {
-                            request.state = RequestState::RunningCpu;
-                            self.cpu_run.push(item.req);
-                        }
+                        Device::Gpu => self.gpu_run.push(item.req),
+                        Device::Cpu => self.cpu_run.push(item.req),
                         Device::Disk => unreachable!("prefills never target the disk tier"),
                     }
                 }
@@ -620,7 +606,7 @@ impl Engine {
                 self.cpu_append_reserved = None;
             }
             let Some(request) = self.requests.get_mut(&id) else { continue };
-            request.advance_decode(end_time);
+            request.advance_decode();
             decode_tokens += 1;
             self.emitted.push(id);
             if request.is_finished() {
@@ -699,13 +685,12 @@ impl Engine {
         }
     }
 
-    /// Removes a finished request from every queue, frees its KV cache and archives it.
+    /// Removes a finished request from every queue, frees its KV cache and counts it.
     fn retire(&mut self, id: u64) {
         self.release_execution_state(id);
         self.waiting.retain(|&x| x != id);
-        if let Some(r) = self.requests.remove(&id) {
+        if self.requests.remove(&id).is_some() {
             self.retired.insert(id);
-            self.completed.push(r);
         }
     }
 
@@ -751,11 +736,8 @@ mod tests {
         e.submit(Request::new(1, 0.0, 100, 20)).unwrap();
         let iters = e.run_to_completion(10_000);
         assert!(iters < 10_000, "request did not finish");
-        assert_eq!(e.completed().len(), 1);
-        let r = &e.completed()[0];
-        assert_eq!(r.generated, 20);
-        assert_eq!(r.prefilled, 100);
-        assert!(r.latency().unwrap() > 0.0);
+        assert_eq!(e.completed(), 1);
+        assert!(e.now() > 0.0);
         // KV fully released.
         assert_eq!(e.kv().num_sequences(), 0);
         assert_eq!(e.total_decode_tokens(), 20);
@@ -766,14 +748,15 @@ mod tests {
     fn many_requests_all_complete_and_conserve_tokens() {
         let mut e = a10g_engine();
         let n = 40;
+        let (mut expected_prefill, mut expected_decode) = (0u64, 0u64);
         for id in 0..n {
-            e.submit(Request::new(id, 0.0, 200 + (id as usize % 7) * 50, 16 + (id as usize % 5)))
-                .unwrap();
+            let (prompt, output) = (200 + (id as usize % 7) * 50, 16 + (id as usize % 5));
+            e.submit(Request::new(id, 0.0, prompt, output)).unwrap();
+            expected_prefill += prompt as u64;
+            expected_decode += output as u64;
         }
         e.run_to_completion(200_000);
-        assert_eq!(e.completed().len(), n as usize);
-        let expected_decode: u64 = e.completed().iter().map(|r| r.output_len as u64).sum();
-        let expected_prefill: u64 = e.completed().iter().map(|r| r.prompt_len as u64).sum();
+        assert_eq!(e.completed(), n as usize);
         assert_eq!(e.total_decode_tokens(), expected_decode);
         assert_eq!(e.total_prefill_tokens(), expected_prefill);
         assert_eq!(e.kv().num_sequences(), 0);
@@ -821,7 +804,7 @@ mod tests {
             }
             finished_iterations += 1;
         }
-        assert_eq!(e.completed().len(), 64);
+        assert_eq!(e.completed(), 64);
         assert!(used_cpu, "memory pressure on the T4 must trigger CPU offloading");
     }
 
@@ -841,7 +824,7 @@ mod tests {
         let mut e = a10g_engine();
         e.submit(Request::new(1, 0.0, 10, 5)).unwrap();
         e.run_to_completion(10_000);
-        assert_eq!(e.completed().len(), 1);
+        assert_eq!(e.completed(), 1);
         let _ = e.submit(Request::new(1, e.now(), 10, 5));
     }
 
@@ -852,19 +835,21 @@ mod tests {
         assert_eq!(e.now(), 5.0);
         e.submit(Request::new(1, 5.0, 50, 4)).unwrap();
         e.run_to_completion(10_000);
-        let r = &e.completed()[0];
-        assert!(r.finish_time.unwrap() > 5.0);
-        assert!(r.latency().unwrap() < 5.0, "latency measured from arrival, not from zero");
+        assert_eq!(e.completed(), 1);
+        assert_eq!(e.total_decode_tokens(), 4);
+        assert!(e.now() > 5.0, "the request ran after the jump");
     }
 
     #[test]
     fn per_token_latency_reasonable_on_a10g() {
         // Sanity band: a lightly loaded A10G serving LLaMa-3.1-8B should produce tokens at
         // tens of milliseconds each, not microseconds or minutes.
+        // A lone request arriving at zero finishes when the clock stops.
         let mut e = a10g_engine();
         e.submit(Request::new(1, 0.0, 500, 50)).unwrap();
         e.run_to_completion(10_000);
-        let ptl = e.completed()[0].per_token_latency().unwrap();
+        assert_eq!(e.total_decode_tokens(), 50);
+        let ptl = e.now() / 50.0;
         assert!(ptl > 1e-3 && ptl < 1.0, "per-token latency {ptl}");
     }
 
@@ -879,16 +864,15 @@ mod tests {
         }
         let gpu_free_before = e.kv().free_tokens(Device::Gpu);
         let evicted = e.evict(1).expect("request 1 is live");
-        assert!(evicted.is_cancelled());
         assert!(evicted.generated < evicted.output_len, "evicted mid-decode");
         assert_eq!(e.kv().num_sequences(), 1, "the cancelled KV must be freed immediately");
         assert!(e.kv().free_tokens(Device::Gpu) > gpu_free_before);
         assert!(e.request(1).is_none());
         assert_eq!(e.live_requests(), 1);
-        // The eviction never surfaces in completed(), and the survivor still finishes.
+        // The eviction never counts as completed, and the survivor still finishes.
         e.run_to_completion(100_000);
-        assert_eq!(e.completed().len(), 1);
-        assert_eq!(e.completed()[0].id, 2);
+        assert_eq!(e.completed(), 1);
+        assert!(e.request(2).is_none());
         assert_eq!(e.kv().num_sequences(), 0);
     }
 
@@ -897,7 +881,7 @@ mod tests {
         let mut e = a10g_engine();
         e.submit(Request::new(7, 0.0, 50, 4)).unwrap();
         e.run_to_completion(10_000);
-        assert_eq!(e.completed().len(), 1);
+        assert_eq!(e.completed(), 1);
         assert!(e.evict(7).is_none(), "finished requests are not evictable");
         assert!(e.evict(99).is_none());
     }
@@ -927,7 +911,7 @@ mod tests {
             e.step();
         }
         e.run_to_completion(10_000);
-        assert_eq!(e.completed().len(), 2);
+        assert_eq!(e.completed(), 2);
     }
 
     #[test]
@@ -1026,19 +1010,25 @@ mod tests {
 
     #[test]
     fn never_admissible_request_is_rejected_typed() {
-        let mut e = a10g_engine();
-        let capacity = e.max_context_capacity();
-        let err = e.submit(Request::new(1, 0.0, capacity + 1, 1)).unwrap_err();
-        assert_eq!(
-            err,
-            crate::AdmitError::NeverAdmissible {
-                required_tokens: capacity + 2,
-                capacity_tokens: capacity,
-            }
-        );
-        assert!(e.is_idle(), "a rejected request must not enter the waitqueue");
-        // A request that exactly fills the largest pool is admissible.
-        e.submit(Request::new(2, 0.0, capacity - 1, 1)).unwrap();
+        let t4 = || engine(Testbed::g4dn_4xlarge(), ModelDesc::llama2_7b());
+        for mut e in [a10g_engine(), t4()] {
+            let capacity = e.max_context_capacity();
+            assert_eq!(capacity % BLOCK_SIZE, 0, "the bound counts whole blocks");
+            let err = e.submit(Request::new(1, 0.0, capacity + 1, 1)).unwrap_err();
+            assert_eq!(
+                err,
+                crate::AdmitError::NeverAdmissible {
+                    required_tokens: capacity + 2,
+                    capacity_tokens: capacity,
+                }
+            );
+            assert!(e.is_idle(), "a rejected request must not enter the waitqueue");
+            // A request that exactly fills the largest pool is admissible, and finishes.
+            e.submit(Request::new(2, 0.0, capacity - 4, 4)).unwrap();
+            let iters = e.run_to_completion(100_000);
+            assert!(iters < 100_000, "an exact-fit request must not livelock");
+            assert_eq!(e.completed(), 1);
+        }
     }
 
     #[test]
@@ -1065,7 +1055,7 @@ mod tests {
         assert!(!e.is_down());
         e.submit(Request::new(3, 0.0, 50, 4)).unwrap();
         e.run_to_completion(10_000);
-        assert_eq!(e.completed().len(), 1);
+        assert_eq!(e.completed(), 1);
     }
 
     #[test]
@@ -1086,13 +1076,13 @@ mod tests {
         assert_eq!(e.request(2).unwrap().prefilled, 512);
         let prefill_before = e.total_prefill_tokens();
         e.run_to_completion(10_000);
-        assert_eq!(e.completed().len(), 2);
+        assert_eq!(e.completed(), 2);
         assert_eq!(
             e.total_prefill_tokens() - prefill_before,
             88,
             "only the uncached tail is prefilled"
         );
-        assert_eq!(e.completed()[1].generated, 8);
+        assert_eq!(e.total_decode_tokens(), 16);
         assert_eq!(e.kv().num_sequences(), 0, "prefix blocks live in the index, not in seqs");
     }
 
@@ -1112,7 +1102,7 @@ mod tests {
         assert_eq!(e.prefix_hit_tokens(), 100);
         assert_eq!(e.cow_splits(), 1);
         e.run_to_completion(10_000);
-        assert_eq!(e.completed().len(), 2);
+        assert_eq!(e.completed(), 2);
     }
 
     #[test]
@@ -1130,7 +1120,7 @@ mod tests {
             while !e.is_idle() && reports.len() < 100_000 {
                 reports.push(e.step());
             }
-            assert_eq!(e.completed().len(), 48);
+            assert_eq!(e.completed(), 48);
             reports
         };
         let off = run(false);
@@ -1160,7 +1150,7 @@ mod tests {
             promoted += r.promoted_disk;
             iters += 1;
         }
-        assert_eq!(e.completed().len(), 48);
+        assert_eq!(e.completed(), 48);
         assert!(demoted > 0, "the overflow must reach the disk tier");
         assert!(promoted > 0, "demoted requests must come back to finish decoding");
         assert_eq!(e.disk_resident(), 0);
@@ -1227,11 +1217,9 @@ mod tests {
         e.submit(Request::new(0, 0.0, 31, 30)).unwrap();
         e.submit(Request::new(1, 0.0, 31, 30)).unwrap();
         let iters = e.run_to_completion(10_000);
-        assert!(iters < 10_000, "engine wedged: {} of 2 finished", e.completed().len());
-        assert_eq!(e.completed().len(), 2);
-        for r in e.completed() {
-            assert_eq!(r.generated, 30);
-        }
+        assert!(iters < 10_000, "engine wedged: {} of 2 finished", e.completed());
+        assert_eq!(e.completed(), 2);
+        assert_eq!(e.total_decode_tokens(), 60);
         assert_eq!(e.kv().num_sequences(), 0);
     }
 
@@ -1251,15 +1239,19 @@ mod tests {
         // *idle* engine used to start prefilling on the GPU, wedge mid-prefill, and
         // livelock through the deadlock-breaker. The scheduler now targets the CPU pool
         // from the first chunk whenever the prompt alone cannot fit the GPU pool.
-        let mut e = engine(Testbed::g4dn_4xlarge(), ModelDesc::llama2_7b());
-        assert!(
-            8192 > e.kv().config().gpu_capacity_tokens,
-            "fixture must actually exceed the GPU pool"
-        );
-        e.submit(Request::new(1, 0.0, 8192, 16)).unwrap();
-        let iters = e.run_to_completion(50_000);
-        assert!(iters < 50_000, "oversized prompt must not livelock");
-        assert_eq!(e.completed().len(), 1);
-        assert_eq!(e.completed()[0].generated, 16);
+        // Prompts of 3,121–3,123 tokens fit the configured GPU budget (3,123) but not
+        // the pool's whole blocks (3,120), so they must take the CPU path too.
+        for prompt in [3_121, 3_122, 3_123, 8_192] {
+            let mut e = engine(Testbed::g4dn_4xlarge(), ModelDesc::llama2_7b());
+            assert!(
+                prompt > e.kv().pool(Device::Gpu).capacity_tokens(),
+                "fixture must actually exceed the GPU pool"
+            );
+            e.submit(Request::new(1, 0.0, prompt, 16)).unwrap();
+            let iters = e.run_to_completion(50_000);
+            assert!(iters < 50_000, "oversized prompt {prompt} must not livelock");
+            assert_eq!(e.completed(), 1);
+            assert_eq!(e.total_decode_tokens(), 16);
+        }
     }
 }

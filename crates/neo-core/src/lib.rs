@@ -16,7 +16,7 @@
 //!   greedily pick the better of the asymmetric and GPU-only schedules by estimated
 //!   throughput).
 //!
-//! The crate also defines the request state machine ([`request`]), the sub-batch
+//! The crate also defines request progress ([`request`]), the sub-batch
 //! abstraction ([`batch`]), the engine configuration ([`config`]), the [`Scheduler`]
 //! trait (so the baselines in `neo-baselines` plug into the same engine), and the
 //! iteration-level execution engine ([`engine::Engine`]) that applies scheduling
@@ -45,7 +45,7 @@
 //! while !engine.is_idle() {
 //!     engine.step();
 //! }
-//! assert_eq!(engine.completed().len(), 1);
+//! assert_eq!(engine.completed(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,7 +67,7 @@ pub use engine::{Engine, IterationReport};
 pub use event_overlap::{estimate_decision_event, trace_decision_event};
 pub use pipeline::IterationEstimate;
 pub use policy::{IterationPlan, SchedulerPolicy};
-pub use request::{Request, RequestState};
+pub use request::Request;
 pub use scheduler::{NeoScheduler, ScheduleContext, Scheduler};
 
 /// Execution mode chosen for one iteration.

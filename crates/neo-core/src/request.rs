@@ -1,25 +1,7 @@
-//! Inference request state machine.
+//! Inference request progress.
 
 use neo_kvcache::TokenRun;
 use serde::{Deserialize, Serialize};
-
-/// Lifecycle state of a request inside the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RequestState {
-    /// Waiting in the prefill waitqueue; no KV cache allocated yet.
-    Waiting,
-    /// Being prefilled (chunked prefill may take several iterations).
-    Prefilling,
-    /// Decoding with its KV cache resident on the GPU (a "GPU-request").
-    RunningGpu,
-    /// Decoding with its KV cache resident on the CPU (a "CPU-request").
-    RunningCpu,
-    /// All output tokens produced; KV cache released.
-    Finished,
-    /// Cancelled by the serving layer before finishing; KV cache released. Terminal, like
-    /// [`RequestState::Finished`], but the request never counts as completed.
-    Cancelled,
-}
 
 /// One inference request and its progress.
 ///
@@ -27,6 +9,10 @@ pub enum RequestState {
 /// (drawn by the workload generator). The *scheduler* never reads it — real systems do not
 /// know output lengths in advance; only the engine uses it to decide when the request has
 /// finished, emulating the model emitting EOS.
+///
+/// Where a request is — waiting, on the GPU, on the CPU, on disk — is the engine's
+/// queues' business, and when its tokens came is the serving layer's timeline: the
+/// request records only how far it has got.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Unique request id.
@@ -41,10 +27,6 @@ pub struct Request {
     pub prefilled: usize,
     /// Output tokens generated so far.
     pub generated: usize,
-    /// Current lifecycle state.
-    pub state: RequestState,
-    /// Time the request finished, if it has.
-    pub finish_time: Option<f64>,
     /// Prompt token identity as runs, for shared-prefix caching. Empty means the prompt
     /// is opaque (shares with nothing); when non-empty the run lengths sum to
     /// `prompt_len`.
@@ -52,7 +34,7 @@ pub struct Request {
 }
 
 impl Request {
-    /// Creates a new request in the [`RequestState::Waiting`] state.
+    /// Creates a new request with nothing prefilled or generated.
     ///
     /// # Panics
     ///
@@ -68,8 +50,6 @@ impl Request {
             output_len,
             prefilled: 0,
             generated: 0,
-            state: RequestState::Waiting,
-            finish_time: None,
             prompt_runs: Vec::new(),
         }
     }
@@ -117,16 +97,6 @@ impl Request {
         self.generated >= self.output_len
     }
 
-    /// Whether the request is in one of the decoding states.
-    pub fn is_running(&self) -> bool {
-        matches!(self.state, RequestState::RunningGpu | RequestState::RunningCpu)
-    }
-
-    /// Whether the request was cancelled by the serving layer.
-    pub fn is_cancelled(&self) -> bool {
-        self.state == RequestState::Cancelled
-    }
-
     /// Total tokens (prompt + full output) this request will process when complete.
     pub fn total_tokens(&self) -> usize {
         self.prompt_len + self.output_len
@@ -140,22 +110,17 @@ impl Request {
     pub fn advance_prefill(&mut self, n: usize) {
         assert!(n <= self.remaining_prefill(), "prefilled past the end of the prompt");
         self.prefilled += n;
-        self.state = RequestState::Prefilling;
     }
 
-    /// Records the generation of one output token at time `now`.
+    /// Records the generation of one output token.
     ///
     /// # Panics
     ///
     /// Panics if called on a request that has not completed prefill or already finished.
-    pub fn advance_decode(&mut self, now: f64) {
+    pub fn advance_decode(&mut self) {
         assert!(self.prefill_complete(), "cannot decode before prefill completes");
         assert!(!self.is_finished(), "request already produced all output tokens");
         self.generated += 1;
-        if self.is_finished() {
-            self.state = RequestState::Finished;
-            self.finish_time = Some(now);
-        }
     }
 
     /// Preempts the request: its KV cache has been discarded, so the whole prompt must be
@@ -168,18 +133,6 @@ impl Request {
     pub fn preempt(&mut self) {
         assert!(!self.is_finished(), "cannot preempt a finished request");
         self.prefilled = 0;
-        self.state = RequestState::Waiting;
-    }
-
-    /// End-to-end latency (finish − arrival), if finished.
-    pub fn latency(&self) -> Option<f64> {
-        self.finish_time.map(|t| t - self.arrival_time)
-    }
-
-    /// Average per-token latency: full latency divided by the number of output tokens,
-    /// the metric Figure 6 and Figure 7 of the paper report.
-    pub fn per_token_latency(&self) -> Option<f64> {
-        self.latency().map(|l| l / self.output_len as f64)
     }
 }
 
@@ -190,57 +143,34 @@ mod tests {
     #[test]
     fn lifecycle_progresses_through_states() {
         let mut r = Request::new(1, 0.5, 10, 3);
-        assert_eq!(r.state, RequestState::Waiting);
         assert_eq!(r.remaining_prefill(), 10);
 
         r.advance_prefill(6);
-        assert_eq!(r.state, RequestState::Prefilling);
         assert!(!r.prefill_complete());
         r.advance_prefill(4);
         assert!(r.prefill_complete());
         assert_eq!(r.context_len(), 10);
 
-        r.state = RequestState::RunningGpu;
-        r.advance_decode(1.0);
-        r.advance_decode(1.5);
-        r.advance_decode(2.0);
+        r.advance_decode();
+        r.advance_decode();
+        assert!(!r.is_finished());
+        r.advance_decode();
         assert!(r.is_finished());
-        assert_eq!(r.state, RequestState::Finished);
-        assert_eq!(r.finish_time, Some(2.0));
         assert_eq!(r.context_len(), 13);
-    }
-
-    #[test]
-    fn latency_metrics_match_definition() {
-        let mut r = Request::new(1, 2.0, 4, 2);
-        r.advance_prefill(4);
-        r.advance_decode(3.0);
-        r.advance_decode(5.0);
-        assert_eq!(r.latency(), Some(3.0));
-        assert_eq!(r.per_token_latency(), Some(1.5));
-    }
-
-    #[test]
-    fn unfinished_request_has_no_latency() {
-        let r = Request::new(1, 0.0, 4, 2);
-        assert_eq!(r.latency(), None);
-        assert_eq!(r.per_token_latency(), None);
-        assert!(!r.is_running());
     }
 
     #[test]
     fn preemption_resets_prefill_but_keeps_output() {
         let mut r = Request::new(1, 0.0, 10, 5);
         r.advance_prefill(10);
-        r.advance_decode(1.0);
+        r.advance_decode();
         r.preempt();
         assert_eq!(r.prefilled, 0);
         assert_eq!(r.generated, 1);
-        assert_eq!(r.state, RequestState::Waiting);
         assert_eq!(r.remaining_prefill(), 10);
         // Recomputation then continues decoding where it left off.
         r.advance_prefill(10);
-        r.advance_decode(2.0);
+        r.advance_decode();
         assert_eq!(r.generated, 2);
     }
 
@@ -249,20 +179,8 @@ mod tests {
     fn preempting_finished_request_panics() {
         let mut r = Request::new(1, 0.0, 2, 1);
         r.advance_prefill(2);
-        r.advance_decode(0.5);
+        r.advance_decode();
         r.preempt();
-    }
-
-    #[test]
-    fn cancelled_state_is_terminal_and_not_finished() {
-        let mut r = Request::new(1, 0.0, 10, 5);
-        r.advance_prefill(10);
-        r.advance_decode(1.0);
-        r.state = RequestState::Cancelled;
-        assert!(r.is_cancelled());
-        assert!(!r.is_running());
-        assert!(!r.is_finished(), "cancelled requests never count as completed");
-        assert_eq!(r.latency(), None);
     }
 
     #[test]
@@ -282,7 +200,7 @@ mod tests {
     #[should_panic(expected = "before prefill")]
     fn decoding_before_prefill_panics() {
         let mut r = Request::new(1, 0.0, 3, 1);
-        r.advance_decode(0.0);
+        r.advance_decode();
     }
 
     #[test]
@@ -290,8 +208,8 @@ mod tests {
     fn decoding_past_the_end_panics() {
         let mut r = Request::new(1, 0.0, 1, 1);
         r.advance_prefill(1);
-        r.advance_decode(0.0);
-        r.advance_decode(0.1);
+        r.advance_decode();
+        r.advance_decode();
     }
 
     #[test]

@@ -61,10 +61,11 @@ pub struct ScheduleContext<'a> {
     pub cpu_free_tokens: usize,
     /// Free tokens in the disk KV tier (0 when the tier is disabled).
     pub disk_free_tokens: usize,
-    /// Total size of the GPU KV pool, in tokens. Lets admission distinguish "the GPU
-    /// is busy right now" from "this prompt can *never* fit the GPU": a fresh request
-    /// whose whole prompt exceeds this must build its KV on the CPU from the first
-    /// chunk, because partially-prefilled requests are pinned to their device.
+    /// Total size of the GPU KV pool, in tokens of whole blocks. Lets admission
+    /// distinguish "the GPU is busy right now" from "this prompt can *never* fit the
+    /// GPU": a fresh request whose whole prompt exceeds this must build its KV on the
+    /// CPU from the first chunk, because partially-prefilled requests are pinned to
+    /// their device.
     pub gpu_capacity_tokens: usize,
     /// Device each partially-prefilled request's KV currently resides on (absent for
     /// requests that have not started prefill).

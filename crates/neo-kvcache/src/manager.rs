@@ -160,11 +160,6 @@ impl KvCacheManager {
         }
     }
 
-    /// Whether the shared-prefix cache is enabled.
-    pub fn prefix_enabled(&self) -> bool {
-        self.prefix.is_some()
-    }
-
     /// Cumulative prompt tokens served from the prefix cache.
     pub fn prefix_hit_tokens(&self) -> usize {
         self.prefix_hit_tokens
@@ -779,7 +774,6 @@ mod tests {
     #[test]
     fn default_manager_has_no_disk_and_no_prefix_cache() {
         let mut m = mgr(256, 256);
-        assert!(!m.prefix_enabled());
         assert_eq!(m.pool(Device::Disk).capacity_tokens(), 0);
         m.allocate_sequence(1, 10, Device::Cpu).unwrap();
         assert!(matches!(

@@ -149,14 +149,6 @@ impl KvPool {
         self.allocator.ref_count(block)
     }
 
-    /// Fraction of the pool currently in use, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity_tokens == 0 {
-            return 0.0;
-        }
-        self.used_tokens() as f64 / self.capacity_tokens as f64
-    }
-
     /// Total number of blocks in the pool.
     pub fn num_blocks(&self) -> usize {
         self.allocator.num_blocks()
@@ -195,20 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn utilization_tracks_usage() {
-        let mut p = KvPool::new(Device::Gpu, 64, 16);
-        assert_eq!(p.utilization(), 0.0);
-        let b = p.allocate_tokens(32).unwrap();
-        assert!((p.utilization() - 0.5).abs() < 1e-12);
-        p.release_blocks(&b).unwrap();
-        assert_eq!(p.utilization(), 0.0);
-    }
-
-    #[test]
     fn zero_capacity_pool_is_benign() {
         let p = KvPool::new(Device::Cpu, 0, 16);
         assert_eq!(p.capacity_tokens(), 0);
-        assert_eq!(p.utilization(), 0.0);
         assert!(!p.can_allocate(1));
         assert!(p.can_allocate(0));
     }

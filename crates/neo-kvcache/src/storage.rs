@@ -127,16 +127,6 @@ impl PagedStorage {
         Ok(&self.v[off..off + self.token_stride()])
     }
 
-    /// The full K buffer (for kernels that index blocks themselves).
-    pub fn k_data(&self) -> &[f32] {
-        &self.k
-    }
-
-    /// The full V buffer (for kernels that index blocks themselves).
-    pub fn v_data(&self) -> &[f32] {
-        &self.v
-    }
-
     /// Copies a whole sequence's KV entries from `src` (read through `src_table`) into
     /// `self` (written through `dst_table`). This is the functional analogue of a PCIe
     /// swap: same logical content, different physical blocks / device.
@@ -240,8 +230,6 @@ mod tests {
         let s = storage();
         assert_eq!(s.token_stride(), 6);
         assert_eq!(s.block_stride(), 12);
-        assert_eq!(s.k_data().len(), 48);
-        assert_eq!(s.v_data().len(), 48);
     }
 
     #[test]

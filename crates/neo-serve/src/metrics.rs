@@ -36,21 +36,6 @@ impl Cdf {
         Some(self.sorted[idx])
     }
 
-    /// Fraction of samples ≤ `x`.
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let below = self.sorted.partition_point(|&s| s <= x);
-        below as f64 / self.sorted.len() as f64
-    }
-
-    /// `(value, cumulative_fraction)` points for plotting, one per sample.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        self.sorted.iter().enumerate().map(|(i, &v)| (v, (i + 1) as f64 / n as f64)).collect()
-    }
-
     /// Mean of the samples, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         if self.sorted.is_empty() {
@@ -79,8 +64,8 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarises a set of latency samples; returns `None` when empty.
-    pub fn from_samples(samples: &[f64]) -> Option<Self> {
-        let cdf = Cdf::new(samples.to_vec());
+    pub fn from_samples(samples: Vec<f64>) -> Option<Self> {
+        let cdf = Cdf::new(samples);
         if cdf.is_empty() {
             return None;
         }
@@ -110,7 +95,7 @@ pub fn stream_latency<'a>(
         }
         gaps.extend(times.windows(2).map(|w| w[1] - w[0]));
     }
-    (LatencySummary::from_samples(&ttfts), LatencySummary::from_samples(&gaps))
+    (LatencySummary::from_samples(ttfts), LatencySummary::from_samples(gaps))
 }
 
 #[cfg(test)]
@@ -128,24 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn fraction_below_is_monotone() {
-        let cdf = Cdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(cdf.fraction_below(0.5), 0.0);
-        assert_eq!(cdf.fraction_below(2.0), 0.5);
-        assert_eq!(cdf.fraction_below(10.0), 1.0);
-        let points = cdf.points();
-        assert_eq!(points.len(), 4);
-        assert_eq!(points.last().unwrap().1, 1.0);
-    }
-
-    #[test]
     fn empty_cdf_is_handled() {
         let cdf = Cdf::new(vec![]);
         assert!(cdf.is_empty());
         assert_eq!(cdf.quantile(0.5), None);
         assert_eq!(cdf.mean(), None);
-        assert_eq!(cdf.fraction_below(1.0), 0.0);
-        assert!(LatencySummary::from_samples(&[]).is_none());
+        assert!(LatencySummary::from_samples(Vec::new()).is_none());
     }
 
     #[test]
@@ -157,7 +130,7 @@ mod tests {
     #[test]
     fn summary_orders_percentiles() {
         let samples: Vec<f64> = (1..=1000).map(|i| (i as f64).sqrt()).collect();
-        let s = LatencySummary::from_samples(&samples).unwrap();
+        let s = LatencySummary::from_samples(samples).unwrap();
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max);
         assert!(s.mean > 0.0);
         assert_eq!(s.count, 1000);

@@ -56,15 +56,16 @@ pub fn run_offline(mut engine: Engine, trace: &Trace, max_iterations: u64) -> Of
         assert!(
             iterations < max_iterations,
             "offline run exceeded {max_iterations} iterations with {} of {} requests done",
-            engine.completed().len(),
+            engine.completed(),
             total
         );
     }
-    assert_eq!(engine.completed().len(), total, "all requests must finish");
+    assert_eq!(engine.completed(), total, "all requests must finish");
 
+    // Every request finished, so the token totals are the trace's.
     let makespan = engine.now().max(1e-9);
-    let input_tokens: u64 = engine.completed().iter().map(|r| r.prompt_len as u64).sum();
-    let output_tokens: u64 = engine.completed().iter().map(|r| r.output_len as u64).sum();
+    let input_tokens: u64 = trace.requests().iter().map(|r| r.prompt_len as u64).sum();
+    let output_tokens: u64 = trace.requests().iter().map(|r| r.output_len as u64).sum();
     OfflineResult {
         completed: total,
         makespan,

@@ -2,7 +2,8 @@
 //!
 //! [`run_online`] replays a [`Trace`] through the event-driven [`Server`] loop: each
 //! trace entry becomes an arrival event, and the loop admits, schedules, and streams
-//! tokens exactly as it would for live clients.
+//! tokens exactly as it would for live clients. Every latency metric folds from the
+//! server's token timelines.
 
 use neo_core::Engine;
 use neo_workload::{SessionTrace, Trace};
@@ -133,29 +134,34 @@ pub fn run_sessions(
     }
 }
 
-/// Drains the server and assembles the shared [`OnlineResult`] metrics.
+/// Drains the server and assembles the shared [`OnlineResult`] metrics. Request latency
+/// runs from arrival to the last token; per-token latency divides it by the output
+/// length. Samples are taken in completion order.
 fn drain_and_summarise(server: &mut Server, total: usize, request_rate: f64) -> OnlineResult {
     let scheduler = server.engine().scheduler_name().to_string();
     let report = server.run_until_idle();
+    assert_eq!(report.completed, total, "all submitted requests must finish");
 
-    let completed = server.engine().completed();
-    assert_eq!(completed.len(), total, "all submitted requests must finish");
-    let per_token_samples: Vec<f64> =
-        completed.iter().filter_map(|r| r.per_token_latency()).collect();
-    let request_latencies: Vec<f64> = completed.iter().filter_map(|r| r.latency()).collect();
+    let completions = server.completions();
+    let per_token_samples: Vec<f64> = completions
+        .iter()
+        .map(|&(arrival, finish, output_len)| (finish - arrival) / output_len as f64)
+        .collect();
+    let request_latencies: Vec<f64> =
+        completions.iter().map(|&(arrival, finish, _)| finish - arrival).collect();
     let makespan = server.engine().now();
     let decode_tokens = server.engine().total_decode_tokens();
 
     OnlineResult {
         scheduler,
         request_rate,
-        completed: completed.len(),
+        completed: report.completed,
         avg_per_token_latency: per_token_samples.iter().sum::<f64>()
             / per_token_samples.len().max(1) as f64,
-        per_token_latency: LatencySummary::from_samples(&per_token_samples)
+        per_token_latency: LatencySummary::from_samples(per_token_samples.clone())
             // neo-lint: allow(panic-hygiene) -- the non-empty-trace assert at entry guarantees at least one completed request with samples
             .expect("at least one request"),
-        request_latency: LatencySummary::from_samples(&request_latencies)
+        request_latency: LatencySummary::from_samples(request_latencies)
             // neo-lint: allow(panic-hygiene) -- the non-empty-trace assert at entry guarantees at least one completed request with samples
             .expect("at least one request"),
         // neo-lint: allow(panic-hygiene) -- the non-empty-trace assert at entry guarantees at least one completed request with samples

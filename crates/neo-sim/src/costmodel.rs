@@ -49,11 +49,6 @@ impl RankBudget {
         (self.usable_bytes as i64 - self.weight_bytes as i64 - self.activation_bytes as i64).max(0)
             as u64
     }
-
-    /// Bytes of KV shard `n_tokens` tokens occupy on this rank.
-    pub fn kv_bytes_for_tokens(&self, n_tokens: usize) -> u64 {
-        n_tokens as u64 * self.kv_bytes_per_token as u64
-    }
 }
 
 /// Sustained DRAM read bandwidth a single CPU core can extract (bytes/s). The effective
@@ -652,7 +647,6 @@ mod tests {
                 assert_eq!(b.kv_bytes_per_token, cm.kv_bytes_per_token_per_gpu());
                 assert_eq!(b.weight_bytes, cm.weight_bytes_per_gpu());
                 assert!(b.kv_budget_bytes() <= b.usable_bytes);
-                assert_eq!(b.kv_bytes_for_tokens(10), 10 * b.kv_bytes_per_token as u64);
             }
         }
     }

@@ -222,13 +222,6 @@ impl ModelDesc {
     pub fn o_up_bytes_per_token_per_layer(&self) -> u64 {
         (self.n_heads * self.head_dim * self.dtype_bytes) as u64
     }
-
-    /// Bytes of Q/K/V vectors that must cross PCIe per CPU-offloaded decode token per layer
-    /// (Q for all query heads plus the new K/V entries), and of the attention output `O`
-    /// coming back: the sum of both directional legs.
-    pub fn qkvo_transfer_bytes_per_token_per_layer(&self) -> u64 {
-        self.qkv_down_bytes_per_token_per_layer() + self.o_up_bytes_per_token_per_layer()
-    }
 }
 
 impl std::fmt::Display for ModelDesc {
@@ -301,12 +294,6 @@ mod tests {
         let m = ModelDesc::llama3_8b();
         assert_eq!(m.qkv_down_bytes_per_token_per_layer(), (4096 + 2048) * 2);
         assert_eq!(m.o_up_bytes_per_token_per_layer(), 4096 * 2);
-        for m in [ModelDesc::llama2_7b(), ModelDesc::llama3_8b(), ModelDesc::llama3_70b()] {
-            assert_eq!(
-                m.qkvo_transfer_bytes_per_token_per_layer(),
-                m.qkv_down_bytes_per_token_per_layer() + m.o_up_bytes_per_token_per_layer()
-            );
-        }
     }
 
     #[test]

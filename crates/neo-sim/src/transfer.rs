@@ -50,12 +50,6 @@ pub fn transfer_bound(compute: f64, transfer: f64) -> bool {
     transfer > compute
 }
 
-/// Largest per-stage transfer time that stays fully hidden behind a per-stage compute
-/// time of `compute` (the break-even point of [`transfer_bound`]).
-pub fn hideable_transfer_budget(compute: f64) -> f64 {
-    compute.max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,10 +82,8 @@ mod tests {
     #[test]
     fn budget_is_the_break_even_point() {
         let c = 2.5;
-        let b = hideable_transfer_budget(c);
-        assert!(!transfer_bound(c, b));
-        assert!(transfer_bound(c, b + 1e-9));
-        assert_eq!(hideable_transfer_budget(-1.0), 0.0);
+        assert!(!transfer_bound(c, c));
+        assert!(transfer_bound(c, c + 1e-9));
     }
 
     #[test]

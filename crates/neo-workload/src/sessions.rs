@@ -98,11 +98,6 @@ impl SessionTrace {
         self.requests.is_empty()
     }
 
-    /// Largest prompt + output context over the trace, in tokens.
-    pub fn max_context(&self) -> usize {
-        self.requests.iter().map(|r| r.prompt_len() + r.output_len).max().unwrap_or(0)
-    }
-
     /// Drops the prompt identities, yielding a plain length-only [`Trace`] (e.g. to run
     /// the same workload through a cache-less baseline driver).
     pub fn to_trace(&self) -> Trace {
@@ -457,12 +452,8 @@ mod tests {
     }
 
     #[test]
-    fn max_context_and_emptiness() {
-        let empty = SessionTrace::default();
-        assert!(empty.is_empty());
-        assert_eq!(empty.max_context(), 0);
-        let trace = agent_loop(&agent_cfg(), 2);
-        let by_hand = trace.requests().iter().map(|r| r.prompt_len() + r.output_len).max().unwrap();
-        assert_eq!(trace.max_context(), by_hand);
+    fn emptiness_is_reported() {
+        assert!(SessionTrace::default().is_empty());
+        assert!(!agent_loop(&agent_cfg(), 2).is_empty());
     }
 }

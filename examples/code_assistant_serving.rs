@@ -60,8 +60,19 @@ fn main() {
 
         let report = server.run_until_idle();
 
-        let completed = server.engine().completed();
-        let per_token: Vec<f64> = completed.iter().filter_map(|r| r.per_token_latency()).collect();
+        // Per-token latency of each completed request: arrival to last token, over its
+        // output length.
+        let per_token: Vec<f64> = trace
+            .requests()
+            .iter()
+            .zip(&handles)
+            .filter_map(|(request, &handle)| match server.status(handle) {
+                RequestStatus::Finished { finish_time } => {
+                    Some((finish_time - request.arrival) / request.output_len as f64)
+                }
+                _ => None,
+            })
+            .collect();
         let mean_tok = per_token.iter().sum::<f64>() / per_token.len().max(1) as f64;
         let ttft = report.ttft.expect("requests produced tokens");
         let itl = report.itl.expect("multi-token outputs");

@@ -8,26 +8,33 @@
 //! ```
 
 use neo_baselines::GpuOnlyScheduler;
-use neo_core::{Engine, EngineConfig, NeoScheduler, Request, Scheduler};
+use neo_core::{Engine, EngineConfig, NeoScheduler, Scheduler};
+use neo_serve::{RequestStatus, Server};
 use neo_sim::{CostModel, ModelDesc, Testbed};
 
 fn run(label: &str, scheduler: Box<dyn Scheduler>) -> (f64, f64) {
     // A g5.4xlarge (one A10G GPU, 8-core EPYC host) serving LLaMa-3.1-8B.
     let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
-    let mut engine = Engine::new(cost, EngineConfig::default(), scheduler);
+    let engine = Engine::new(cost, EngineConfig::default(), scheduler);
+    let mut server = Server::new(engine).with_max_iterations(1_000_000);
 
     // 64 chat-style requests: 600-token prompts, 120 output tokens, all arriving at once.
-    for id in 0..64 {
-        engine.submit(Request::new(id, 0.0, 600, 120)).unwrap();
-    }
-    engine.run_to_completion(1_000_000);
+    let handles: Vec<_> = (0..64).map(|_| server.submit(0.0, 600, 120).unwrap()).collect();
+    let report = server.run_until_idle();
 
-    let makespan = engine.now();
+    let makespan = report.makespan;
+    let engine = server.engine();
     let tokens: u64 = engine.total_decode_tokens() + engine.total_prefill_tokens();
     let throughput = tokens as f64 / makespan;
-    let mean_latency: f64 =
-        engine.completed().iter().filter_map(|r| r.per_token_latency()).sum::<f64>()
-            / engine.completed().len() as f64;
+    // Per-token latency: arrival (t = 0) to the last token, over the 120 output tokens.
+    let per_token: Vec<f64> = handles
+        .iter()
+        .filter_map(|&h| match server.status(h) {
+            RequestStatus::Finished { finish_time } => Some(finish_time / 120.0),
+            _ => None,
+        })
+        .collect();
+    let mean_latency = per_token.iter().sum::<f64>() / per_token.len() as f64;
     println!(
         "{label:>10}: {:>7.0} tokens/s, mean per-token latency {:.3}s, makespan {:.1}s",
         throughput, mean_latency, makespan

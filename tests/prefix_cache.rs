@@ -426,7 +426,7 @@ fn fig8b_style_trace_is_bit_identical_with_the_hierarchy_enabled() {
         while !engine.is_idle() && reports.len() < 10_000 {
             reports.push(engine.step());
         }
-        assert_eq!(engine.completed().len(), 24);
+        assert_eq!(engine.completed(), 24);
         assert_eq!(engine.prefix_hit_tokens(), 0, "opaque prompts never share");
         assert_eq!(engine.cow_splits(), 0);
         reports
@@ -528,7 +528,7 @@ fn two_session_chat_cache_hit_schedule_is_pinned() {
         demoted,
         promoted,
     ));
-    assert_eq!(engine.completed().len(), 6);
+    assert_eq!(engine.completed(), 6);
     assert_eq!(engine.disk_resident(), 0, "disk drains once decodes retire");
     assert_eq!(engine.kv().num_sequences(), 0, "only the prefix index holds blocks");
     // The pinned schedule, admission by admission (final row = the drain):

@@ -48,7 +48,7 @@ fn check_run(
     }
     // Liveness: everything finished within the iteration budget.
     prop_assert!(engine.is_idle(), "workload did not drain within {max_iterations} iterations");
-    prop_assert_eq!(engine.completed().len(), specs.len());
+    prop_assert_eq!(engine.completed(), specs.len());
     // Accounting: exact token conservation.
     let expected_prefill: u64 = specs.iter().map(|&(p, _)| p as u64).sum();
     let expected_decode: u64 = specs.iter().map(|&(_, o)| o as u64).sum();

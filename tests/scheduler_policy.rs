@@ -222,7 +222,7 @@ proptest! {
                 iterations += 1;
             }
             prop_assert!(engine.is_idle(), "{} did not drain", engine.scheduler_name());
-            prop_assert_eq!(engine.completed().len(), specs.len());
+            prop_assert_eq!(engine.completed(), specs.len());
             let expected_decode: u64 = specs.iter().map(|&(_, o)| o as u64).sum();
             prop_assert_eq!(engine.total_decode_tokens(), expected_decode);
             prop_assert_eq!(engine.kv().num_sequences(), 0);
@@ -430,7 +430,7 @@ fn pipo_decision_trace_is_pinned() {
     assert_eq!(signature(&mut e), ("streamed".into(), 0, 4, 4, 0));
     assert_eq!(signature(&mut e), ("streamed".into(), 0, 4, 4, 0));
     assert!(e.is_idle(), "all requests retired after the pinned trace");
-    assert_eq!(e.completed().len(), 4);
+    assert_eq!(e.completed(), 4);
 }
 
 /// SpecOffload's schedule on a deterministic memory-pressure trace: GPU-first prefill,
@@ -457,7 +457,7 @@ fn specoffload_decision_trace_is_pinned() {
         }
         iterations += 1;
     }
-    assert_eq!(e.completed().len(), 24);
+    assert_eq!(e.completed(), 24);
     assert!(saw_swap_out, "T4 memory pressure must force swap-outs");
     assert!(saw_speculative_mix, "speculation must mix CPU claims into GPU iterations");
 }

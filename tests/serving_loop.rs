@@ -74,7 +74,7 @@ fn cancellation_mid_decode_frees_kv_blocks_on_the_t4() {
     let survivor = server.submit(0.0, 300, 60).unwrap();
 
     // Run until every request occupies KV and has streamed at least one token.
-    while server.engine().completed().is_empty()
+    while server.engine().completed() == 0
         && !victims.iter().all(
             |&v| matches!(server.status(v), RequestStatus::Running { generated } if generated > 0),
         )
@@ -134,9 +134,10 @@ fn run_online_matches_a_manual_event_loop_replay() {
     let result = run_online(scenario.engine(Policy::Neo), &trace, 1.5, 20_000_000);
 
     let mut server = Server::new(scenario.engine(Policy::Neo)).with_max_iterations(20_000_000);
-    for event in trace.events() {
-        server.submit(event.time, event.prompt_len, event.output_len).unwrap();
-    }
+    let handles: Vec<_> = trace
+        .events()
+        .map(|event| server.submit(event.time, event.prompt_len, event.output_len).unwrap())
+        .collect();
     let report = server.run_until_idle();
 
     assert_eq!(result.completed, report.completed);
@@ -144,6 +145,25 @@ fn run_online_matches_a_manual_event_loop_replay() {
     assert_eq!(result.ttft.mean, report.ttft.unwrap().mean);
     assert_eq!(result.itl.unwrap().p99, report.itl.unwrap().p99);
     assert_eq!(result.offload_fraction, report.offload_fraction);
+
+    // Per-token latency is each request's (finish − arrival) / output length, taken in
+    // completion order: finish time, ties by id.
+    let mut finished: Vec<(f64, u64, f64)> = trace
+        .requests()
+        .iter()
+        .zip(&handles)
+        .map(|(request, &handle)| match server.status(handle) {
+            RequestStatus::Finished { finish_time } => (
+                finish_time,
+                handle.id(),
+                (finish_time - request.arrival) / request.output_len as f64,
+            ),
+            other => panic!("request {} did not finish: {other:?}", handle.id()),
+        })
+        .collect();
+    finished.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let by_hand: Vec<f64> = finished.iter().map(|&(.., per_token)| per_token).collect();
+    assert_eq!(result.per_token_samples, by_hand);
 }
 
 #[test]

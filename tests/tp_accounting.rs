@@ -243,7 +243,7 @@ fn h100_70b_decision_trace_is_pinned() {
     // pressure of 24 × 2000-token contexts forces 4 whole-sequence swap-outs, 2 of the
     // victims are pulled back once decodes retire, and 2 iterations run the asymmetric
     // two-sub-batch pipeline with CPU-offloaded decodes.
-    assert_eq!(engine.completed().len(), 24);
+    assert_eq!(engine.completed(), 24);
     assert_eq!(trace.len(), 128);
     assert_eq!(trace.iter().map(|t| t.5).sum::<usize>(), 4, "total swap-outs");
     assert_eq!(trace.iter().map(|t| t.6).sum::<usize>(), 2, "total swap-ins");
