@@ -1,4 +1,4 @@
-//! Performance-regression gate over the four criterion micro-bench targets.
+//! Performance-regression gate over the five criterion bench targets.
 //!
 //! Runs `cargo bench` for each target in quick mode with the criterion shim's JSON
 //! emission enabled (`CRITERION_JSON_DIR`), collects the per-benchmark estimates, and
@@ -47,8 +47,8 @@ use std::process::{Command, ExitCode};
 
 use serde::{Deserialize, Serialize};
 
-/// The four criterion bench targets of `neo-bench`.
-const BENCHES: [&str; 4] = ["kernels", "kvcache", "pipeline", "scheduler"];
+/// The criterion bench targets of `neo-bench` that have a checked-in baseline.
+const BENCHES: [&str; 5] = ["cluster", "kernels", "kvcache", "pipeline", "scheduler"];
 
 /// Quick-mode sample count used when `--samples` is not given.
 const DEFAULT_SAMPLES: usize = 10;

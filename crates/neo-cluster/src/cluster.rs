@@ -16,6 +16,13 @@
 //! in the same order and every output is a function of the trace, the fleet and the
 //! configuration alone.
 //!
+//! A wake-up index keyed `(due, engine)` holds each slot's earliest work: the earlier
+//! of its link head and its server's next activity. The cluster re-keys a slot
+//! wherever it changes one (a bind, a delivery, a poll, a drop, a failure or a
+//! recovery), so finding the next instant reads the index's first entry, and a pass
+//! visits only the slots due at its instant, in ascending engine id — the fleet's
+//! cost per event follows the engines that have work, not the fleet's size.
+//!
 //! # Failure model
 //!
 //! A [`FaultPlan`] injects timed faults as first-class events: engines fail-stop
@@ -39,7 +46,8 @@
 //! from the *frontend* arrival, by folding the token timeline each server keeps,
 //! never from the server-local admission time.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, VecDeque};
 
 use neo_core::Engine;
 use neo_serve::metrics::{stream_latency, LatencySummary};
@@ -207,6 +215,36 @@ struct Slot {
     /// Largest context (prompt + output) any pool of this engine can ever hold — the
     /// admissibility bound for routing.
     capacity: usize,
+    /// KV capacity of the engine's tightest tensor-parallel rank, in tokens (at least
+    /// 1): the denominator of its `LeastKv` score.
+    kv_capacity: usize,
+    /// The slot's key in the wake-up index: the earlier of its link head and its
+    /// server's next activity, `None` while it has neither.
+    due: Option<Due>,
+}
+
+/// An instant ordered by [`f64::total_cmp`], so it can key the wake-up index.
+#[derive(Debug, Clone, Copy)]
+struct Due(f64);
+
+impl PartialEq for Due {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Due {}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Where a request currently sits — the index the failover path uses to find and
@@ -251,6 +289,11 @@ struct RouterState {
 /// A routed fleet of engines, ready to run a trace to completion.
 pub struct Cluster {
     slots: Vec<Slot>,
+    /// Wake-up index: `(due, engine)` for every slot that has work, earliest first.
+    wake: BTreeSet<(Due, usize)>,
+    /// The slots the latest settle pass visited, in ascending engine id (kept to reuse
+    /// its allocation).
+    due_slots: Vec<usize>,
     /// The arrival trace; a request's frontend id is its position.
     requests: Vec<TraceRequest>,
     /// Cursor into `requests` (sorted by arrival): the next frontend arrival.
@@ -283,16 +326,8 @@ impl Cluster {
     /// becomes dispatchable as a consequence of one of these, and every settle pass
     /// ends with a dispatch attempt.
     fn next_due(&self) -> Option<f64> {
-        let mut due: Option<f64> = None;
+        let mut due: Option<f64> = self.wake.first().map(|&(Due(at), _)| at);
         let mut fold = |t: f64| due = Some(due.map_or(t, |d: f64| d.min(t)));
-        for slot in &self.slots {
-            if let Some(&(deliver_at, _)) = slot.inflight.front() {
-                fold(deliver_at);
-            }
-            if let Some(at) = slot.server.next_activity() {
-                fold(at);
-            }
-        }
         if let Some(request) = self.requests.get(self.next_arrival) {
             fold(request.arrival);
         }
@@ -323,11 +358,17 @@ impl Cluster {
     /// faults → link deliveries → engine steps → retry re-dispatch → frontend arrivals
     /// → central dispatch. [`Cluster::run`] calls it once per instant, earliest first,
     /// so every routing decision is a function of simulated time and this order alone.
-    /// The pass ends by consuming the leading deadline events of requests that already
-    /// ended: they are no-ops and must not wake the cluster.
+    /// Deliveries and engine steps visit only the slots the wake-up index holds as due
+    /// at `at` once the faults are applied, in ascending engine id; no other slot has
+    /// work then. The pass ends by consuming the leading deadline events of requests
+    /// that already ended: they are no-ops and must not wake the cluster.
     fn settle(&mut self, at: f64) {
         self.apply_faults(at);
-        for e in 0..self.slots.len() {
+        let mut due = std::mem::take(&mut self.due_slots);
+        due.clear();
+        due.extend(self.wake.iter().take_while(|&&(Due(t), _)| t <= at).map(|&(_, e)| e));
+        due.sort_unstable();
+        for &e in &due {
             while let Some(&(deliver_at, id)) = self.slots[e].inflight.front() {
                 if deliver_at > at {
                     break;
@@ -336,11 +377,13 @@ impl Cluster {
                 self.deliver(e, deliver_at, id);
             }
         }
-        for e in 0..self.slots.len() {
+        for &e in &due {
             if self.slots[e].server.next_activity().is_some_and(|t| t <= at) {
                 self.slots[e].server.poll(at);
             }
+            self.rekey(e);
         }
+        self.due_slots = due;
         self.process_retries(at);
         while self.requests.get(self.next_arrival).is_some_and(|r| r.arrival <= at) {
             let id = self.next_arrival as u64;
@@ -380,6 +423,7 @@ impl Cluster {
                     if !self.slots[event.engine].up {
                         self.slots[event.engine].server.recover();
                         self.slots[event.engine].up = true;
+                        self.rekey(event.engine);
                     }
                 }
                 FaultKind::LinkDegrade => {
@@ -418,6 +462,7 @@ impl Cluster {
         let _ = self.slots[engine].server.fail();
         self.slots[engine].up = false;
         self.slots[engine].inflight.clear();
+        self.rekey(engine);
         for id in victims {
             self.site[id as usize] = Site::Idle;
             self.orphan(at, id);
@@ -454,8 +499,14 @@ impl Cluster {
     /// records the typed reason.
     fn drop_request(&mut self, at: f64, id: u64, reason: DropReason) {
         match self.site[id as usize] {
-            Site::OnLink(e) => self.slots[e].inflight.retain(|&(_, x)| x != id),
-            Site::OnServer(e, handle) => self.slots[e].server.drop_now(handle, reason),
+            Site::OnLink(e) => {
+                self.slots[e].inflight.retain(|&(_, x)| x != id);
+                self.rekey(e);
+            }
+            Site::OnServer(e, handle) => {
+                self.slots[e].server.drop_now(handle, reason);
+                self.rekey(e);
+            }
             Site::CentralQueue => self.router.central.retain(|&x| x != id),
             Site::RetryQueue => self.retry_queue.retain(|entry| entry.id != id),
             Site::Idle | Site::Dropped => {}
@@ -636,28 +687,15 @@ impl Cluster {
     /// rank plus in-flight prompt commitments (prompts on its link and prompts its
     /// server holds unstarted), normalised by its tightest rank's KV capacity — so a
     /// T4's small cache saturates its score long before an H100's.
+    ///
+    /// Every rank caches the same tokens (each holds its `1/tp` shard of their bytes),
+    /// so the fullest rank's resident tokens are the pool's.
     fn kv_score(&self, engine: usize) -> f64 {
         let slot = &self.slots[engine];
-        let capacity = slot
-            .server
-            .engine()
-            .rank_budgets()
-            .iter()
-            .map(|budget| budget.kv_capacity_tokens)
-            .min()
-            .unwrap_or(0)
-            .max(1);
-        let used = slot
-            .server
-            .engine()
-            .rank_occupancy()
-            .iter()
-            .map(|occupancy| occupancy.used_tokens)
-            .max()
-            .unwrap_or(0);
+        let used = slot.server.engine().kv().gpu_used_tokens();
         let on_link: usize =
             slot.inflight.iter().map(|&(_, id)| self.requests[id as usize].prompt_len).sum();
-        (used + slot.server.unstarted_prompt_tokens() + on_link) as f64 / capacity as f64
+        (used + slot.server.unstarted_prompt_tokens() + on_link) as f64 / slot.kv_capacity as f64
     }
 
     /// The least-loaded eligible engine for `id` under the KV-pressure score, or
@@ -715,6 +753,25 @@ impl Cluster {
         self.slots[engine].inflight.push_back((deliver_at, id));
         self.slots[engine].routed += 1;
         self.site[id as usize] = Site::OnLink(engine);
+        self.rekey(engine);
+    }
+
+    /// Re-keys slot `engine` in the wake-up index after the cluster changed its link or
+    /// its server.
+    fn rekey(&mut self, engine: usize) {
+        let slot = &mut self.slots[engine];
+        let link = slot.inflight.front().map(|&(deliver_at, _)| deliver_at);
+        let due =
+            [link, slot.server.next_activity()].into_iter().flatten().reduce(f64::min).map(Due);
+        if due != slot.due {
+            if let Some(old) = slot.due {
+                self.wake.remove(&(old, engine));
+            }
+            if let Some(new) = due {
+                self.wake.insert((new, engine));
+            }
+            slot.due = due;
+        }
     }
 
     fn report(&self) -> ClusterReport {
@@ -735,15 +792,15 @@ impl Cluster {
             .slots
             .iter()
             .map(|slot| {
-                let server_report = slot.server.report();
+                let counts = slot.server.counts();
                 EngineSummary {
                     name: slot.name.clone(),
                     routed: slot.routed,
-                    completed: server_report.completed,
-                    streamed_tokens: server_report.streamed_tokens,
-                    dropped: server_report.dropped,
+                    completed: counts.completed,
+                    streamed_tokens: counts.streamed_tokens,
+                    dropped: counts.dropped,
                     makespan: slot.server.now(),
-                    offload_fraction: server_report.offload_fraction,
+                    offload_fraction: counts.offload_fraction,
                 }
             })
             .collect();
@@ -804,6 +861,14 @@ impl Cluster {
             .into_iter()
             .map(|(name, engine)| Slot {
                 capacity: engine.max_context_capacity(),
+                kv_capacity: engine
+                    .rank_budgets()
+                    .iter()
+                    .map(|budget| budget.kv_capacity_tokens)
+                    .min()
+                    .unwrap_or(0)
+                    .max(1),
+                due: None,
                 name,
                 server: Server::new(engine),
                 link: SerialLine::new(config.link_latency_s, config.link_bytes_per_s),
@@ -874,6 +939,8 @@ impl Cluster {
         let request_count = requests.len();
         Self {
             slots,
+            wake: BTreeSet::new(),
+            due_slots: Vec::new(),
             requests,
             next_arrival: 0,
             router,
@@ -1149,6 +1216,147 @@ mod tests {
         let report = Cluster::new(homogeneous_pair(), &trace, config).run();
         assert_eq!(report.completed + report.dropped, 8);
         assert!(report.retries <= 8 * 2, "retries must respect the per-request budget");
+    }
+
+    fn h100_tp2_engine() -> Engine {
+        let cost = CostModel::new(ModelDesc::llama3_70b(), Testbed::hgx_h100(2), 2);
+        Engine::new(cost, EngineConfig::default(), Box::new(NeoScheduler::new()))
+    }
+
+    /// Slot `e`'s earliest work, found the slow way: its link head or its server's next
+    /// activity, whichever is earlier.
+    fn brute_due(cluster: &Cluster, e: usize) -> Option<f64> {
+        let slot = &cluster.slots[e];
+        let link = slot.inflight.front().map(|&(deliver_at, _)| deliver_at);
+        [link, slot.server.next_activity()].into_iter().flatten().reduce(f64::min)
+    }
+
+    /// The `LeastKv` score built from every rank's budget and occupancy, as the
+    /// engine reports them.
+    fn kv_score_from_ranks(cluster: &Cluster, e: usize) -> f64 {
+        let slot = &cluster.slots[e];
+        let engine = slot.server.engine();
+        let capacity =
+            engine.rank_budgets().iter().map(|b| b.kv_capacity_tokens).min().unwrap_or(0).max(1);
+        let used = engine.rank_occupancy().iter().map(|o| o.used_tokens).max().unwrap_or(0);
+        let on_link: usize =
+            slot.inflight.iter().map(|&(_, id)| cluster.requests[id as usize].prompt_len).sum();
+        (used + slot.server.unstarted_prompt_tokens() + on_link) as f64 / capacity as f64
+    }
+
+    /// What one checked drive saw besides the report.
+    #[derive(Debug, Default)]
+    struct Drive {
+        /// Passes that settled the same instant as the pass before.
+        repeated_instants: usize,
+        /// Requests shed while on a link, and while on a server.
+        link_drops: usize,
+        server_drops: usize,
+    }
+
+    /// Runs `cluster` pass by pass as [`Cluster::run`] does, checking the wake-up
+    /// index against brute force around every pass:
+    /// - the pass visits exactly the slots that have work at or before its instant
+    ///   once the faults are applied, so no slot outside it had any;
+    /// - afterwards every slot is keyed at its brute-force due instant, so the index's
+    ///   minimum is the brute-force minimum;
+    /// - every engine's `LeastKv` score equals the one built from its ranks.
+    fn drive_checked(mut cluster: Cluster) -> (ClusterReport, Drive) {
+        let mut drive = Drive::default();
+        let mut last: Option<f64> = None;
+        while let Some(at) = cluster.next_due() {
+            drive.repeated_instants += usize::from(last == Some(at));
+            last = Some(at);
+            let sites = cluster.site.clone();
+            // Applying the faults first leaves settle's own call nothing to do.
+            cluster.apply_faults(at);
+            let fleet = 0..cluster.slots.len();
+            let with_work: Vec<usize> = fleet
+                .clone()
+                .filter(|&e| brute_due(&cluster, e).is_some_and(|t| t <= at))
+                .collect();
+            cluster.settle(at);
+            assert_eq!(cluster.due_slots, with_work, "the pass at t={at} visited the wrong slots");
+            for (before, after) in sites.iter().zip(&cluster.site) {
+                match (before, after) {
+                    (Site::OnLink(_), Site::Dropped) => drive.link_drops += 1,
+                    (Site::OnServer(..), Site::Dropped) => drive.server_drops += 1,
+                    _ => {}
+                }
+            }
+            let keyed: BTreeSet<(Due, usize)> =
+                fleet.clone().filter_map(|e| Some((Due(brute_due(&cluster, e)?), e))).collect();
+            assert_eq!(cluster.wake, keyed, "the index is stale after the pass at t={at}");
+            let minimum = fleet.clone().filter_map(|e| brute_due(&cluster, e)).reduce(f64::min);
+            assert_eq!(cluster.wake.first().map(|&(Due(t), _)| t), minimum);
+            for e in fleet {
+                assert_eq!(
+                    cluster.kv_score(e).to_bits(),
+                    kv_score_from_ranks(&cluster, e).to_bits(),
+                    "engine {e}'s score after the pass at t={at}"
+                );
+            }
+        }
+        cluster.finalize();
+        (cluster.report(), drive)
+    }
+
+    #[test]
+    fn the_wake_up_index_matches_brute_force_on_a_faulted_heterogeneous_fleet() {
+        let fleet = || {
+            vec![
+                ("t4".to_string(), t4_engine()),
+                ("a10g".to_string(), a10g_engine()),
+                ("h100-tp2".to_string(), h100_tp2_engine()),
+                ("a10g-2".to_string(), a10g_engine()),
+            ]
+        };
+        let trace = neo_workload::fleet_mix(80, 0.35, 6.0, 3);
+        // Six seconds of added latency on engine 3's link outlast most deadlines, so
+        // requests are shed while on it, some while its server is idle.
+        let fault_plan = FaultPlan::seeded_outages(4, 12.0, 4, 1.5, 17)
+            .link_degrade(0.0, 3, 0.5, 6.0)
+            .link_restore(8.0, 3);
+        let config = || ClusterConfig {
+            discipline: Discipline::LeastKv,
+            fault_plan: fault_plan.clone(),
+            failover: true,
+            slo: Some(SloPolicy::new(3.0, 0.02)),
+            ..ClusterConfig::default()
+        };
+        let (checked, drive) = drive_checked(Cluster::new(fleet(), &trace, config()));
+        let report = Cluster::new(fleet(), &trace, config()).run();
+        assert_eq!(checked.routes, report.routes, "the checked drive is the run");
+        assert_eq!(checked.drops, report.drops);
+        assert!(report.retries > 0, "the outages orphaned work");
+        assert!(drive.link_drops > 0, "deadlines shed requests on the degraded link");
+        assert!(drive.server_drops > 0, "deadlines shed admitted requests");
+        assert!(report.completed > 0);
+    }
+
+    #[test]
+    fn the_wake_up_index_matches_brute_force_on_a_zero_latency_central_queue() {
+        let fleet = || {
+            let mut fleet = homogeneous_pair();
+            fleet.push(("t4".to_string(), t4_engine()));
+            fleet
+        };
+        let trace = synthetic(30, 300, 12, ArrivalProcess::Uniform { rate: 20.0 }, 4);
+        let config = || ClusterConfig {
+            discipline: Discipline::CFcfs,
+            dispatch_window: 2,
+            link_latency_s: 0.0,
+            bytes_per_token: 0.0,
+            ..ClusterConfig::default()
+        };
+        let (checked, drive) = drive_checked(Cluster::new(fleet(), &trace, config()));
+        let report = Cluster::new(fleet(), &trace, config()).run();
+        assert_eq!(checked.routes, report.routes, "the checked drive is the run");
+        assert_eq!(report.completed, 30);
+        assert!(
+            drive.repeated_instants > 0,
+            "a bind on a zero-latency link is delivered by a new pass at the same instant"
+        );
     }
 
     #[test]

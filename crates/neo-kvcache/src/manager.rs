@@ -217,6 +217,13 @@ impl KvCacheManager {
         self.evictable_blocks * self.config.block_size
     }
 
+    /// Tokens' worth of GPU blocks that live sequences hold: the pool's used blocks
+    /// minus the evictable ones only the prefix index holds (block-granular, like
+    /// [`KvPool::used_tokens`]).
+    pub fn gpu_used_tokens(&self) -> usize {
+        self.pool(Device::Gpu).used_tokens() - self.evictable_tokens()
+    }
+
     /// Releases a sequence's reference to each of its blocks on `device`. A GPU block
     /// the index also holds becomes evictable when only the index's reference is left.
     fn release_seq_blocks(&mut self, device: Device, blocks: &[usize]) -> Result<(), KvCacheError> {
@@ -492,9 +499,8 @@ impl KvCacheManager {
         let pool = self.pool(Device::Gpu);
         let shard_bytes_per_token = self.config.kv_bytes_per_token as u64 / tp as u64;
         // Index-only blocks are reclaimable on demand, so ranks report them as free.
-        let evictable = self.evictable_tokens();
-        let used = pool.used_tokens() - evictable;
-        let free = pool.free_tokens() + evictable;
+        let used = self.gpu_used_tokens();
+        let free = pool.free_tokens() + self.evictable_tokens();
         (0..tp)
             .map(|rank| RankOccupancy {
                 rank,

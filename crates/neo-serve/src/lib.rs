@@ -46,5 +46,6 @@ pub use metrics::{Cdf, LatencySummary};
 pub use offline::{run_offline, OfflineResult};
 pub use online::{run_online, run_sessions, OnlineResult, SessionsResult};
 pub use server::{
-    DropReason, RequestHandle, RequestStatus, Server, ServerReport, TokenCallback, TokenEvent,
+    DropReason, RequestHandle, RequestStatus, Server, ServerCounts, ServerReport, TokenCallback,
+    TokenEvent,
 };

@@ -158,6 +158,22 @@ pub struct ServerReport {
     pub max_backlog: usize,
 }
 
+/// The terminal counts and streaming totals of a server so far: the part of a
+/// [`ServerReport`] that needs no latency fold, for callers that read nothing else.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServerCounts {
+    /// Requests that produced their full output.
+    pub completed: usize,
+    /// Requests cancelled before finishing.
+    pub cancelled: usize,
+    /// Requests shed by the server (engine failure, deadline, retry exhaustion).
+    pub dropped: usize,
+    /// Tokens delivered through streaming callbacks (all requests).
+    pub streamed_tokens: u64,
+    /// Fraction of busy iterations that offloaded attention to the CPU.
+    pub offload_fraction: f64,
+}
+
 /// Internal event kinds, ordered by time on the event queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
@@ -200,7 +216,8 @@ struct Session {
     arrival: f64,
     prompt_len: usize,
     output_len: usize,
-    /// Prompt identity as token runs (empty = opaque prompt, no prefix sharing).
+    /// Prompt identity as token runs (empty = opaque prompt, no prefix sharing), until
+    /// admission moves them into the engine's request.
     runs: Vec<TokenRun>,
     state: SessionState,
     callback: Option<TokenCallback>,
@@ -656,7 +673,8 @@ impl Server {
                     session.arrival,
                     session.prompt_len,
                     session.output_len,
-                    session.runs.clone(),
+                    // Nothing reads the session's copy after admission.
+                    std::mem::take(&mut session.runs),
                 ))
                 // neo-lint: allow(panic-hygiene) -- admission capacity and down-state were checked before enqueueing; losing a validated submission quietly would wedge the session as Scheduled forever
                 .expect("submission was validated against capacity and down-state");
@@ -785,10 +803,8 @@ impl Server {
         done
     }
 
-    /// Summarises the loop so far (normally read after [`Server::run_until_idle`]).
-    pub fn report(&self) -> ServerReport {
-        let (ttft, itl) =
-            stream_latency(self.sessions.iter().map(|s| (s.arrival, &s.token_times[..])));
+    /// Counts the requests in each terminal state and reads the streaming totals.
+    pub fn counts(&self) -> ServerCounts {
         let (mut completed, mut cancelled, mut dropped) = (0, 0, 0);
         for session in &self.sessions {
             match session.state {
@@ -798,6 +814,21 @@ impl Server {
                 SessionState::Scheduled | SessionState::Backlogged | SessionState::Running => {}
             }
         }
+        ServerCounts {
+            completed,
+            cancelled,
+            dropped,
+            streamed_tokens: self.streamed_tokens,
+            offload_fraction: self.offload_iterations as f64 / self.busy_iterations.max(1) as f64,
+        }
+    }
+
+    /// Summarises the loop so far (normally read after [`Server::run_until_idle`]).
+    pub fn report(&self) -> ServerReport {
+        let (ttft, itl) =
+            stream_latency(self.sessions.iter().map(|s| (s.arrival, &s.token_times[..])));
+        let ServerCounts { completed, cancelled, dropped, streamed_tokens, offload_fraction } =
+            self.counts();
         ServerReport {
             completed,
             cancelled,
@@ -805,8 +836,8 @@ impl Server {
             makespan: self.engine.now(),
             iterations: self.iterations,
             busy_iterations: self.busy_iterations,
-            offload_fraction: self.offload_iterations as f64 / self.busy_iterations.max(1) as f64,
-            streamed_tokens: self.streamed_tokens,
+            offload_fraction,
+            streamed_tokens,
             ttft,
             itl,
             max_backlog: self.max_backlog,
