@@ -106,6 +106,11 @@ impl SchedulerPolicy for GpuOnlyScheduler {
             token_budget -= chunk;
         }
     }
+
+    /// The CPU cache does not exist for a GPU-only policy.
+    fn uses_host_kv(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +157,17 @@ mod tests {
         e.submit(Request::new(1, 0.0, 1500, 4)).unwrap();
         let report = e.step();
         assert_eq!(report.prefill_tokens, EngineConfig::default().prefill_chunk);
+    }
+
+    #[test]
+    fn the_gpu_pool_alone_bounds_admission() {
+        for scheduler in [GpuOnlyScheduler::vllm_like(), GpuOnlyScheduler::swiftllm_like()] {
+            let cost = CostModel::new(ModelDesc::llama2_7b(), Testbed::g4dn_4xlarge(), 1);
+            let e = Engine::new(cost, EngineConfig::default(), Box::new(scheduler));
+            let gpu = e.kv().pool(Device::Gpu).capacity_tokens();
+            assert!(gpu < e.kv().pool(Device::Cpu).capacity_tokens());
+            assert_eq!(e.max_context_capacity(), gpu, "{}", e.scheduler_name());
+        }
     }
 
     #[test]

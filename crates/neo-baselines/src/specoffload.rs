@@ -28,7 +28,6 @@ use neo_core::pipeline::balanced;
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
 use neo_core::ExecutionMode;
-use neo_kvcache::Device;
 
 /// Additive increase applied to the speculation width after a hit.
 const SPEC_INCREASE: usize = 2;
@@ -88,18 +87,11 @@ impl SchedulerPolicy for SpecOffloadScheduler {
         plan.form_gpu_first_batches(ctx);
     }
 
-    /// Prefill admission mirrors NEO's: keep KV on the GPU while it fits, spill the rest
-    /// to the host cache.
+    /// Prefill admission is NEO's, [`IterationPlan::admit_gpu_first`]: keep KV on the
+    /// GPU while it fits, spill the rest to the host cache, continue a partial prefill
+    /// on its device, and start a prompt larger than the GPU pool on the CPU.
     fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
-        plan.admit_prefills(ctx, |plan, _id, chunk| {
-            if plan.gpu_free >= chunk as i64 {
-                Some(Device::Gpu)
-            } else if plan.cpu_free >= chunk as i64 {
-                Some(Device::Cpu)
-            } else {
-                None
-            }
-        });
+        plan.admit_gpu_first(ctx);
     }
 
     /// The speculation: claim up to `spec_width` CPU-resident decodes into batch-1
@@ -168,6 +160,7 @@ mod tests {
     use neo_core::engine::Engine;
     use neo_core::request::Request;
     use neo_core::Scheduler;
+    use neo_kvcache::Device;
     use neo_sim::{CostModel, ModelDesc, Testbed};
     use std::collections::BTreeMap;
 
@@ -349,6 +342,35 @@ mod tests {
         assert_eq!(d.demote_disk, vec![109, 108]);
         let claimed: Vec<u64> = d.batch1.cpu_decodes.iter().map(|&(id, _)| id).collect();
         assert_eq!(claimed, [100, 101, 102, 103, 104, 105, 106, 107, d.swap_out[0]]);
+    }
+
+    #[test]
+    fn a_gpu_pinned_partial_prefill_is_never_targeted_at_the_cpu() {
+        // Request 7's first chunk landed on the GPU, which has 16 free tokens left while
+        // the host cache has plenty. Its next chunk must wait for the GPU: the engine
+        // appends a partial prefill where its KV already is, so a CPU target would fail.
+        let mut fx = Fixture::new();
+        fx.gpu_free = 16;
+        let mut r = Request::new(7, 0.0, 1_000, 32);
+        r.advance_prefill(512);
+        fx.requests.insert(7, r);
+        fx.waiting.push(7);
+        fx.prefill_device.insert(7, Device::Gpu);
+        let d = fx.schedule(&cost(), &mut SpecOffloadScheduler::new());
+        assert!(d.batch0.prefills.is_empty(), "{:?}", d.batch0.prefills);
+    }
+
+    #[test]
+    fn an_oversized_prompt_starts_on_the_cpu() {
+        // The first 512-token chunk fits the 600 free GPU tokens, but the whole
+        // 1,000-token prompt never fits the 600-token pool: it starts on the CPU.
+        let mut fx = Fixture::new();
+        fx.gpu_free = 600;
+        fx.requests.insert(1, Request::new(1, 0.0, 1_000, 32));
+        fx.waiting.push(1);
+        let d = fx.schedule(&cost(), &mut SpecOffloadScheduler::new());
+        assert_eq!(d.batch0.prefills.len(), 1);
+        assert_eq!(d.batch0.prefills[0].target, Device::Cpu);
     }
 
     #[test]

@@ -81,8 +81,8 @@ pub struct ClusterConfig {
     pub link_bytes_per_s: f64,
     /// Request payload priced on the link: bytes per prompt token.
     pub bytes_per_token: f64,
-    /// Settle passes allowed for the whole run, one per processed instant (livelock
-    /// guard).
+    /// Settle passes (one per processed instant) allowed in a row without progress —
+    /// no polled engine emitted a token and no request was shed (livelock guard).
     pub max_events: u64,
     /// Timed faults to inject. The default (empty) plan leaves every output
     /// byte-identical to a faultless run.
@@ -361,8 +361,10 @@ impl Cluster {
     /// Deliveries and engine steps visit only the slots the wake-up index holds as due
     /// at `at` once the faults are applied, in ascending engine id; no other slot has
     /// work then. The pass ends by consuming the leading deadline events of requests
-    /// that already ended: they are no-ops and must not wake the cluster.
-    fn settle(&mut self, at: f64) {
+    /// that already ended: they are no-ops and must not wake the cluster. Returns
+    /// whether a polled engine emitted a token or a request was shed.
+    fn settle(&mut self, at: f64) -> bool {
+        let (drops, mut emitted) = (self.drops.len(), false);
         self.apply_faults(at);
         let mut due = std::mem::take(&mut self.due_slots);
         due.clear();
@@ -378,8 +380,11 @@ impl Cluster {
             }
         }
         for &e in &due {
-            if self.slots[e].server.next_activity().is_some_and(|t| t <= at) {
-                self.slots[e].server.poll(at);
+            let server = &mut self.slots[e].server;
+            if server.next_activity().is_some_and(|t| t <= at) {
+                let tokens = server.engine().total_decode_tokens();
+                server.poll(at);
+                emitted |= server.engine().total_decode_tokens() > tokens;
             }
             self.rekey(e);
         }
@@ -398,6 +403,7 @@ impl Cluster {
         }) {
             self.fault_cursor += 1;
         }
+        emitted || self.drops.len() > drops
     }
 
     /// Whether request `id` completed: the server it sits on has finished it.
@@ -963,20 +969,19 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the run needs more than [`ClusterConfig::max_events`] settle passes
+    /// Panics if [`ClusterConfig::max_events`] settle passes in a row make no progress
     /// (livelock guard), naming the instant and the requests still pending.
     pub fn run(mut self) -> ClusterReport {
-        let mut passes: u64 = 0;
+        let mut stalled: u64 = 0;
         while let Some(at) = self.next_due() {
-            passes += 1;
             assert!(
-                passes <= self.config.max_events,
+                stalled < self.config.max_events,
                 "cluster livelocked at t={at} with {} requests pending: the run used up \
-                 max_events = {} settle passes",
+                 max_events = {} settle passes without progress",
                 (0..self.requests.len() as u64).filter(|&id| self.is_pending(id)).count(),
                 self.config.max_events
             );
-            self.settle(at);
+            stalled = if self.settle(at) { 0 } else { stalled + 1 };
         }
         self.finalize();
         self.report()
@@ -1359,18 +1364,49 @@ mod tests {
         );
     }
 
+    /// A livelocked policy: it stays idle whatever waits.
+    struct IdlePolicy;
+
+    impl neo_core::Scheduler for IdlePolicy {
+        fn schedule(&mut self, _ctx: &neo_core::ScheduleContext<'_>) -> neo_core::ScheduleDecision {
+            neo_core::ScheduleDecision::idle()
+        }
+
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "cluster livelocked at t=0.5 with 4 requests pending")]
-    fn max_events_budgets_the_whole_run() {
-        // Every request is routed at t=0 and lands at t=0.5: one settle pass covers the
-        // arrivals, and the budget is spent before the deliveries.
+    #[should_panic(
+        expected = "with 4 requests pending: the run used up max_events = 3 settle passes \
+                    without progress"
+    )]
+    fn max_events_bounds_the_passes_without_progress() {
+        // Every request is routed at t=0 and lands at t=0.5 on an engine whose policy
+        // never schedules it: the routing pass, the delivery pass and every idle
+        // quantum after it make no progress.
         let trace = synthetic(4, 300, 12, ArrivalProcess::AllAtOnce, 5);
         let config = ClusterConfig {
-            max_events: 1,
+            max_events: 3,
             link_latency_s: 0.5,
             bytes_per_token: 0.0,
             ..ClusterConfig::default()
         };
-        let _ = Cluster::new(homogeneous_pair(), &trace, config).run();
+        let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
+        let idle = Engine::new(cost, EngineConfig::default(), Box::new(IdlePolicy));
+        let _ = Cluster::new(vec![("idle".to_string(), idle)], &trace, config).run();
+    }
+
+    #[test]
+    fn a_healthy_run_outlasts_its_budget_of_passes_without_progress() {
+        // All 16 requests land at once and decode about 32 tokens each, so the run
+        // takes more than 30 settle passes; only the routing pass makes no progress.
+        let trace = synthetic(16, 300, 32, ArrivalProcess::AllAtOnce, 5);
+        let config =
+            ClusterConfig { max_events: 4, bytes_per_token: 0.0, ..ClusterConfig::default() };
+        let report = Cluster::new(homogeneous_pair(), &trace, config).run();
+        assert_eq!(report.completed, 16);
+        assert!(report.streamed_tokens > 16 * 30);
     }
 }

@@ -94,12 +94,9 @@ pub struct Engine {
     total_prefill_tokens: u64,
     /// Fail-stopped: every submission is refused until [`Engine::recover`].
     down: bool,
-    /// CPU-resident sequence whose wedged append the engine just freed room for (see
-    /// [`Engine::break_cpu_exact_fit_wedge`]). While set, new CPU-targeted prefill
-    /// allocations are held back so the freed blocks actually reach the stuck append
-    /// instead of being re-taken by the policy's next admission; cleared as soon as the
-    /// sequence appends or leaves the engine.
-    cpu_append_reserved: Option<u64>,
+    /// The owner and pool of the progress rule's last move: the pool's freed blocks
+    /// are the owner's until it allocates or leaves (see [`Engine::enforce_progress`]).
+    reserved: Option<(u64, Device)>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -161,7 +158,7 @@ impl Engine {
             total_decode_tokens: 0,
             total_prefill_tokens: 0,
             down: false,
-            cpu_append_reserved: None,
+            reserved: None,
         }
     }
 
@@ -249,12 +246,17 @@ impl Engine {
 
     /// The largest total context (prompt + output tokens) a single request can ever
     /// hold on this engine. A sequence's KV lives wholly on one device (swaps move
-    /// whole sequences), so the binding limit is the *larger* of the two pools, not
-    /// their sum, counted in whole blocks: a request above this can never finish and
-    /// is refused at [`Engine::submit`].
+    /// whole sequences), so the binding limit is the *larger* of the pools the policy
+    /// uses, not their sum — the GPU pool alone for a policy that keeps no KV in the
+    /// host cache ([`Scheduler::uses_host_kv`]) — counted in whole blocks: a request
+    /// above this can never finish and is refused at [`Engine::submit`].
     pub fn max_context_capacity(&self) -> usize {
         let gpu = self.kv.pool(Device::Gpu).capacity_tokens();
-        gpu.max(self.kv.pool(Device::Cpu).capacity_tokens())
+        if self.scheduler.uses_host_kv() {
+            gpu.max(self.kv.pool(Device::Cpu).capacity_tokens())
+        } else {
+            gpu
+        }
     }
 
     /// Fail-stops the engine: every live request is evicted (its KV is lost, exactly
@@ -309,6 +311,7 @@ impl Engine {
         let request = self.requests.remove(&id)?;
         self.release_execution_state(id);
         self.waiting.retain(|&x| x != id);
+        self.lift_reservation(id);
         Some(request)
     }
 
@@ -321,8 +324,23 @@ impl Engine {
         self.cpu_run.retain(|&x| x != id);
         self.disk_run.retain(|&x| x != id);
         self.prefill_device.remove(&id);
-        if self.cpu_append_reserved == Some(id) {
-            self.cpu_append_reserved = None;
+    }
+
+    /// Discards a live request's KV and re-queues it for recomputation: the decision's
+    /// preemptions and the progress rule's alike.
+    fn preempt(&mut self, id: u64) {
+        let Some(request) = self.requests.get_mut(&id) else { return };
+        request.preempt();
+        self.release_execution_state(id);
+        if !self.waiting.contains(&id) {
+            self.waiting.push(id);
+        }
+    }
+
+    /// Clears the progress rule's reservation if `id` owns it.
+    fn lift_reservation(&mut self, id: u64) {
+        if self.reserved.is_some_and(|(owner, _)| owner == id) {
+            self.reserved = None;
         }
     }
 
@@ -409,7 +427,9 @@ impl Engine {
         self.disk_run.len()
     }
 
-    /// Executes one iteration and returns its report.
+    /// Executes one iteration and returns its report. An iteration that moved nothing
+    /// is still charged and reported as decided; the engine's progress rule then moves
+    /// on its own if any request holds KV (see `Engine::enforce_progress`).
     pub fn step(&mut self) -> IterationReport {
         self.iterations += 1;
         self.emitted.clear();
@@ -435,6 +455,7 @@ impl Engine {
 
         if decision.is_idle() {
             self.clock.advance(IDLE_QUANTUM);
+            self.enforce_progress();
             return IterationReport {
                 iteration: self.iterations,
                 start_time,
@@ -455,15 +476,7 @@ impl Engine {
         // Apply preemptions first: the victim's KV cache is discarded and it rejoins the
         // prefill waitqueue for recomputation.
         for &id in &decision.preempt {
-            if !self.requests.contains_key(&id) {
-                continue;
-            }
-            self.release_execution_state(id);
-            let Some(request) = self.requests.get_mut(&id) else { continue };
-            request.preempt();
-            if !self.waiting.contains(&id) {
-                self.waiting.push(id);
-            }
+            self.preempt(id);
         }
 
         // Disk demotions free CPU cache room before the swap-outs that need it. Demoted
@@ -530,15 +543,14 @@ impl Engine {
         let mut prefill_tokens = 0usize;
         let mut decode_tokens = 0usize;
         for item in &decision.batch0.prefills {
+            // Hold back other requests' chunks whose KV is, or would be, on the pool
+            // the progress rule reserved.
+            if self.reserved.is_some_and(|(owner, pool)| {
+                owner != item.req && self.kv.device_of(item.req).unwrap_or(item.target) == pool
+            }) {
+                continue;
+            }
             let allocated = if self.requests[&item.req].prefilled == 0 {
-                // While a wedged CPU append holds a reservation, hold new CPU-targeted
-                // allocations back so the blocks the breaker just freed reach the stuck
-                // sequence instead of this admission (which would re-wedge forever).
-                if item.target == Device::Cpu
-                    && self.cpu_append_reserved.is_some_and(|r| r != item.req)
-                {
-                    continue;
-                }
                 self.prefill_device.insert(item.req, item.target);
                 self.kv.allocate_sequence(item.req, item.new_tokens, item.target).is_ok()
             } else {
@@ -547,6 +559,7 @@ impl Engine {
             if !allocated {
                 continue; // cache full at block granularity; retried next iteration
             }
+            self.lift_reservation(item.req);
             prefill_tokens += item.new_tokens;
             let Some(request) = self.requests.get_mut(&item.req) else { continue };
             request.advance_prefill(item.new_tokens);
@@ -588,23 +601,15 @@ impl Engine {
             .chain(decision.batch1.cpu_decodes.iter())
             .map(|&(id, _)| id)
             .collect();
-        let mut stuck_cpu: Vec<u64> = Vec::new();
         for id in decode_ids {
             let Some(request) = self.requests.get(&id) else { continue };
             if !request.prefill_complete() || request.is_finished() {
                 continue;
             }
             if self.kv.append_tokens(id, 1).is_err() {
-                // No block available; the request idles this iteration. Track
-                // CPU-resident failures for the exact-fit wedge breaker below.
-                if matches!(self.kv.device_of(id), Ok(Device::Cpu)) {
-                    stuck_cpu.push(id);
-                }
-                continue;
+                continue; // no block available; the request idles this iteration
             }
-            if self.cpu_append_reserved == Some(id) {
-                self.cpu_append_reserved = None;
-            }
+            self.lift_reservation(id);
             let Some(request) = self.requests.get_mut(&id) else { continue };
             request.advance_decode();
             decode_tokens += 1;
@@ -614,17 +619,6 @@ impl Engine {
             }
         }
 
-        // CPU-exact-fit wedge breaker. A CPU-resident context that exactly fills the
-        // host pool cannot append its next block, and with no other progress in the
-        // iteration nothing will ever free host room on its own: the engine livelocks
-        // (ROADMAP, surfaced while pinning the PR-9 golden trace at tiny
-        // `cpu_cache_fraction`). When an iteration moved *nothing* — no prefill or
-        // decode token, no swap, no demotion/promotion, no preemption — and a
-        // CPU-resident decode failed its append, free host room by hand: demote the
-        // stuck sequence to the disk tier when it has room, else preempt the newest
-        // other CPU-resident sequence (it recomputes from the waitqueue). Ordinary
-        // transient append failures never take this path: some other request
-        // progressed, and its retirement eventually frees the pool.
         let progressed = prefill_tokens > 0
             || decode_tokens > 0
             || swapped_out > 0
@@ -633,9 +627,7 @@ impl Engine {
             || promoted_disk > 0
             || !decision.preempt.is_empty();
         if !progressed {
-            if let Some(&stuck) = stuck_cpu.first() {
-                self.break_cpu_exact_fit_wedge(stuck);
-            }
+            self.enforce_progress();
         }
 
         self.total_prefill_tokens += prefill_tokens as u64;
@@ -660,35 +652,41 @@ impl Engine {
         }
     }
 
-    /// Frees host-cache room for a CPU-resident sequence whose append is wedged on an
-    /// exactly-full pool (see the call site in [`Engine::step`]). Prefers demoting the
-    /// stuck sequence itself to the disk tier — it stays resident and decodes again once
-    /// promoted — and falls back to preempting the newest *other* CPU-resident sequence.
-    /// A victim always exists: a sequence holding every host block while needing more
-    /// would have been refused at submit as `NeverAdmissible`.
-    fn break_cpu_exact_fit_wedge(&mut self, stuck: u64) {
-        if self.kv.swap(stuck, Device::Disk).is_ok() {
-            move_id(&mut self.cpu_run, &mut self.disk_run, stuck);
-            return;
-        }
-        let Some(victim) = self.cpu_run.iter().rev().find(|&&v| v != stuck).copied() else {
+    /// The progress rule, run after an iteration that moved nothing (no token, swap,
+    /// tier move or preemption): policies are deterministic in the engine's state, so
+    /// such an iteration would repeat forever. The *owner* is the oldest KV holder by
+    /// `(arrival_time, id)` — holding is the KV manager's fact, not a request's
+    /// counters — and its pool the device its KV is on (the CPU for a disk resident).
+    /// The newest other holder on that pool is preempted, or the owner itself when it
+    /// is alone there, and the pool is reserved for the owner: `step` skips other
+    /// requests' prefill chunks bound for it. With no holder, a reservation lapses.
+    fn enforce_progress(&mut self) {
+        let by_age = |a: &&Request, b: &&Request| {
+            a.arrival_time.total_cmp(&b.arrival_time).then(a.id.cmp(&b.id))
+        };
+        let kv = &self.kv;
+        let holders = || self.requests.values().filter(|r| kv.device_of(r.id).is_ok());
+        let Some(owner) = holders().min_by(by_age).map(|r| r.id) else {
+            self.reserved = None;
             return;
         };
-        self.release_execution_state(victim);
-        // The freed blocks are spoken for: hold new CPU prefill admissions (including the
-        // victim's own recompute) back until the stuck sequence lands its append.
-        self.cpu_append_reserved = Some(stuck);
-        let Some(request) = self.requests.get_mut(&victim) else { return };
-        request.preempt();
-        if !self.waiting.contains(&victim) {
-            self.waiting.push(victim);
-        }
+        let pool = match kv.device_of(owner) {
+            Ok(Device::Gpu) => Device::Gpu,
+            _ => Device::Cpu,
+        };
+        let victim = holders()
+            .filter(|r| r.id != owner && kv.device_of(r.id) == Ok(pool))
+            .max_by(by_age)
+            .map_or(owner, |r| r.id);
+        self.preempt(victim);
+        self.reserved = Some((owner, pool));
     }
 
     /// Removes a finished request from every queue, frees its KV cache and counts it.
     fn retire(&mut self, id: u64) {
         self.release_execution_state(id);
         self.waiting.retain(|&x| x != id);
+        self.lift_reservation(id);
         if self.requests.remove(&id).is_some() {
             self.retired.insert(id);
         }
@@ -717,6 +715,7 @@ fn move_id(from: &mut Vec<u64>, to: &mut Vec<u64>, id: u64) {
 mod tests {
     use super::*;
     use crate::batch::ScheduleDecision;
+    use crate::policy::{IterationPlan, SchedulerPolicy};
     use crate::scheduler::NeoScheduler;
     use neo_sim::{ModelDesc, Testbed};
 
@@ -988,8 +987,8 @@ mod tests {
         assert!(e.step().idle);
         assert!(e.emitted().is_empty(), "an idle step empties the list");
 
-        // The CPU-exact-fit wedge breaker preempts a sequence that already streamed
-        // tokens; its re-prefill must name it as an emitter like any prefill does.
+        // The progress rule preempts a sequence that already streamed tokens; its
+        // re-prefill must name it as an emitter like any prefill does.
         let mut testbed = Testbed::g4dn_4xlarge();
         testbed.cpu_cache_fraction = 0.0005;
         let cost = CostModel::new(ModelDesc::llama2_7b(), testbed, 1);
@@ -997,7 +996,7 @@ mod tests {
         e.submit(Request::new(0, 0.0, 31, 30)).unwrap();
         e.submit(Request::new(1, 0.0, 31, 30)).unwrap();
         let seen = run_checking_emitters(&mut e);
-        assert!(seen.recomputes >= 1, "the breaker's victim recomputes after streaming");
+        assert!(seen.recomputes >= 1, "the rule's victim recomputes after streaming");
         assert_eq!(seen.retirements, 2);
     }
 
@@ -1011,9 +1010,15 @@ mod tests {
     #[test]
     fn never_admissible_request_is_rejected_typed() {
         let t4 = || engine(Testbed::g4dn_4xlarge(), ModelDesc::llama2_7b());
-        for mut e in [a10g_engine(), t4()] {
+        for (mut e, gpu_only) in [(a10g_engine(), false), (t4(), false), (gpu_only_t4(), true)] {
             let capacity = e.max_context_capacity();
             assert_eq!(capacity % BLOCK_SIZE, 0, "the bound counts whole blocks");
+            let gpu_pool = e.kv().pool(Device::Gpu).capacity_tokens();
+            assert_eq!(
+                capacity == gpu_pool,
+                gpu_only,
+                "only a GPU-only policy is bound by the GPU"
+            );
             let err = e.submit(Request::new(1, 0.0, capacity + 1, 1)).unwrap_err();
             assert_eq!(
                 err,
@@ -1201,9 +1206,9 @@ mod tests {
         // without its own free-room reservation never frees host room — the engine
         // used to livelock. At cpu_cache_fraction=0.0005 the T4 host pool holds 4
         // blocks; two 31-token prompts fill all of them after prefill, and both hit
-        // the failing append at context 33. The wedge breaker in `Engine::step` must
-        // preempt one sequence *and* hold its recompute back (`cpu_append_reserved`)
-        // so the survivor — not the victim's re-prefill — takes the freed blocks.
+        // the failing append at context 33. The progress rule in `Engine::step` must
+        // preempt one sequence *and* reserve the freed blocks for the oldest holder,
+        // so the survivor — not the victim's re-prefill — takes them.
         let mut testbed = Testbed::g4dn_4xlarge();
         testbed.cpu_cache_fraction = 0.0005;
         let cost = CostModel::new(ModelDesc::llama2_7b(), testbed, 1);
@@ -1223,6 +1228,162 @@ mod tests {
         assert_eq!(e.kv().num_sequences(), 0);
     }
 
+    /// A GPU-only policy like the vLLM baseline: it decodes every GPU resident, admits
+    /// prefill chunks while the GPU pool has room, and keeps no KV in the host cache.
+    struct GpuOnlyPolicy;
+
+    impl SchedulerPolicy for GpuOnlyPolicy {
+        fn policy_name(&self) -> &'static str {
+            "gpu-only"
+        }
+
+        fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
+            for &id in ctx.gpu_run {
+                plan.batch0.gpu_decodes.push((id, ctx.context_len(id)));
+                plan.gpu_free -= 1;
+            }
+        }
+
+        fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
+            plan.admit_prefills(ctx, |plan, _, chunk| {
+                (plan.gpu_free >= chunk as i64).then_some(Device::Gpu)
+            });
+        }
+
+        fn uses_host_kv(&self) -> bool {
+            false
+        }
+    }
+
+    fn gpu_only_t4() -> Engine {
+        let cost = CostModel::new(ModelDesc::llama2_7b(), Testbed::g4dn_4xlarge(), 1);
+        Engine::new(cost, EngineConfig::default(), Box::new(GpuOnlyPolicy))
+    }
+
+    /// A livelocked policy: it stays idle whatever waits.
+    struct IdlePolicy;
+
+    impl Scheduler for IdlePolicy {
+        fn schedule(&mut self, _ctx: &ScheduleContext<'_>) -> ScheduleDecision {
+            ScheduleDecision::idle()
+        }
+
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+    }
+
+    /// An idle-policy engine on the T4 holding `requests`, each `(id, prefilled, generated,
+    /// device)` with `prefilled + generated` tokens of KV on `device` (none for `None`),
+    /// all in the waitqueue as partial prefills or preempted requests.
+    fn stalled_t4(requests: &[(u64, usize, usize, Option<Device>)]) -> Engine {
+        let cost = CostModel::new(ModelDesc::llama2_7b(), Testbed::g4dn_4xlarge(), 1);
+        let mut e = Engine::new(cost, EngineConfig::default(), Box::new(IdlePolicy));
+        for &(id, prefilled, generated, device) in requests {
+            e.submit(Request::new(id, 0.0, 1_000, 64)).unwrap();
+            let request = e.requests.get_mut(&id).unwrap();
+            request.advance_prefill(prefilled);
+            request.generated = generated;
+            if let Some(device) = device {
+                e.kv.allocate_sequence(id, prefilled + generated, device).unwrap();
+                e.prefill_device.insert(id, device);
+            }
+        }
+        e
+    }
+
+    #[test]
+    fn prefill_deadlock_is_broken_by_preempting_the_newest_partial() {
+        // Three 1,200-token prompts prefill in 512-token chunks on the T4's 3,120-token
+        // GPU pool until all three are pinned there with 48 tokens free: the GPU-only
+        // policy can admit nothing and idles. The engine preempts the newest holder
+        // (3) and reserves its blocks for the oldest (1), instead of idling forever.
+        let mut e = gpu_only_t4();
+        for id in 1..=3 {
+            e.submit(Request::new(id, 0.0, 1_200, 8)).unwrap();
+        }
+        e.step();
+        e.step();
+        let report = e.step();
+        assert!(report.idle, "the policy finds nothing to run");
+        assert_eq!(report.duration, IDLE_QUANTUM, "the stall is charged one idle quantum");
+        assert_eq!(e.request(1).unwrap().prefilled, 1_024);
+        assert_eq!(e.request(2).unwrap().prefilled, 1_024);
+        assert_eq!(e.request(3).unwrap().prefilled, 0, "the newest partial restarts");
+        assert!(e.kv().device_of(3).is_err(), "and its KV is freed");
+        assert_eq!(e.reserved, Some((1, Device::Gpu)));
+        let report = e.step();
+        assert!(report.prefill_tokens > 0);
+        assert_eq!(e.reserved, None, "the owner's chunk landed");
+        e.run_to_completion(10_000);
+        assert_eq!(e.completed(), 3);
+    }
+
+    #[test]
+    fn idle_without_held_kv_stays_idle() {
+        // A waitqueue whose requests hold no KV is not a deadlock the engine can break:
+        // nothing is preempted, and a reservation left over lapses.
+        let mut e = stalled_t4(&[(1, 0, 0, None), (2, 0, 5, None)]);
+        e.reserved = Some((1, Device::Gpu));
+        assert!(e.step().idle);
+        assert_eq!(e.request(2).unwrap().generated, 5);
+        assert_eq!(e.waiting, vec![1, 2]);
+        assert_eq!(e.reserved, None);
+    }
+
+    #[test]
+    fn a_request_that_streamed_but_holds_no_kv_is_never_the_victim() {
+        // Request 3 was preempted after streaming five tokens: its context_len() is 5,
+        // yet it holds no KV. The victim is the newest holder, 2; preempting 3 would
+        // free nothing, forever.
+        let mut e = stalled_t4(&[
+            (1, 300, 0, Some(Device::Gpu)),
+            (2, 200, 0, Some(Device::Gpu)),
+            (3, 0, 5, None),
+        ]);
+        assert!(e.step().idle);
+        assert!(e.kv().device_of(2).is_err(), "the newest holder is preempted");
+        assert_eq!(e.request(2).unwrap().prefilled, 0);
+        assert_eq!(e.kv().device_of(1), Ok(Device::Gpu), "the owner keeps its KV");
+        assert_eq!(e.request(3).unwrap().generated, 5);
+        assert_eq!(e.reserved, Some((1, Device::Gpu)));
+    }
+
+    #[test]
+    fn the_owner_alone_on_its_pool_restarts_itself() {
+        // The oldest holder, 1, is alone on the GPU; the CPU holder 2 frees nothing
+        // there. With no other victim on its pool, the owner restarts from the
+        // waitqueue, and the GPU stays reserved for it.
+        let mut e = stalled_t4(&[(1, 300, 0, Some(Device::Gpu)), (2, 200, 0, Some(Device::Cpu))]);
+        assert!(e.step().idle);
+        assert!(e.kv().device_of(1).is_err(), "the owner is its own victim");
+        assert_eq!(e.request(1).unwrap().prefilled, 0);
+        assert_eq!(e.kv().device_of(2), Ok(Device::Cpu), "the other pool is untouched");
+        assert_eq!(e.reserved, Some((1, Device::Gpu)));
+    }
+
+    #[test]
+    fn the_freed_blocks_go_to_the_owner() {
+        // Two 31-token prompts fill the T4's 4-block host pool and decode until both
+        // need a third block. The rule preempts 1 and reserves the CPU pool for 0: the
+        // next step holds 1's re-prefill back, so 0's append takes the freed blocks.
+        let mut testbed = Testbed::g4dn_4xlarge();
+        testbed.cpu_cache_fraction = 0.0005;
+        let cost = CostModel::new(ModelDesc::llama2_7b(), testbed, 1);
+        let mut e = Engine::new(cost, EngineConfig::default(), Box::new(CpuGreedyPolicy));
+        e.submit(Request::new(0, 0.0, 31, 30)).unwrap();
+        e.submit(Request::new(1, 0.0, 31, 30)).unwrap();
+        assert_eq!(e.step().prefill_tokens, 62);
+        assert_eq!(e.step().decode_tokens, 2);
+        let stalled = e.step();
+        assert_eq!((stalled.prefill_tokens, stalled.decode_tokens), (0, 0));
+        assert!(e.kv().device_of(1).is_err(), "the newest holder is preempted");
+        assert_eq!(e.reserved, Some((0, Device::Cpu)));
+        let next = e.step();
+        assert_eq!((next.prefill_tokens, next.decode_tokens), (0, 1), "only the owner moves");
+        assert_eq!(e.reserved, None);
+    }
+
     #[test]
     fn disabled_disk_tier_has_zero_capacity() {
         let e = a10g_engine();
@@ -1237,7 +1398,7 @@ mod tests {
         // Regression test for the fleet_mix clamp: an 8192-token prompt exceeds the T4's
         // GPU pool (~3.1k tokens with default batching), so a fresh submission to an
         // *idle* engine used to start prefilling on the GPU, wedge mid-prefill, and
-        // livelock through the deadlock-breaker. The scheduler now targets the CPU pool
+        // restart forever. The scheduler now targets the CPU pool
         // from the first chunk whenever the prompt alone cannot fit the GPU pool.
         // Prompts of 3,121–3,123 tokens fit the configured GPU budget (3,123) but not
         // the pool's whole blocks (3,120), so they must take the CPU path too.

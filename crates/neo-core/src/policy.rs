@@ -132,6 +132,31 @@ impl IterationPlan {
         }
     }
 
+    /// GPU-first prefill admission (step 3 of §3.2), shared by `NeoScheduler` and the
+    /// SpecOffload baseline: a chunk's KV stays on the GPU when it fits and goes to the
+    /// host cache otherwise. A partially prefilled request continues on the device its
+    /// earlier chunks landed on, and admission stops when that device has no room.
+    pub fn admit_gpu_first(&mut self, ctx: &ScheduleContext<'_>) {
+        self.admit_prefills(ctx, |plan, id, chunk| {
+            let target = match ctx.prefill_device.get(&id) {
+                Some(&d) => d,
+                // A prompt that exceeds the *whole* GPU pool can never finish a GPU
+                // prefill: pinned there, it would only stall when the pool fills and
+                // restart forever. Send it to the CPU cache from the first chunk —
+                // this is state-independent, so the choice is the same on an idle and
+                // on a loaded engine.
+                None if ctx.requests[&id].prompt_len > ctx.gpu_capacity_tokens => Device::Cpu,
+                None if plan.gpu_free >= chunk as i64 => Device::Gpu,
+                None => Device::Cpu,
+            };
+            match target {
+                Device::Gpu if plan.gpu_free >= chunk as i64 => Some(Device::Gpu),
+                Device::Cpu if plan.cpu_free >= chunk as i64 => Some(Device::Cpu),
+                _ => None,
+            }
+        });
+    }
+
     /// GPU-first decode batch formation (step 2 of §3.2), shared by `NeoScheduler` and
     /// the SpecOffload baseline: every GPU-resident decode claims one new KV slot in
     /// batch-0. Under memory pressure the longest-context requests are swapped out to
@@ -292,6 +317,12 @@ pub trait SchedulerPolicy: Send {
     fn select_mode(&mut self, _ctx: &ScheduleContext<'_>, plan: IterationPlan) -> ScheduleDecision {
         plan.into_decision()
     }
+
+    /// Whether the policy ever places KV in the host cache (see
+    /// [`Scheduler::uses_host_kv`]). Default: yes.
+    fn uses_host_kv(&self) -> bool {
+        true
+    }
 }
 
 impl<P: SchedulerPolicy> Scheduler for P {
@@ -300,48 +331,16 @@ impl<P: SchedulerPolicy> Scheduler for P {
         self.form_batches(ctx, &mut plan);
         self.admit(ctx, &mut plan);
         self.split_offload(ctx, &mut plan);
-        let decision = self.select_mode(ctx, plan);
-        if decision.is_idle() {
-            if let Some(victim) = stalled_prefill_victim(ctx) {
-                let mut unblock = ScheduleDecision::idle();
-                unblock.preempt.push(victim);
-                return unblock;
-            }
-            ScheduleDecision::idle()
-        } else {
-            decision
-        }
+        self.select_mode(ctx, plan)
     }
 
     fn name(&self) -> &'static str {
         self.policy_name()
     }
-}
 
-/// Detects a prefill deadlock and picks the preemption victim that breaks it.
-///
-/// An idle decision while requests sit in the waitqueue means every phase found
-/// nothing runnable — which can only persist when partially-prefilled requests pin KV
-/// to a full device: each is stuck behind the others' partial chunks (its remaining
-/// chunks must stay on the device its earlier chunks landed on), and with nothing
-/// running, no completion will ever free memory. No phase of any bundled policy
-/// preempts *waiting* requests, so without intervention the engine idles forever.
-///
-/// The victim is the *newest* KV-holding request in the (arrival-ordered) waitqueue —
-/// the classic recompute-preemption choice: the head of the queue keeps its partial
-/// KV and therefore makes monotone progress once memory frees, guaranteeing the
-/// deadlock cannot re-form around the same request. Preempting by size instead (free
-/// the most memory first) looks attractive but livelocks: the repeatedly-victimised
-/// large request re-prefills the same chunks forever while never being the one whose
-/// completion releases memory.
-fn stalled_prefill_victim(ctx: &ScheduleContext<'_>) -> Option<u64> {
-    let mut victim = None;
-    for &id in ctx.waiting {
-        if ctx.context_len(id) > 0 {
-            victim = Some(id);
-        }
+    fn uses_host_kv(&self) -> bool {
+        SchedulerPolicy::uses_host_kv(self)
     }
-    victim
 }
 
 #[cfg(test)]
@@ -448,44 +447,6 @@ mod tests {
         let d = p.schedule(&fx.ctx(&cm));
         assert!(d.is_idle());
         assert_eq!(d, ScheduleDecision::idle());
-    }
-
-    #[test]
-    fn prefill_deadlock_is_broken_by_preempting_the_newest_partial() {
-        // Two partially-prefilled requests pin KV to a full GPU; nothing runs, nothing
-        // can be admitted. The phase driver must preempt the newest one (id 2, last in
-        // the waitqueue) instead of idling forever, protecting the head's progress.
-        let mut fx = Fixture::new();
-        let mut small = Request::new(1, 0.0, 400, 10);
-        small.advance_prefill(100);
-        let mut large = Request::new(2, 0.0, 600, 10);
-        large.advance_prefill(300);
-        fx.requests.insert(1, small);
-        fx.requests.insert(2, large);
-        fx.waiting.extend([1, 2]);
-        fx.prefill_device.insert(1, Device::Gpu);
-        fx.prefill_device.insert(2, Device::Gpu);
-        let cm = cost();
-        let ctx = ScheduleContext { gpu_free_tokens: 0, cpu_free_tokens: 0, ..fx.ctx(&cm) };
-        let mut p = TrivialPolicy { phases_seen: vec![] };
-        let d = p.schedule(&ctx);
-        assert!(!d.is_idle(), "the deadlock-breaking decision must not be idle");
-        assert_eq!(d.preempt, vec![2]);
-        assert!(d.batch0.is_empty() && d.batch1.is_empty());
-    }
-
-    #[test]
-    fn idle_without_held_kv_stays_idle() {
-        // A waitqueue whose requests hold no KV yet is not a deadlock — admission may
-        // simply be budget-limited this iteration; the driver must not preempt.
-        let mut fx = Fixture::new();
-        fx.requests.insert(1, Request::new(1, 0.0, 200, 10));
-        fx.waiting.push(1);
-        let cm = cost();
-        let ctx = ScheduleContext { gpu_free_tokens: 0, cpu_free_tokens: 0, ..fx.ctx(&cm) };
-        let mut p = TrivialPolicy { phases_seen: vec![] };
-        let d = p.schedule(&ctx);
-        assert!(d.is_idle());
     }
 
     #[test]

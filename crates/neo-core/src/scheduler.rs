@@ -99,6 +99,13 @@ pub trait Scheduler: Send {
 
     /// Human-readable policy name (used in reports and figures).
     fn name(&self) -> &'static str;
+
+    /// Whether the policy ever places KV in the host (CPU) cache. A policy that does
+    /// not can hold a context only as large as the GPU pool, and the engine refuses
+    /// larger ones at submit (see [`crate::Engine::max_context_capacity`]).
+    fn uses_host_kv(&self) -> bool {
+        true
+    }
 }
 
 /// NEO's load-aware scheduler.
@@ -134,31 +141,11 @@ impl SchedulerPolicy for NeoScheduler {
         plan.form_gpu_first_batches(ctx);
     }
 
-    /// Step 3: admit prefill requests into batch-0 under the token budget. The generated
-    /// KV stays on the GPU when it fits, otherwise it is marked for the CPU cache
-    /// (layer-wise swap-out); partially prefilled requests must stay on whichever device
-    /// their earlier chunks landed on.
+    /// Step 3: admit prefill requests into batch-0 under the token budget — the
+    /// GPU-first rule of [`IterationPlan::admit_gpu_first`], shared with the SpecOffload
+    /// baseline.
     fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
-        plan.admit_prefills(ctx, |plan, id, chunk| {
-            let target = match ctx.prefill_device.get(&id) {
-                Some(&d) => d,
-                // A prompt that exceeds the *whole* GPU pool can never finish a GPU
-                // prefill: once its first chunk lands there the request is pinned to
-                // the device, stalls when the pool fills, and livelocks against the
-                // deadlock-breaking preemption. Send it to the CPU cache from the
-                // first chunk — this is state-independent, so the choice is the same
-                // on an idle and on a loaded engine.
-                None if ctx.requests[&id].prompt_len > ctx.gpu_capacity_tokens => Device::Cpu,
-                None if plan.gpu_free >= chunk as i64 => Device::Gpu,
-                None => Device::Cpu,
-            };
-            match target {
-                // No room to continue this request's prefill on its device: stop.
-                Device::Gpu if plan.gpu_free >= chunk as i64 => Some(Device::Gpu),
-                Device::Cpu if plan.cpu_free >= chunk as i64 => Some(Device::Cpu),
-                _ => None,
-            }
-        });
+        plan.admit_gpu_first(ctx);
     }
 
     /// Steps 4 and 5: place CPU decode requests while the balancing inequalities hold,

@@ -61,8 +61,8 @@ impl OnlineResult {
 ///
 /// # Panics
 ///
-/// Panics if the trace is empty or if the run exceeds `max_iterations` without finishing
-/// (which indicates a scheduler livelock).
+/// Panics if the trace is empty or if `max_iterations` iterations in a row make no
+/// progress (which indicates a scheduler livelock; see [`Server::with_max_iterations`]).
 pub fn run_online(
     engine: Engine,
     trace: &Trace,
@@ -110,7 +110,8 @@ impl SessionsResult {
 ///
 /// # Panics
 ///
-/// Panics if the trace is empty or the run exceeds `max_iterations` without finishing.
+/// Panics if the trace is empty or if `max_iterations` iterations in a row make no
+/// progress.
 pub fn run_sessions(
     engine: Engine,
     trace: &SessionTrace,

@@ -244,6 +244,8 @@ pub struct Server {
     backlog: VecDeque<u64>,
     next_seq: u64,
     max_iterations: u64,
+    /// Iterations since the last one that emitted a token or a request ended.
+    stalled: u64,
     iterations: u64,
     busy_iterations: u64,
     offload_iterations: u64,
@@ -287,6 +289,7 @@ impl Server {
             backlog: VecDeque::new(),
             next_seq: 0,
             max_iterations: u64::MAX,
+            stalled: 0,
             iterations: 0,
             busy_iterations: 0,
             offload_iterations: 0,
@@ -298,7 +301,8 @@ impl Server {
         }
     }
 
-    /// Sets the iteration budget after which the loop panics (livelock guard).
+    /// Sets the livelock guard: the loop panics once this many iterations in a row
+    /// emitted no token while no request ended. A healthy run of any length passes.
     pub fn with_max_iterations(mut self, max_iterations: u64) -> Self {
         self.max_iterations = max_iterations;
         self
@@ -659,6 +663,7 @@ impl Server {
             self.unstarted_prompt_tokens -= session.prompt_len;
         }
         session.state = state;
+        self.stalled = 0;
     }
 
     /// Admits backlogged requests in FIFO order while the engine has admission room.
@@ -720,8 +725,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if the iteration budget set by [`Server::with_max_iterations`] is exceeded
-    /// (scheduler livelock).
+    /// Panics if the budget set by [`Server::with_max_iterations`] runs out: that many
+    /// iterations in a row without progress (scheduler livelock).
     pub fn tick(&mut self) -> bool {
         loop {
             self.deliver_due_events();
@@ -756,9 +761,11 @@ impl Server {
         }
         let report = self.engine.step();
         self.iterations += 1;
+        self.stalled = if self.engine.emitted().is_empty() { self.stalled + 1 } else { 0 };
         assert!(
-            self.iterations < self.max_iterations,
-            "serving loop exceeded {} iterations with {} of {} requests finished",
+            self.stalled < self.max_iterations,
+            "serving loop exceeded {} iterations without progress with {} of {} requests \
+             finished",
             self.max_iterations,
             self.engine.completed(),
             self.sessions.len()
@@ -854,6 +861,7 @@ mod tests {
     use neo_baselines::GpuOnlyScheduler;
     use neo_core::config::EngineConfig;
     use neo_core::scheduler::NeoScheduler;
+    use neo_core::ScheduleDecision;
     use neo_sim::{CostModel, ModelDesc, Testbed};
 
     fn engine() -> Engine {
@@ -1243,11 +1251,32 @@ mod tests {
         assert_eq!(server.unstarted_prompt_tokens(), 0);
     }
 
+    /// A livelocked policy: it stays idle whatever waits.
+    struct IdlePolicy;
+
+    impl neo_core::Scheduler for IdlePolicy {
+        fn schedule(&mut self, _ctx: &neo_core::ScheduleContext<'_>) -> ScheduleDecision {
+            ScheduleDecision::idle()
+        }
+
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "exceeded")]
-    fn iteration_budget_panics_on_livelock() {
+    #[should_panic(expected = "exceeded 3 iterations without progress with 0 of 1 requests")]
+    fn iteration_budget_panics_after_iterations_without_progress() {
+        // The budget counts stalls, not work: a 40-iteration run under a budget of 3
+        // finishes, because every iteration streams a token.
         let mut server = Server::new(engine()).with_max_iterations(3);
-        server.submit(0.0, 5_000, 500).unwrap();
+        server.submit(0.0, 100, 40).unwrap();
+        assert_eq!(server.run_until_idle().completed, 1);
+        // A policy that never schedules the waiting request stalls from the start.
+        let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
+        let idle = Engine::new(cost, EngineConfig::default(), Box::new(IdlePolicy));
+        let mut server = Server::new(idle).with_max_iterations(3);
+        server.submit(0.0, 100, 40).unwrap();
         let _ = server.run_until_idle();
     }
 }

@@ -3,8 +3,10 @@
 
 use neo_bench::{Policy, Scenario};
 use neo_core::request::Request;
-use neo_core::ExecutionMode;
+use neo_core::{AdmitError, ExecutionMode};
 use neo_kvcache::Device;
+use neo_serve::Server;
+use neo_workload::{azure_code_like, fleet_mix, ArrivalProcess, Trace};
 use proptest::prelude::*;
 
 /// Runs a random workload through NEO's engine, checking per-iteration invariants.
@@ -119,4 +121,56 @@ fn gpu_only_baseline_never_touches_the_cpu_pool() {
         iterations += 1;
     }
     assert!(engine.is_idle());
+}
+
+/// Iterations in a row without a token or an ended request before a `Server` run is
+/// declared livelocked.
+const STALL_BUDGET: u64 = 10_000;
+
+/// Serves `trace` on one `Server` with the stall guard as its only budget; returns the
+/// completed count and the submissions refused.
+fn serve(scenario: &Scenario, policy: Policy, trace: &Trace) -> (usize, Vec<AdmitError>) {
+    let mut server = Server::new(scenario.engine(policy)).with_max_iterations(STALL_BUDGET);
+    let refused = trace
+        .requests()
+        .iter()
+        .filter_map(|r| server.submit(r.arrival, r.prompt_len, r.output_len).err())
+        .collect();
+    (server.run_until_idle().completed, refused)
+}
+
+/// The T4 wedge table: every policy serves three AC traces to the end. Each request
+/// completes or is refused at submit, and only the GPU-only policies refuse — the
+/// contexts larger than the 3,120-token GPU pool they are bound by.
+#[test]
+fn every_policy_finishes_the_t4_wedge_table() {
+    let scenario = Scenario::t4_7b();
+    let gpu_pool = scenario.engine(Policy::Neo).kv().pool(Device::Gpu).capacity_tokens();
+    for (seed, gpu_only_refusals) in [(11, 10), (3, 2), (7, 6)] {
+        let trace = azure_code_like(30, ArrivalProcess::Poisson { rate: 1.0 }, seed);
+        for policy in Policy::ALL {
+            let (completed, refused) = serve(&scenario, policy, &trace);
+            let cell = format!("{} on seed {seed}", policy.label());
+            assert_eq!(completed + refused.len(), 30, "{cell}");
+            let gpu_only = matches!(policy, Policy::VllmLike | Policy::SwiftLlmLike);
+            assert_eq!(refused.len(), if gpu_only { gpu_only_refusals } else { 0 }, "{cell}");
+            for err in refused {
+                assert!(
+                    matches!(err, AdmitError::NeverAdmissible { required_tokens, capacity_tokens }
+                        if capacity_tokens == gpu_pool && required_tokens > gpu_pool),
+                    "{cell}: {err:?}"
+                );
+            }
+        }
+    }
+}
+
+/// NEO alone on a T4 drains a fleet trace whose long prompts once left a request that
+/// held no KV being preempted forever.
+#[test]
+fn neo_drains_a_fleet_mix_trace_on_one_t4() {
+    let (completed, refused) =
+        serve(&Scenario::t4_7b(), Policy::Neo, &fleet_mix(100, 0.35, 3.0, 11));
+    assert!(refused.is_empty());
+    assert_eq!(completed, 100);
 }

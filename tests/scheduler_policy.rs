@@ -435,13 +435,14 @@ fn pipo_decision_trace_is_pinned() {
 
 /// SpecOffload's schedule on a deterministic memory-pressure trace: GPU-first prefill,
 /// swap-outs once the T4's KV pool fills, then speculative CPU decodes alongside the GPU
-/// batch.
+/// batch. Prompts that spill to the CPU cache at admission leave the GPU residents
+/// room for 16 output tokens each; 64 make their decodes outgrow the GPU pool.
 #[test]
 fn specoffload_decision_trace_is_pinned() {
     let scenario = Scenario::t4_7b();
     let mut e = scenario.engine(Policy::SpecOffload);
     for id in 0..24 {
-        e.submit(Request::new(id, 0.0, 400, 16)).unwrap();
+        e.submit(Request::new(id, 0.0, 400, 64)).unwrap();
     }
     let mut saw_swap_out = false;
     let mut saw_speculative_mix = false;
