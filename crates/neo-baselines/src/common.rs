@@ -7,6 +7,10 @@ use neo_core::policy::IterationPlan;
 use neo_core::scheduler::ScheduleContext;
 use neo_kvcache::Device;
 
+/// The pools the full-offload baselines keep KV in: the host cache alone, so it alone
+/// bounds the context a request can hold.
+pub(crate) const HOST_KV: &[Device] = &[Device::Cpu];
+
 /// Evicts GPU strays to the host cache (full-offload policies keep no KV on the GPU)
 /// and schedules every CPU-resident decode, up to `max_seqs` in total. Returns the
 /// decodes for the caller to place — each baseline spreads them over the sub-batches

@@ -10,8 +10,9 @@
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
 use neo_core::ExecutionMode;
+use neo_kvcache::Device;
 
-use crate::common::{admit_prefills_to_cpu, collect_full_offload_decodes};
+use crate::common::{admit_prefills_to_cpu, collect_full_offload_decodes, HOST_KV};
 
 /// The FastDecode+ scheduler: every decode request is a CPU-request.
 #[derive(Debug, Clone, Default)]
@@ -42,6 +43,10 @@ impl SchedulerPolicy for FastDecodePlusScheduler {
     /// Prefills run on the GPU but their KV is always swapped out to the CPU cache.
     fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         admit_prefills_to_cpu(ctx, plan);
+    }
+
+    fn kv_pools(&self) -> &'static [Device] {
+        HOST_KV
     }
 }
 

@@ -108,8 +108,8 @@ impl SchedulerPolicy for GpuOnlyScheduler {
     }
 
     /// The CPU cache does not exist for a GPU-only policy.
-    fn uses_host_kv(&self) -> bool {
-        false
+    fn kv_pools(&self) -> &'static [Device] {
+        &[Device::Gpu]
     }
 }
 
@@ -167,6 +167,36 @@ mod tests {
             let gpu = e.kv().pool(Device::Gpu).capacity_tokens();
             assert!(gpu < e.kv().pool(Device::Cpu).capacity_tokens());
             assert_eq!(e.max_context_capacity(), gpu, "{}", e.scheduler_name());
+        }
+        // The mirror case: the full-offload policies keep all KV on the host, so a
+        // host pool smaller than the GPU's bounds them, however large the GPU pool.
+        let full_offload: [Box<dyn neo_core::Scheduler>; 4] = [
+            Box::new(crate::FastDecodePlusScheduler::new()),
+            Box::new(crate::SimpleOffloadScheduler::new()),
+            Box::new(crate::SymmetricPipelineScheduler::new()),
+            Box::new(crate::PipoScheduler::new()),
+        ];
+        for scheduler in full_offload {
+            let mut testbed = Testbed::g4dn_4xlarge();
+            testbed.cpu_cache_fraction = 0.01;
+            let cost = CostModel::new(ModelDesc::llama2_7b(), testbed, 1);
+            let mut e = Engine::new(cost, EngineConfig::default(), scheduler);
+            let name = e.scheduler_name();
+            assert_eq!(e.kv().pool(Device::Gpu).capacity_tokens(), 3_120);
+            assert_eq!(e.kv().pool(Device::Cpu).capacity_tokens(), 1_296);
+            assert_eq!(e.max_context_capacity(), 1_296, "{name}");
+            let err = e.submit(Request::new(0, 0.0, 1_796, 67)).unwrap_err();
+            assert_eq!(
+                err,
+                neo_core::AdmitError::NeverAdmissible {
+                    required_tokens: 1_863,
+                    capacity_tokens: 1_296
+                },
+                "{name}"
+            );
+            e.submit(Request::new(1, 0.0, 1_200, 96)).unwrap();
+            assert!(e.run_to_completion(100_000) < 100_000, "{name}: an exact fit finishes");
+            assert_eq!(e.completed(), 1, "{name}");
         }
     }
 

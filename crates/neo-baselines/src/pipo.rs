@@ -20,8 +20,9 @@
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
 use neo_core::ExecutionMode;
+use neo_kvcache::Device;
 
-use crate::common::{admit_prefills_to_cpu, collect_full_offload_decodes};
+use crate::common::{admit_prefills_to_cpu, collect_full_offload_decodes, HOST_KV};
 
 /// The PIPO scheduler: all KV host-resident, decode attention on the GPU over a
 /// double-buffered layer-by-layer KV stream.
@@ -61,6 +62,10 @@ impl SchedulerPolicy for PipoScheduler {
     /// GPU never holds cached state between iterations.
     fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         admit_prefills_to_cpu(ctx, plan);
+    }
+
+    fn kv_pools(&self) -> &'static [Device] {
+        HOST_KV
     }
 }
 

@@ -12,8 +12,9 @@
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
 use neo_core::ExecutionMode;
+use neo_kvcache::Device;
 
-use crate::common::{admit_prefills_to_cpu, collect_full_offload_decodes};
+use crate::common::{admit_prefills_to_cpu, collect_full_offload_decodes, HOST_KV};
 
 /// Strawman #1: full offload, no GPU/CPU overlap.
 #[derive(Debug, Clone, Default)]
@@ -42,6 +43,10 @@ impl SchedulerPolicy for SimpleOffloadScheduler {
 
     fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         admit_prefills_to_cpu(ctx, plan);
+    }
+
+    fn kv_pools(&self) -> &'static [Device] {
+        HOST_KV
     }
 }
 
@@ -77,6 +82,10 @@ impl SchedulerPolicy for SymmetricPipelineScheduler {
 
     fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         admit_prefills_to_cpu(ctx, plan);
+    }
+
+    fn kv_pools(&self) -> &'static [Device] {
+        HOST_KV
     }
 }
 

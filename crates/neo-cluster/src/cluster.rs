@@ -43,14 +43,14 @@
 //! clock past it. Requests delivered to an engine whose clock has run ahead are
 //! admitted at the engine's current time — exactly the behaviour of a real engine that
 //! was mid-iteration when the request landed. Cluster-level TTFT is therefore measured
-//! from the *frontend* arrival, by folding the token timeline each server keeps,
-//! never from the server-local admission time.
+//! from the *frontend* arrival, by folding the token streams each server keeps, never
+//! from the server-local admission time.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
 
 use neo_core::Engine;
-use neo_serve::metrics::{stream_latency, LatencySummary};
+use neo_serve::metrics::{LatencyFold, LatencySummary};
 use neo_serve::{DropReason, RequestHandle, RequestStatus, Server};
 use neo_sim::event::SerialLine;
 use neo_workload::{SloPolicy, Trace, TraceRequest};
@@ -781,19 +781,27 @@ impl Cluster {
     }
 
     fn report(&self) -> ClusterReport {
-        // The final attempt of each completed request, in frontend-id order; the
-        // partial output of dropped requests and of abandoned attempts never counts.
-        let mut timelines: Vec<(f64, &[f64])> = Vec::new();
+        // The final attempt of each completed request, with its frontend arrival, per
+        // engine; the partial output of dropped requests and of abandoned attempts
+        // never counts. A completed attempt streamed exactly its output.
+        let mut finals: Vec<Vec<(f64, RequestHandle)>> = vec![Vec::new(); self.slots.len()];
+        let (mut completed, mut streamed) = (0, 0);
         for (id, request) in self.requests.iter().enumerate() {
             if let Site::OnServer(e, handle) = self.site[id] {
                 if self.completed(id as u64) {
-                    timelines.push((request.arrival, self.slots[e].server.token_times(handle)));
+                    finals[e].push((request.arrival, handle));
+                    completed += 1;
+                    streamed += request.output_len as u64;
                 }
             }
         }
-        let streamed = timelines.iter().map(|(_, times)| times.len() as u64).sum();
-        let completed = timelines.len();
-        let (ttft, itl) = stream_latency(timelines);
+        // The summaries sort their samples, so folding one engine at a time gives the
+        // bits of any other order.
+        let mut fold = LatencyFold::default();
+        for (slot, streams) in self.slots.iter().zip(finals) {
+            slot.server.fold_latency(&mut fold, streams);
+        }
+        let (ttft, itl) = fold.summaries();
         let engines: Vec<EngineSummary> = self
             .slots
             .iter()

@@ -246,17 +246,18 @@ impl Engine {
 
     /// The largest total context (prompt + output tokens) a single request can ever
     /// hold on this engine. A sequence's KV lives wholly on one device (swaps move
-    /// whole sequences), so the binding limit is the *larger* of the pools the policy
-    /// uses, not their sum — the GPU pool alone for a policy that keeps no KV in the
-    /// host cache ([`Scheduler::uses_host_kv`]) — counted in whole blocks: a request
-    /// above this can never finish and is refused at [`Engine::submit`].
+    /// whole sequences), so the binding limit is the *largest* of the pools the policy
+    /// keeps KV in ([`Scheduler::kv_pools`]), not their sum — the GPU pool alone for a
+    /// GPU-only policy, the host cache alone for a full-offload one — counted in whole
+    /// blocks: a request above this can never finish and is refused at
+    /// [`Engine::submit`].
     pub fn max_context_capacity(&self) -> usize {
-        let gpu = self.kv.pool(Device::Gpu).capacity_tokens();
-        if self.scheduler.uses_host_kv() {
-            gpu.max(self.kv.pool(Device::Cpu).capacity_tokens())
-        } else {
-            gpu
-        }
+        self.scheduler
+            .kv_pools()
+            .iter()
+            .map(|&pool| self.kv.pool(pool).capacity_tokens())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Fail-stops the engine: every live request is evicted (its KV is lost, exactly
@@ -1250,8 +1251,8 @@ mod tests {
             });
         }
 
-        fn uses_host_kv(&self) -> bool {
-            false
+        fn kv_pools(&self) -> &'static [Device] {
+            &[Device::Gpu]
         }
     }
 

@@ -318,10 +318,10 @@ pub trait SchedulerPolicy: Send {
         plan.into_decision()
     }
 
-    /// Whether the policy ever places KV in the host cache (see
-    /// [`Scheduler::uses_host_kv`]). Default: yes.
-    fn uses_host_kv(&self) -> bool {
-        true
+    /// The pools the policy keeps KV in (see [`Scheduler::kv_pools`]). Default: the
+    /// GPU pool and the host cache.
+    fn kv_pools(&self) -> &'static [Device] {
+        &[Device::Gpu, Device::Cpu]
     }
 }
 
@@ -338,8 +338,8 @@ impl<P: SchedulerPolicy> Scheduler for P {
         self.policy_name()
     }
 
-    fn uses_host_kv(&self) -> bool {
-        SchedulerPolicy::uses_host_kv(self)
+    fn kv_pools(&self) -> &'static [Device] {
+        SchedulerPolicy::kv_pools(self)
     }
 }
 

@@ -100,11 +100,12 @@ pub trait Scheduler: Send {
     /// Human-readable policy name (used in reports and figures).
     fn name(&self) -> &'static str;
 
-    /// Whether the policy ever places KV in the host (CPU) cache. A policy that does
-    /// not can hold a context only as large as the GPU pool, and the engine refuses
-    /// larger ones at submit (see [`crate::Engine::max_context_capacity`]).
-    fn uses_host_kv(&self) -> bool {
-        true
+    /// The pools the policy keeps KV in. A sequence's KV lives wholly on one pool, so
+    /// the largest of them bounds the context a request can hold, and the engine
+    /// refuses larger ones at submit (see [`crate::Engine::max_context_capacity`]).
+    /// Default: the GPU pool and the host (CPU) cache.
+    fn kv_pools(&self) -> &'static [Device] {
+        &[Device::Gpu, Device::Cpu]
     }
 }
 

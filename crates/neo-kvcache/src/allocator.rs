@@ -1,9 +1,11 @@
 //! Reference-counted free-list block allocator.
 //!
 //! Both the GPU-cache and the CPU-cache hand out fixed-size blocks of `block_size` tokens.
-//! The allocator keeps a LIFO free list (so recently freed — likely cache-warm — blocks are
-//! reused first) and a per-block reference count, which supports future prefix-sharing use
-//! cases and catches double frees.
+//! The allocator keeps a LIFO list of released blocks (so recently freed — likely
+//! cache-warm — blocks are reused first) and a per-block reference count, which supports
+//! prefix sharing and catches double frees. Blocks never handed out yet need no list
+//! entry: they sit above a watermark and are taken in ascending order once no released
+//! block is left, so a pool costs memory for the blocks it uses, not for its size.
 
 use crate::error::KvCacheError;
 use crate::pool::Device;
@@ -13,18 +15,16 @@ use crate::pool::Device;
 pub struct BlockAllocator {
     device: Device,
     ref_counts: Vec<u32>,
-    free_list: Vec<usize>,
+    /// Released blocks, reused last-in first-out.
+    released: Vec<usize>,
+    /// Blocks `fresh..` have never been handed out.
+    fresh: usize,
 }
 
 impl BlockAllocator {
     /// Creates an allocator managing `num_blocks` blocks for `device`.
     pub fn new(device: Device, num_blocks: usize) -> Self {
-        Self {
-            device,
-            ref_counts: vec![0; num_blocks],
-            // Reverse order so block 0 is handed out first (LIFO pop from the back).
-            free_list: (0..num_blocks).rev().collect(),
-        }
+        Self { device, ref_counts: vec![0; num_blocks], released: Vec::new(), fresh: 0 }
     }
 
     /// Total number of blocks managed.
@@ -34,7 +34,7 @@ impl BlockAllocator {
 
     /// Number of currently free blocks.
     pub fn num_free(&self) -> usize {
-        self.free_list.len()
+        self.released.len() + (self.num_blocks() - self.fresh)
     }
 
     /// Number of currently allocated blocks.
@@ -47,23 +47,29 @@ impl BlockAllocator {
         self.device
     }
 
-    /// Allocates one block.
+    /// Allocates one block: the most recently released one, or else the lowest block
+    /// never handed out.
     ///
     /// # Errors
     ///
     /// Returns [`KvCacheError::OutOfMemory`] when no block is free.
     pub fn allocate(&mut self) -> Result<usize, KvCacheError> {
-        match self.free_list.pop() {
-            Some(b) => {
-                self.ref_counts[b] = 1;
-                Ok(b)
+        let block = match self.released.pop() {
+            Some(b) => b,
+            None if self.fresh < self.num_blocks() => {
+                self.fresh += 1;
+                self.fresh - 1
             }
-            None => Err(KvCacheError::OutOfMemory {
-                device: self.device,
-                requested_blocks: 1,
-                available_blocks: 0,
-            }),
-        }
+            None => {
+                return Err(KvCacheError::OutOfMemory {
+                    device: self.device,
+                    requested_blocks: 1,
+                    available_blocks: 0,
+                })
+            }
+        };
+        self.ref_counts[block] = 1;
+        Ok(block)
     }
 
     /// Allocates `n` blocks atomically: either all succeed or none are taken.
@@ -101,8 +107,8 @@ impl BlockAllocator {
         Ok(())
     }
 
-    /// Releases one reference to `block`, returning it to the free list when the count
-    /// reaches zero. Returns `true` if the block became free.
+    /// Releases one reference to `block`, returning it to the released list when the
+    /// count reaches zero. Returns `true` if the block became free.
     ///
     /// # Errors
     ///
@@ -114,7 +120,7 @@ impl BlockAllocator {
         }
         self.ref_counts[block] -= 1;
         if self.ref_counts[block] == 0 {
-            self.free_list.push(block);
+            self.released.push(block);
             Ok(true)
         } else {
             Ok(false)

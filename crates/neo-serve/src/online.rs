@@ -3,7 +3,7 @@
 //! [`run_online`] replays a [`Trace`] through the event-driven [`Server`] loop: each
 //! trace entry becomes an arrival event, and the loop admits, schedules, and streams
 //! tokens exactly as it would for live clients. Every latency metric folds from the
-//! server's token timelines.
+//! server's token streams.
 
 use neo_core::Engine;
 use neo_workload::{SessionTrace, Trace};

@@ -10,11 +10,12 @@
 //!
 //! * **arrival events** — a submitted request becomes visible at its arrival time and
 //!   enters the admission backlog;
-//! * **step-complete** — after every [`neo_core::Engine::step`] the server visits the
-//!   requests the engine reports as that step's emitters ([`neo_core::Engine::emitted`]),
-//!   appends each new token to the request's timeline, and fires one [`TokenEvent`] per
-//!   token. The timeline is the one record of when a request's tokens came: its last
-//!   entry is the request's finish time, and every latency metric folds from it;
+//! * **step-complete** — after every [`neo_core::Engine::step`] that emitted tokens the
+//!   server records the step's end time once, visits the requests the engine reports as
+//!   its emitters ([`neo_core::Engine::emitted`]), extends each one's token stream — runs
+//!   of consecutive indices into those end times — and fires one [`TokenEvent`] per
+//!   token. The streams are the one record of when a request's tokens came: a stream's
+//!   last token is the request's finish time, and every latency metric folds from them;
 //! * **cancel events** — a scheduled cancellation evicts the request wherever it is
 //!   (backlog, waitqueue, or mid-decode).
 //!
@@ -32,7 +33,7 @@ use neo_core::{AdmitError, Engine, IterationReport};
 use neo_kvcache::TokenRun;
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::{stream_latency, LatencySummary};
+use crate::metrics::{LatencyFold, LatencySummary, Stream};
 
 /// One streamed output token, delivered to the submitting client's callback.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -221,8 +222,9 @@ struct Session {
     runs: Vec<TokenRun>,
     state: SessionState,
     callback: Option<TokenCallback>,
-    /// Emission time of each streamed token: the one record of the request's stream.
-    token_times: Vec<f64>,
+    /// The streamed tokens, as runs over [`Server::emit_ends`]: the one record of the
+    /// request's stream.
+    stream: Stream,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,6 +242,9 @@ pub struct Server {
     engine: Engine,
     events: BinaryHeap<TimedEvent>,
     sessions: Vec<Session>,
+    /// End time of every iteration that emitted a token, in order: the times the
+    /// sessions' streams index into.
+    emit_ends: Vec<f64>,
     /// Arrived-but-not-admitted request ids, FIFO.
     backlog: VecDeque<u64>,
     next_seq: u64,
@@ -286,6 +291,7 @@ impl Server {
             engine,
             events: BinaryHeap::new(),
             sessions: Vec::new(),
+            emit_ends: Vec::new(),
             backlog: VecDeque::new(),
             next_seq: 0,
             max_iterations: u64::MAX,
@@ -522,7 +528,7 @@ impl Server {
             runs,
             state: SessionState::Scheduled,
             callback,
-            token_times: Vec::new(),
+            stream: Stream::default(),
         });
         self.unstarted_prompt_tokens += prompt_len;
         self.push_event(arrival, EventKind::Arrival(id));
@@ -597,19 +603,15 @@ impl Server {
         match session.state {
             SessionState::Scheduled => RequestStatus::Scheduled,
             SessionState::Backlogged => RequestStatus::Backlogged,
-            SessionState::Running => {
-                RequestStatus::Running { generated: session.token_times.len() }
-            }
-            // A finished request streamed its whole output, so its timeline is never
+            SessionState::Running => RequestStatus::Running { generated: session.stream.len() },
+            // A finished request streamed its whole output, so its stream is never
             // empty.
             SessionState::Finished => RequestStatus::Finished {
-                finish_time: session.token_times.last().copied().unwrap_or(session.arrival),
+                finish_time: session.stream.last().map_or(session.arrival, |i| self.emit_ends[i]),
             },
-            SessionState::Cancelled => {
-                RequestStatus::Cancelled { generated: session.token_times.len() }
-            }
+            SessionState::Cancelled => RequestStatus::Cancelled { generated: session.stream.len() },
             SessionState::Dropped { reason } => {
-                RequestStatus::Dropped { reason, generated: session.token_times.len() }
+                RequestStatus::Dropped { reason, generated: session.stream.len() }
             }
         }
     }
@@ -659,7 +661,7 @@ impl Server {
             }
         }
         let session = &mut self.sessions[id as usize];
-        if session.token_times.is_empty() {
+        if session.stream.is_empty() {
             self.unstarted_prompt_tokens -= session.prompt_len;
         }
         session.state = state;
@@ -687,21 +689,29 @@ impl Server {
     }
 
     /// Streams the tokens of the last iteration's emitters, in id (= submission)
-    /// order: appends each to its request's timeline and fires its callback.
+    /// order: records the iteration's end time once, extends each emitter's stream
+    /// with its tokens there, and fires its callback per token.
     fn dispatch_tokens(&mut self) {
+        let emitters = self.engine.emitted();
+        if emitters.is_empty() {
+            return;
+        }
         let now = self.engine.now();
-        for &id in self.engine.emitted() {
+        let at = self.emit_ends.len();
+        self.emit_ends.push(now);
+        for &id in emitters {
             let session = &mut self.sessions[id as usize];
             // An emitter the engine no longer holds retired in this step.
             let (generated, finished) = match self.engine.request(id) {
                 Some(request) => (request.generated, false),
                 None => (session.output_len, true),
             };
-            if session.token_times.is_empty() {
+            let streamed = session.stream.len();
+            if streamed == 0 {
                 self.unstarted_prompt_tokens -= session.prompt_len;
             }
-            for index in session.token_times.len()..generated {
-                session.token_times.push(now);
+            session.stream.record(at, generated - streamed);
+            for index in streamed..generated {
                 self.streamed_tokens += 1;
                 let event = TokenEvent {
                     request_id: id,
@@ -787,13 +797,33 @@ impl Server {
         self.report()
     }
 
-    /// Emission time of each token `handle` has streamed so far, in order.
+    /// Emission time of each token `handle` has streamed so far, in order, rebuilt
+    /// from the request's stream.
     ///
     /// # Panics
     ///
     /// Panics if the handle does not belong to this server.
-    pub fn token_times(&self, handle: RequestHandle) -> &[f64] {
-        &self.sessions[handle.id as usize].token_times
+    pub fn token_times(&self, handle: RequestHandle) -> Vec<f64> {
+        self.sessions[handle.id as usize].stream.indices().map(|i| self.emit_ends[i]).collect()
+    }
+
+    /// Folds the token streams of `streams` — each a request of this server with the
+    /// arrival its time to first token counts from — into `fold`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a handle does not belong to this server.
+    pub fn fold_latency(
+        &self,
+        fold: &mut LatencyFold,
+        streams: impl IntoIterator<Item = (f64, RequestHandle)>,
+    ) {
+        fold.add(
+            &self.emit_ends,
+            streams
+                .into_iter()
+                .map(|(arrival, handle)| (arrival, &self.sessions[handle.id as usize].stream)),
+        );
     }
 
     /// `(arrival, finish time, output length)` of every finished request, in
@@ -803,7 +833,7 @@ impl Server {
             .sessions
             .iter()
             .filter(|s| s.state == SessionState::Finished)
-            .filter_map(|s| Some((s.arrival, *s.token_times.last()?, s.output_len)))
+            .filter_map(|s| Some((s.arrival, self.emit_ends[s.stream.last()?], s.output_len)))
             .collect();
         // Stable: same-instant completions stay in id order.
         done.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -830,10 +860,12 @@ impl Server {
         }
     }
 
-    /// Summarises the loop so far (normally read after [`Server::run_until_idle`]).
+    /// Summarises the loop so far (normally read after [`Server::run_until_idle`]). The
+    /// latency summaries fold every session's stream, partial ones included.
     pub fn report(&self) -> ServerReport {
-        let (ttft, itl) =
-            stream_latency(self.sessions.iter().map(|s| (s.arrival, &s.token_times[..])));
+        let mut fold = LatencyFold::default();
+        fold.add(&self.emit_ends, self.sessions.iter().map(|s| (s.arrival, &s.stream)));
+        let (ttft, itl) = fold.summaries();
         let ServerCounts { completed, cancelled, dropped, streamed_tokens, offload_fraction } =
             self.counts();
         ServerReport {
@@ -924,12 +956,32 @@ mod tests {
     }
 
     #[test]
+    fn retained_timeline_entries_are_pinned() {
+        // NEO on the T4 under a burst offloads attention to the CPU in most iterations,
+        // and a request left out of an iteration breaks its stream into another run.
+        let cost = CostModel::new(ModelDesc::llama2_7b(), Testbed::g4dn_4xlarge(), 1);
+        let engine = Engine::new(cost, EngineConfig::default(), Box::new(NeoScheduler::new()));
+        let mut server = Server::new(engine);
+        for i in 0..24 {
+            server.submit(i as f64 * 0.05, 600 + 40 * i, 120).unwrap();
+        }
+        let report = server.run_until_idle();
+        assert_eq!(report.completed, 24);
+        assert!(report.offload_fraction > 0.5);
+        assert_eq!(report.streamed_tokens, 2_880);
+        // One end time per emitting iteration and one run per stretch of consecutive
+        // emitting iterations: 900 entries where a per-token record keeps 2,880.
+        let runs: usize = server.sessions.iter().map(|s| s.stream.runs()).sum();
+        assert_eq!((server.emit_ends.len(), runs), (863, 37));
+    }
+
+    #[test]
     fn cancellation_mid_decode_frees_kv_and_stops_streaming() {
         let mut server = Server::new(engine());
         let long = server.submit(0.0, 400, 5_000).unwrap();
         let short = server.submit(0.0, 400, 30).unwrap();
         // Run until the long request has streamed a few tokens.
-        while server.sessions[long.id() as usize].token_times.len() < 3 {
+        while server.sessions[long.id() as usize].stream.len() < 3 {
             assert!(server.tick());
         }
         assert_eq!(server.engine().kv().num_sequences(), 2);
@@ -948,7 +1000,7 @@ mod tests {
         assert_eq!(report.completed, 1);
         assert_eq!(report.cancelled, 1);
         assert_eq!(
-            server.sessions[long.id() as usize].token_times.len(),
+            server.sessions[long.id() as usize].stream.len(),
             streamed_at_cancel,
             "no tokens stream after cancellation"
         );
@@ -1020,8 +1072,8 @@ mod tests {
         let early = server.submit(0.5, 100, 4).unwrap();
         let report = server.run_until_idle();
         assert_eq!(report.completed, 2);
-        let first_late = server.sessions[late.id() as usize].token_times[0];
-        let first_early = server.sessions[early.id() as usize].token_times[0];
+        let first_late = server.token_times(late)[0];
+        let first_early = server.token_times(early)[0];
         assert!(first_early < first_late, "the earlier arrival streams first");
         assert!(report.makespan >= 2.0);
         let RequestStatus::Finished { finish_time } = server.status(late) else {
@@ -1191,7 +1243,7 @@ mod tests {
         let mut server = Server::new(engine());
         let victim = server.submit(0.0, 400, 5_000).unwrap();
         let survivor = server.submit(0.0, 400, 30).unwrap();
-        while server.sessions[victim.id() as usize].token_times.len() < 3 {
+        while server.sessions[victim.id() as usize].stream.len() < 3 {
             assert!(server.tick());
         }
         assert_eq!(server.engine().kv().num_sequences(), 2);

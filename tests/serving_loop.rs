@@ -26,13 +26,19 @@ fn streaming_callbacks_fire_once_per_token_in_arrival_order() {
     for (scenario, policy, recomputes) in cases {
         let mut server = Server::new(scenario.engine(policy)).with_max_iterations(20_000_000);
         let log: Rc<RefCell<Vec<TokenEvent>>> = Rc::new(RefCell::new(Vec::new()));
+        let mut handles = Vec::new();
         for event in trace.events() {
             let sink = Rc::clone(&log);
-            server
-                .submit_with_callback(event.time, event.prompt_len, event.output_len, move |t| {
-                    sink.borrow_mut().push(*t)
-                })
-                .unwrap();
+            handles.push(
+                server
+                    .submit_with_callback(
+                        event.time,
+                        event.prompt_len,
+                        event.output_len,
+                        move |t| sink.borrow_mut().push(*t),
+                    )
+                    .unwrap(),
+            );
         }
         let report = server.run_until_idle();
         assert_eq!(report.completed, trace.len());
@@ -60,6 +66,10 @@ fn streaming_callbacks_fire_once_per_token_in_arrival_order() {
             // A request emits at most one token per iteration, so a token streamed late
             // would share its time with the next one.
             assert!(mine.windows(2).all(|w| w[0].time < w[1].time), "{}", policy.label());
+            // The server's record of the stream, rebuilt from its runs, is what the
+            // callback saw — across the restarts of recomputed requests too.
+            let seen: Vec<f64> = mine.iter().map(|t| t.time).collect();
+            assert_eq!(server.token_times(handles[id]), seen, "{}", policy.label());
         }
     }
 }
