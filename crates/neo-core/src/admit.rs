@@ -29,13 +29,6 @@ pub enum AdmitError {
         /// Largest single-pool capacity of the refusing engine, in tokens.
         capacity_tokens: usize,
     },
-    /// The serving layer's admission backlog is at its configured limit.
-    BacklogFull {
-        /// Current backlog depth.
-        backlog: usize,
-        /// Configured limit.
-        limit: usize,
-    },
     /// The engine is fail-stopped (see [`crate::Engine::fail`]) and accepts nothing
     /// until recovery.
     EngineDown,
@@ -49,9 +42,6 @@ impl std::fmt::Display for AdmitError {
                 "request needs {required_tokens} KV tokens but the largest pool holds \
                  {capacity_tokens}: never admissible"
             ),
-            AdmitError::BacklogFull { backlog, limit } => {
-                write!(f, "admission backlog full ({backlog} of {limit})")
-            }
             AdmitError::EngineDown => write!(f, "engine is down"),
         }
     }
@@ -73,11 +63,6 @@ impl Serialize for AdmitError {
                     (String::from("capacity_tokens"), capacity_tokens.to_value()),
                 ])
             }
-            AdmitError::BacklogFull { backlog, limit } => Value::Object(vec![
-                kind("backlog_full"),
-                (String::from("backlog"), backlog.to_value()),
-                (String::from("limit"), limit.to_value()),
-            ]),
             AdmitError::EngineDown => Value::Object(vec![kind("engine_down")]),
         }
     }
@@ -96,10 +81,6 @@ impl Deserialize for AdmitError {
                 required_tokens: usize::from_value(field("required_tokens")?)?,
                 capacity_tokens: usize::from_value(field("capacity_tokens")?)?,
             }),
-            "backlog_full" => Ok(AdmitError::BacklogFull {
-                backlog: usize::from_value(field("backlog")?)?,
-                limit: usize::from_value(field("limit")?)?,
-            }),
             "engine_down" => Ok(AdmitError::EngineDown),
             other => Err(Error::custom(format!("unknown AdmitError kind {other:?}"))),
         }
@@ -115,8 +96,6 @@ mod tests {
         let e = AdmitError::NeverAdmissible { required_tokens: 9000, capacity_tokens: 3000 };
         assert!(e.to_string().contains("never admissible"));
         assert!(e.to_string().contains("9000"));
-        let e = AdmitError::BacklogFull { backlog: 5, limit: 5 };
-        assert!(e.to_string().contains("backlog full"));
         assert!(AdmitError::EngineDown.to_string().contains("down"));
     }
 
@@ -124,7 +103,6 @@ mod tests {
     fn round_trips_through_serde() {
         for e in [
             AdmitError::NeverAdmissible { required_tokens: 10, capacity_tokens: 3 },
-            AdmitError::BacklogFull { backlog: 1, limit: 1 },
             AdmitError::EngineDown,
         ] {
             let json = serde_json::to_string(&e).unwrap();

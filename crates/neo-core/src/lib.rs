@@ -23,11 +23,9 @@
 //! decisions to the paged KV cache and advances simulated time using the cost models
 //! from `neo-sim`.
 //!
-//! The engine charges every iteration through the paper's closed forms ([`pipeline`]).
-//! [`event_overlap`] re-derives the same times by event-ordered execution of the
-//! decision's job graph — GPU compute, CPU attention and the two PCIe link directions
-//! as serial resources on a `neo_sim::event::TaskGraph` — as the oracle the closed forms
-//! are checked against.
+//! The engine charges every iteration through the paper's closed forms ([`pipeline`]),
+//! the one pricing path in the library. The event-ordered oracle they are checked
+//! against lives beside its test, in `tests/event_oracle/`.
 //!
 //! # Example
 //!
@@ -54,7 +52,6 @@ pub mod admit;
 pub mod batch;
 pub mod config;
 pub mod engine;
-pub mod event_overlap;
 pub mod pipeline;
 pub mod policy;
 pub mod request;
@@ -64,7 +61,6 @@ pub use admit::AdmitError;
 pub use batch::{PrefillItem, ScheduleDecision, SubBatch};
 pub use config::EngineConfig;
 pub use engine::{Engine, IterationReport};
-pub use event_overlap::{estimate_decision_event, trace_decision_event};
 pub use pipeline::IterationEstimate;
 pub use policy::{IterationPlan, SchedulerPolicy};
 pub use request::Request;

@@ -20,8 +20,8 @@
 //! all-gather) are folded into the linear-stage and `pre_post_time` queries by the cost
 //! model itself.
 
-use neo_kvcache::SwapPlan;
 use neo_sim::profiler::IterationCost;
+use neo_sim::transfer::{deferred_exposed_time, layerwise_exposed_time};
 
 use crate::batch::{ScheduleDecision, SubBatch};
 use crate::ExecutionMode;
@@ -51,18 +51,6 @@ impl IterationEstimate {
             return 0.0;
         }
         self.batch_size as f64 / self.total_time
-    }
-
-    /// An estimate representing an idle scheduling quantum of `dt` seconds.
-    pub fn idle(dt: f64) -> Self {
-        Self {
-            total_time: dt,
-            batch_size: 0,
-            gpu_busy_per_layer: 0.0,
-            cpu_busy_per_layer: 0.0,
-            bubble_per_layer: 0.0,
-            exposed_swap_time: 0.0,
-        }
     }
 }
 
@@ -152,9 +140,9 @@ pub fn estimate_asymmetric(
         + cost.swap_out_time(whole_swap_out_tokens)
         + cost.swap_in_time(whole_swap_in_tokens);
     let exposed_swap = if layerwise_overlap {
-        SwapPlan::layerwise_exposed_time(cost.n_layers(), per_layer, per_layer_transfer)
+        layerwise_exposed_time(cost.n_layers(), per_layer, per_layer_transfer)
     } else {
-        SwapPlan::deferred_exposed_time(cost.n_layers(), per_layer_transfer)
+        deferred_exposed_time(cost.n_layers(), per_layer_transfer)
     };
 
     let total_tokens = decision.total_linear_tokens();
@@ -189,9 +177,9 @@ pub fn estimate_gpu_only(
         + cost.swap_out_time(whole_swap_out_tokens)
         + cost.swap_in_time(whole_swap_in_tokens);
     let exposed_swap = if layerwise_overlap {
-        SwapPlan::layerwise_exposed_time(cost.n_layers(), per_layer, per_layer_transfer)
+        layerwise_exposed_time(cost.n_layers(), per_layer, per_layer_transfer)
     } else {
-        SwapPlan::deferred_exposed_time(cost.n_layers(), per_layer_transfer)
+        deferred_exposed_time(cost.n_layers(), per_layer_transfer)
     };
 
     let batch_size = batch0.sequences();
@@ -447,7 +435,7 @@ mod tests {
             exposed_swap_time: 0.0,
         };
         assert!((est.throughput() - 200.0).abs() < 1e-9);
-        assert_eq!(IterationEstimate::idle(0.1).throughput(), 0.0);
+        assert_eq!(IterationEstimate { batch_size: 0, ..est }.throughput(), 0.0);
     }
 
     #[test]

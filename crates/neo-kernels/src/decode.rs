@@ -24,10 +24,6 @@ use rayon::prelude::*;
 use crate::softmax::OnlineSoftmax;
 use crate::AttentionConfig;
 
-/// Default number of KV blocks per partition (a partition is the unit of parallelism)
-/// when a caller wants a fixed, pool-independent partitioning.
-pub const DEFAULT_PARTITION_BLOCKS: usize = 4;
-
 /// Steal-units targeted per pool worker by [`auto_partition_blocks`]. More than one unit
 /// per worker lets the pool's atomic claim index rebalance unequal partition costs; the
 /// value matches the pool's own unit granularity (see the rayon shim).

@@ -18,8 +18,10 @@
 //!   requests sharing a prefix reuse cached KV copy-on-write instead of re-prefilling.
 //! * [`storage::PagedStorage`] — a real `f32` backing store for the functional attention
 //!   kernels in `neo-kernels` (the "PACPU" equivalent), addressed through block tables.
-//! * [`swap::SwapPlan`] — layer-wise swap scheduling used to overlap PCIe transfers with
-//!   compute.
+//!
+//! The crate accounts for *where* KV lives and how many bytes a swap moves; how long a
+//! swap takes, and how much of it hides behind compute, is priced in `neo_sim`
+//! (`costmodel` and the layer-wise overlap in `transfer`).
 //!
 //! # Example
 //!
@@ -46,7 +48,6 @@ pub mod manager;
 pub mod pool;
 pub mod prefix;
 pub mod storage;
-pub mod swap;
 
 pub use allocator::BlockAllocator;
 pub use blocktable::BlockTable;
@@ -55,7 +56,3 @@ pub use manager::{KvCacheConfig, KvCacheManager, PrefixAdoption, RankOccupancy};
 pub use pool::{Device, KvPool};
 pub use prefix::{expand, PrefixHit, PrefixIndex, Token, TokenRun};
 pub use storage::PagedStorage;
-pub use swap::SwapPlan;
-
-/// Default number of tokens per KV block (same granularity as vLLM / the paper's PACPU).
-pub const DEFAULT_BLOCK_SIZE: usize = 16;

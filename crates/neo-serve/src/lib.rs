@@ -12,7 +12,7 @@
 //! [`online::run_online`] and [`offline::run_offline`] drive a [`neo_core::Engine`]
 //! (with any scheduler) over a [`neo_workload::Trace`] and collect those metrics.
 //!
-//! Underneath the online driver sits the event-driven serving loop ([`server::Server`]):
+//! Underneath both drivers sits the event-driven serving loop ([`server::Server`]):
 //! requests are submitted individually (returning a [`RequestHandle`]), can be cancelled
 //! mid-decode (freeing their KV blocks immediately), and stream their tokens through
 //! per-request callbacks — the surface a real client or HTTP front-end builds on. It also

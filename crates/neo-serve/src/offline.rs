@@ -1,9 +1,13 @@
 //! Offline (batch) throughput: feed the whole trace at once and measure token throughput.
+//!
+//! [`run_offline`] submits every trace request at t = 0 to the event-driven [`Server`]
+//! loop and lets it drain: the same loop, admission and stall guard as an online run.
 
-use neo_core::request::Request;
 use neo_core::Engine;
 use neo_workload::Trace;
 use serde::{Deserialize, Serialize};
+
+use crate::server::{Server, ServerCounts};
 
 /// Result of one offline throughput run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -24,56 +28,39 @@ pub struct OfflineResult {
     pub asymmetric_fraction: f64,
 }
 
-/// Runs the engine over the trace with all requests submitted at time zero.
+/// Runs the engine over the trace with all requests submitted at time zero, whatever
+/// their arrival times in the trace.
 ///
 /// # Panics
 ///
-/// Panics if the trace is empty or the run exceeds `max_iterations` (scheduler livelock).
-pub fn run_offline(mut engine: Engine, trace: &Trace, max_iterations: u64) -> OfflineResult {
+/// Panics if the trace is empty, the engine is not fresh (see [`Server::new`]), a request
+/// can never be admitted, or `max_iterations` iterations in a row make no progress (a
+/// scheduler livelock; see [`Server::with_max_iterations`]).
+pub fn run_offline(engine: Engine, trace: &Trace, max_iterations: u64) -> OfflineResult {
     assert!(!trace.is_empty(), "cannot run an empty trace");
-    for (i, r) in trace.requests().iter().enumerate() {
+    let mut server = Server::new(engine).with_max_iterations(max_iterations);
+    for r in trace.requests() {
         // neo-lint: allow(panic-hygiene) -- driver entry point documented to panic (see `# Panics`); an inadmissible trace request is a configuration error
-        engine.submit(Request::new(i as u64, 0.0, r.prompt_len, r.output_len)).unwrap();
+        server.submit(0.0, r.prompt_len, r.output_len).unwrap();
     }
+    // Nothing here reads latency, so drain without `run_until_idle`'s report fold.
+    while server.tick() {}
+    let makespan = server.now().max(1e-9);
+    let ServerCounts { completed, offload_fraction, asymmetric_fraction, .. } = server.counts();
     let total = trace.len();
-
-    let mut iterations = 0u64;
-    let mut busy = 0u64;
-    let mut offloaded = 0u64;
-    let mut asymmetric = 0u64;
-    while !engine.is_idle() {
-        let report = engine.step();
-        if !report.idle {
-            busy += 1;
-            if report.cpu_offloaded > 0 {
-                offloaded += 1;
-            }
-            if report.mode == neo_core::ExecutionMode::Asymmetric {
-                asymmetric += 1;
-            }
-        }
-        iterations += 1;
-        assert!(
-            iterations < max_iterations,
-            "offline run exceeded {max_iterations} iterations with {} of {} requests done",
-            engine.completed(),
-            total
-        );
-    }
-    assert_eq!(engine.completed(), total, "all requests must finish");
+    assert_eq!(completed, total, "all requests must finish");
 
     // Every request finished, so the token totals are the trace's.
-    let makespan = engine.now().max(1e-9);
     let input_tokens: u64 = trace.requests().iter().map(|r| r.prompt_len as u64).sum();
     let output_tokens: u64 = trace.requests().iter().map(|r| r.output_len as u64).sum();
     OfflineResult {
-        completed: total,
+        completed,
         makespan,
         token_throughput: (input_tokens + output_tokens) as f64 / makespan,
         decode_throughput: output_tokens as f64 / makespan,
         request_throughput: total as f64 / makespan,
-        offload_fraction: offloaded as f64 / busy.max(1) as f64,
-        asymmetric_fraction: asymmetric as f64 / busy.max(1) as f64,
+        offload_fraction,
+        asymmetric_fraction,
     }
 }
 
@@ -83,6 +70,7 @@ mod tests {
     use neo_baselines::GpuOnlyScheduler;
     use neo_core::config::EngineConfig;
     use neo_core::scheduler::NeoScheduler;
+    use neo_core::ScheduleDecision;
     use neo_sim::{CostModel, ModelDesc, Testbed};
     use neo_workload::{synthetic, ArrivalProcess};
 
@@ -133,6 +121,8 @@ mod tests {
             gpu_only.token_throughput
         );
         assert!(neo.offload_fraction > 0.0);
+        assert!(neo.asymmetric_fraction > 0.0);
+        assert_eq!(gpu_only.asymmetric_fraction, 0.0);
     }
 
     #[test]
@@ -173,5 +163,44 @@ mod tests {
     #[should_panic(expected = "empty trace")]
     fn empty_trace_panics() {
         let _ = run_offline(a10g_engine(false), &Trace::default(), 100);
+    }
+
+    #[test]
+    fn a_budget_shorter_than_the_run_still_completes() {
+        // The budget bounds iterations in a row without progress, not the run's length,
+        // and the run is the server's: same makespan as draining a `Server` by hand.
+        let trace = synthetic(60, 200, 50, ArrivalProcess::AllAtOnce, 3);
+        let mut server = Server::new(a10g_engine(true));
+        for r in trace.requests() {
+            server.submit(0.0, r.prompt_len, r.output_len).unwrap();
+        }
+        let iterations = server.run_until_idle().iterations;
+        let budget = 5;
+        assert!(iterations > 10 * budget, "a healthy run takes {iterations} iterations");
+        let r = run_offline(a10g_engine(true), &trace, budget);
+        assert_eq!(r.completed, 60);
+        assert_eq!(r.makespan, server.now());
+        assert_eq!(r, run_offline(a10g_engine(true), &trace, u64::MAX));
+    }
+
+    /// A livelocked policy: it stays idle whatever waits.
+    struct IdlePolicy;
+
+    impl neo_core::Scheduler for IdlePolicy {
+        fn schedule(&mut self, _ctx: &neo_core::ScheduleContext<'_>) -> ScheduleDecision {
+            ScheduleDecision::idle()
+        }
+
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeded 50 iterations without progress with 0 of 4 requests")]
+    fn a_run_without_progress_panics_through_the_stall_guard() {
+        let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
+        let engine = Engine::new(cost, EngineConfig::default(), Box::new(IdlePolicy));
+        let _ = run_offline(engine, &synthetic(4, 200, 50, ArrivalProcess::AllAtOnce, 3), 50);
     }
 }

@@ -1,9 +1,9 @@
 //! Online serving: Poisson arrivals driven through the engine in simulated time.
 //!
 //! [`run_online`] replays a [`Trace`] through the event-driven [`Server`] loop: each
-//! trace entry becomes an arrival event, and the loop admits, schedules, and streams
-//! tokens exactly as it would for live clients. Every latency metric folds from the
-//! server's token streams.
+//! trace request is submitted at its arrival time, and the loop admits, schedules, and
+//! streams tokens exactly as it would for live clients. Every latency metric folds from
+//! the server's token streams.
 
 use neo_core::Engine;
 use neo_workload::{SessionTrace, Trace};
@@ -55,9 +55,8 @@ impl OnlineResult {
 /// metrics. `request_rate` is recorded in the result for labelling; the arrival times in
 /// the trace are authoritative.
 ///
-/// Implemented on the event-driven [`Server`] loop: the trace is fed as a stream of
-/// arrival events (see [`Trace::events`]), so this replay takes the exact code path a
-/// live client would.
+/// Implemented on the event-driven [`Server`] loop: each trace request is submitted at
+/// its arrival time, so this replay takes the exact code path a live client would.
 ///
 /// # Panics
 ///
@@ -72,9 +71,9 @@ pub fn run_online(
     assert!(!trace.is_empty(), "cannot serve an empty trace");
     let total = trace.len();
     let mut server = Server::new(engine).with_max_iterations(max_iterations);
-    for event in trace.events() {
+    for r in trace.requests() {
         // neo-lint: allow(panic-hygiene) -- driver entry point documented to panic (see `# Panics`); an inadmissible trace request is a configuration error
-        server.submit(event.time, event.prompt_len, event.output_len).unwrap();
+        server.submit(r.arrival, r.prompt_len, r.output_len).unwrap();
     }
     drain_and_summarise(&mut server, total, request_rate)
 }

@@ -23,13 +23,14 @@
 //! prefill waitqueue ([`neo_core::Engine::can_admit`] is `false`), arrivals wait in the
 //! server's FIFO backlog and are admitted as the queue drains.
 //!
-//! [`crate::run_online`] is a thin wrapper over this loop; real clients (or a future HTTP
-//! front-end) use [`Server::submit`] / [`Server::cancel`] directly.
+//! [`crate::run_online`] and [`crate::run_offline`] are thin wrappers over this loop; real
+//! clients (or a future HTTP front-end) use [`Server::submit`] / [`Server::cancel`]
+//! directly.
 
 use std::collections::{BinaryHeap, VecDeque};
 
 use neo_core::request::Request;
-use neo_core::{AdmitError, Engine, IterationReport};
+use neo_core::{AdmitError, Engine, ExecutionMode, IterationReport};
 use neo_kvcache::TokenRun;
 use serde::{Deserialize, Serialize};
 
@@ -159,8 +160,8 @@ pub struct ServerReport {
     pub max_backlog: usize,
 }
 
-/// The terminal counts and streaming totals of a server so far: the part of a
-/// [`ServerReport`] that needs no latency fold, for callers that read nothing else.
+/// The terminal counts, streaming totals and iteration-mode fractions of a server so
+/// far: what callers read who need no latency fold of a [`ServerReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerCounts {
     /// Requests that produced their full output.
@@ -173,6 +174,8 @@ pub struct ServerCounts {
     pub streamed_tokens: u64,
     /// Fraction of busy iterations that offloaded attention to the CPU.
     pub offload_fraction: f64,
+    /// Fraction of busy iterations that ran in asymmetric (two-sub-batch) mode.
+    pub asymmetric_fraction: f64,
 }
 
 /// Internal event kinds, ordered by time on the event queue.
@@ -254,12 +257,11 @@ pub struct Server {
     iterations: u64,
     busy_iterations: u64,
     offload_iterations: u64,
+    asymmetric_iterations: u64,
     streamed_tokens: u64,
     /// Prompt tokens of held requests that have not streamed a token yet.
     unstarted_prompt_tokens: usize,
     max_backlog: usize,
-    /// Admission backlog limit; `None` means backpressure only, never `BacklogFull`.
-    max_backlog_limit: Option<usize>,
     last_report: Option<IterationReport>,
 }
 
@@ -299,10 +301,10 @@ impl Server {
             iterations: 0,
             busy_iterations: 0,
             offload_iterations: 0,
+            asymmetric_iterations: 0,
             streamed_tokens: 0,
             unstarted_prompt_tokens: 0,
             max_backlog: 0,
-            max_backlog_limit: None,
             last_report: None,
         }
     }
@@ -311,14 +313,6 @@ impl Server {
     /// emitted no token while no request ended. A healthy run of any length passes.
     pub fn with_max_iterations(mut self, max_iterations: u64) -> Self {
         self.max_iterations = max_iterations;
-        self
-    }
-
-    /// Caps the admission backlog: once `limit` requests are queued server-side,
-    /// further submissions fail with [`AdmitError::BacklogFull`] instead of queueing.
-    /// The default (no limit) applies backpressure only and never rejects.
-    pub fn with_max_backlog(mut self, limit: usize) -> Self {
-        self.max_backlog_limit = Some(limit);
         self
     }
 
@@ -439,8 +433,6 @@ impl Server {
     /// * [`AdmitError::EngineDown`] — the engine is fail-stopped (see [`Server::fail`]).
     /// * [`AdmitError::NeverAdmissible`] — the full context (prompt + output) exceeds
     ///   the engine's largest KV pool; admitting it would wedge the waitqueue forever.
-    /// * [`AdmitError::BacklogFull`] — the backlog limit set by
-    ///   [`Server::with_max_backlog`] is reached.
     ///
     /// # Panics
     ///
@@ -513,11 +505,6 @@ impl Server {
                 required_tokens: required,
                 capacity_tokens: capacity,
             });
-        }
-        if let Some(limit) = self.max_backlog_limit {
-            if self.backlog.len() >= limit {
-                return Err(AdmitError::BacklogFull { backlog: self.backlog.len(), limit });
-            }
         }
         let arrival = arrival.max(self.engine.now());
         let id = self.sessions.len() as u64;
@@ -785,6 +772,9 @@ impl Server {
             if report.cpu_offloaded > 0 {
                 self.offload_iterations += 1;
             }
+            if report.mode == ExecutionMode::Asymmetric {
+                self.asymmetric_iterations += 1;
+            }
         }
         self.last_report = Some(report);
         self.dispatch_tokens();
@@ -857,6 +847,8 @@ impl Server {
             dropped,
             streamed_tokens: self.streamed_tokens,
             offload_fraction: self.offload_iterations as f64 / self.busy_iterations.max(1) as f64,
+            asymmetric_fraction: self.asymmetric_iterations as f64
+                / self.busy_iterations.max(1) as f64,
         }
     }
 
@@ -866,8 +858,9 @@ impl Server {
         let mut fold = LatencyFold::default();
         fold.add(&self.emit_ends, self.sessions.iter().map(|s| (s.arrival, &s.stream)));
         let (ttft, itl) = fold.summaries();
-        let ServerCounts { completed, cancelled, dropped, streamed_tokens, offload_fraction } =
-            self.counts();
+        let ServerCounts {
+            completed, cancelled, dropped, streamed_tokens, offload_fraction, ..
+        } = self.counts();
         ServerReport {
             completed,
             cancelled,
@@ -1179,24 +1172,6 @@ mod tests {
         assert!(matches!(err, AdmitError::NeverAdmissible { .. }));
         assert!(!server.tick(), "a rejected request leaves no work behind");
         assert_eq!(server.report().dropped, 0, "rejected is not dropped: it never entered");
-    }
-
-    #[test]
-    fn backlog_limit_rejects_once_full() {
-        // A tight engine waitqueue forces arrivals to pool in the server backlog; with a
-        // backlog limit configured, submissions past it are rejected, not queued.
-        let config = EngineConfig { max_waiting_requests: 2, ..EngineConfig::default() };
-        let mut server = Server::new(engine_with(config)).with_max_backlog(10);
-        for _ in 0..20 {
-            server.submit(0.0, 600, 12).unwrap();
-        }
-        assert!(server.tick(), "arrivals land; 2 admitted, 18 pool in the backlog");
-        assert!(server.backlog_len() >= 10);
-        let err = server.submit(server.now(), 600, 12).unwrap_err();
-        assert!(matches!(err, AdmitError::BacklogFull { limit: 10, .. }));
-        let report = server.run_until_idle();
-        assert_eq!(report.completed, 20, "accepted requests still all finish");
-        assert_eq!(report.cancelled, 0);
     }
 
     #[test]

@@ -19,14 +19,12 @@
 //!   respect the tightest rank.
 //! * [`profiler`] — the offline-profiling + piecewise-linear-interpolation layer the paper's
 //!   load-aware scheduler uses instead of an exact analytical model (§3.2).
-//! * [`transfer`] — double-buffered transfer/compute overlap terms used by the
-//!   pipelined-offloading baselines (PIPO-style KV streaming) to reason about how much
-//!   PCIe traffic hides behind per-layer compute.
+//! * [`transfer`] — the closed-form transfer/compute overlap terms: §3.1's layer-wise
+//!   swap-out pipeline, which NEO's iteration estimate charges, and the double-buffered
+//!   stream of the pipelined-offloading baselines (PIPO-style KV streaming).
 //! * [`clock`] — the simulation clock used by the serving harness.
-//! * [`event`] — serial resources in simulated time: the [`event::SerialLine`] FIFO link
-//!   the cluster prices frontend→engine hops with, and the [`event::TaskGraph`] runner
-//!   that executes job DAGs (layer compute, per-direction PCIe chunks) on serial
-//!   resources so overlap falls out of event ordering instead of closed forms.
+//! * [`event`] — the [`event::SerialLine`] FIFO link the cluster prices frontend→engine
+//!   hops with.
 //!
 //! # Example: per-operator costs
 //!
@@ -50,14 +48,13 @@
 //! transfer exceeds the per-stage compute, at which point the pipeline is transfer-bound:
 //!
 //! ```
-//! use neo_sim::transfer::{double_buffered_time, transfer_bound};
+//! use neo_sim::transfer::double_buffered_time;
 //!
 //! let layers = 32;
 //! let compute = 1e-3; // seconds per layer
 //! // A hidden transfer costs only the pipeline fill...
 //! assert!(double_buffered_time(layers, compute, 0.5e-3) < layers as f64 * compute * 1.1);
 //! // ...while a transfer-bound pipeline runs at the DMA engine's pace.
-//! assert!(transfer_bound(compute, 2e-3));
 //! assert!(double_buffered_time(layers, compute, 2e-3) > layers as f64 * 2e-3);
 //! ```
 //!
@@ -76,7 +73,7 @@ pub mod transfer;
 
 pub use clock::SimClock;
 pub use costmodel::{CostModel, RankBudget};
-pub use event::{EventRecord, SerialLine, TaskGraph, TaskGraphRun};
+pub use event::SerialLine;
 pub use hardware::{CpuSpec, GpuSpec, InterconnectSpec, PcieSpec, Testbed};
 pub use model_desc::ModelDesc;
 pub use profiler::{Interpolator1d, ProfiledCostModel};

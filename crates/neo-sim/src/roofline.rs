@@ -22,15 +22,6 @@ impl OpWork {
         Self { flops, bytes }
     }
 
-    /// Arithmetic intensity in FLOPs per byte. Returns `f64::INFINITY` when no bytes move.
-    pub fn intensity(&self) -> f64 {
-        if self.bytes == 0.0 {
-            f64::INFINITY
-        } else {
-            self.flops / self.bytes
-        }
-    }
-
     /// Component-wise sum of two work descriptors.
     pub fn combine(&self, other: &OpWork) -> OpWork {
         OpWork { flops: self.flops + other.flops, bytes: self.bytes + other.bytes }
@@ -67,23 +58,6 @@ impl Roofline {
         let memory = work.bytes / self.bandwidth;
         compute.max(memory) + self.overhead
     }
-
-    /// Execution time without the fixed overhead (useful when several logical operators
-    /// are fused into one kernel launch).
-    pub fn time_no_overhead(&self, work: OpWork) -> f64 {
-        (work.flops / self.flops).max(work.bytes / self.bandwidth)
-    }
-
-    /// The arithmetic intensity (FLOPs/byte) at which this device transitions from
-    /// memory-bound to compute-bound.
-    pub fn ridge_point(&self) -> f64 {
-        self.flops / self.bandwidth
-    }
-
-    /// Whether `work` is memory-bandwidth bound on this device.
-    pub fn is_memory_bound(&self, work: OpWork) -> bool {
-        work.intensity() < self.ridge_point()
-    }
 }
 
 #[cfg(test)]
@@ -103,15 +77,17 @@ mod tests {
     fn decode_attention_is_memory_bound_everywhere() {
         // 1 decode token over 1000 ctx tokens of LLaMa-8B-like KV: ~0.5 MB read, ~2 MFLOP.
         let work = OpWork::new(2.0e6, 0.5e6);
-        assert!(gpu().is_memory_bound(work));
-        assert!(cpu().is_memory_bound(work));
+        for r in [gpu(), cpu()] {
+            assert_eq!(r.time(work), work.bytes / r.bandwidth + r.overhead);
+        }
     }
 
     #[test]
     fn large_gemm_is_compute_bound_on_gpu() {
         // 4096x4096x4096 GEMM: 137 GFLOP over ~100 MB.
         let work = OpWork::new(137e9, 100e6);
-        assert!(!gpu().is_memory_bound(work));
+        let r = gpu();
+        assert_eq!(r.time(work), work.flops / r.flops + r.overhead);
     }
 
     #[test]
@@ -126,15 +102,20 @@ mod tests {
     fn overhead_is_additive() {
         let r = gpu();
         let w = OpWork::new(1e9, 1e6);
-        assert!((r.time(w) - r.time_no_overhead(w) - r.overhead).abs() < 1e-12);
+        let fused = Roofline { overhead: 0.0, ..r };
+        assert!((r.time(w) - fused.time(w) - r.overhead).abs() < 1e-12);
     }
 
     #[test]
     fn ridge_point_separates_regimes() {
+        // Below the ridge intensity (FLOPs per byte) the bytes set the time, above it
+        // the FLOPs do.
         let r = gpu();
-        let ridge = r.ridge_point();
-        assert!(r.is_memory_bound(OpWork::new(ridge * 0.5, 1.0)));
-        assert!(!r.is_memory_bound(OpWork::new(ridge * 2.0, 1.0)));
+        let ridge = r.flops / r.bandwidth;
+        let memory = OpWork::new(ridge * 0.5, 1.0);
+        let compute = OpWork::new(ridge * 2.0, 1.0);
+        assert_eq!(r.time(memory), 1.0 / r.bandwidth + r.overhead);
+        assert_eq!(r.time(compute), compute.flops / r.flops + r.overhead);
     }
 
     #[test]
@@ -144,11 +125,6 @@ mod tests {
         let c = a.combine(&b);
         assert_eq!(c.flops, 4.0);
         assert_eq!(c.bytes, 6.0);
-    }
-
-    #[test]
-    fn zero_bytes_has_infinite_intensity() {
-        assert!(OpWork::new(1.0, 0.0).intensity().is_infinite());
     }
 
     #[test]

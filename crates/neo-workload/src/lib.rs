@@ -42,4 +42,4 @@ pub use sessions::{
     agent_loop, multi_turn_chat, AgentConfig, ChatConfig, SessionRequest, SessionTrace,
 };
 pub use slo::SloPolicy;
-pub use trace::{ArrivalEvent, ArrivalEvents, Trace, TraceRequest, TraceStats};
+pub use trace::{Trace, TraceRequest, TraceStats};

@@ -110,58 +110,6 @@ impl Trace {
     }
 }
 
-/// One arrival event of a trace replay: the `index`-th request of the trace becomes
-/// visible to the serving layer at `time`.
-///
-/// Produced by [`Trace::events`]; event-driven serving loops consume these one at a time
-/// instead of scanning the whole trace up front.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrivalEvent {
-    /// Position of the request within the trace (a stable per-trace id).
-    pub index: usize,
-    /// Arrival time in seconds from the start of the trace.
-    pub time: f64,
-    /// Prompt length in tokens.
-    pub prompt_len: usize,
-    /// Output length in tokens.
-    pub output_len: usize,
-}
-
-/// Iterator over a trace's [`ArrivalEvent`]s in arrival-time order.
-#[derive(Debug, Clone)]
-pub struct ArrivalEvents<'a> {
-    inner: std::iter::Enumerate<std::slice::Iter<'a, TraceRequest>>,
-}
-
-impl Iterator for ArrivalEvents<'_> {
-    type Item = ArrivalEvent;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().map(|(index, r)| ArrivalEvent {
-            index,
-            time: r.arrival,
-            prompt_len: r.prompt_len,
-            output_len: r.output_len,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl ExactSizeIterator for ArrivalEvents<'_> {}
-
-impl Trace {
-    /// Iterates over the trace as a stream of arrival events, in time order (the trace is
-    /// sorted at construction). This is the replay interface of the event-driven serving
-    /// loop: each event is fed to the server as it "happens" rather than the whole trace
-    /// being walked synchronously.
-    pub fn events(&self) -> ArrivalEvents<'_> {
-        ArrivalEvents { inner: self.requests.iter().enumerate() }
-    }
-}
-
 impl FromIterator<TraceRequest> for Trace {
     fn from_iter<I: IntoIterator<Item = TraceRequest>>(iter: I) -> Self {
         Trace::new(iter.into_iter().collect())
@@ -247,29 +195,5 @@ mod tests {
     #[should_panic(expected = "empty trace")]
     fn stats_of_empty_trace_panics() {
         let _ = Trace::default().stats();
-    }
-
-    #[test]
-    fn events_stream_the_trace_in_time_order() {
-        let t = sample();
-        let events: Vec<ArrivalEvent> = t.events().collect();
-        assert_eq!(events.len(), 3);
-        assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
-        assert_eq!(
-            events[0],
-            ArrivalEvent { index: 0, time: 0.5, prompt_len: 300, output_len: 30 }
-        );
-        assert_eq!(events[2].index, 2);
-        assert_eq!(events[2].prompt_len, 100);
-    }
-
-    #[test]
-    fn events_is_an_exact_size_iterator() {
-        let t = sample();
-        let mut events = t.events();
-        assert_eq!(events.len(), 3);
-        events.next();
-        assert_eq!(events.len(), 2);
-        assert!(Trace::default().events().next().is_none());
     }
 }

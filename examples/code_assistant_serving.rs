@@ -34,21 +34,18 @@ fn main() {
     for policy in [Policy::VllmLike, Policy::Neo] {
         let mut server = Server::new(scenario.engine(policy)).with_max_iterations(20_000_000);
 
-        // Submit the trace as individual arrival events. The first request streams its
+        // Submit each trace request at its arrival time. The first request streams its
         // tokens; everyone else is submitted plainly.
         let first_tokens: Rc<RefCell<Vec<TokenEvent>>> = Rc::new(RefCell::new(Vec::new()));
         let mut handles = Vec::new();
-        for event in trace.events() {
-            let handle = if event.index == 0 {
+        for (index, r) in trace.requests().iter().enumerate() {
+            let handle = if index == 0 {
                 let sink = Rc::clone(&first_tokens);
-                server.submit_with_callback(
-                    event.time,
-                    event.prompt_len,
-                    event.output_len,
-                    move |token| sink.borrow_mut().push(*token),
-                )
+                server.submit_with_callback(r.arrival, r.prompt_len, r.output_len, move |token| {
+                    sink.borrow_mut().push(*token)
+                })
             } else {
-                server.submit(event.time, event.prompt_len, event.output_len)
+                server.submit(r.arrival, r.prompt_len, r.output_len)
             };
             handles.push(handle.expect("trace requests fit the A10G pools"));
         }

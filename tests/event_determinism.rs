@@ -1,5 +1,5 @@
 //! Pricing-oracle contracts: the event-ordered iteration pricing
-//! (`neo_core::event_overlap`) checked against the closed forms the engine charges.
+//! ([`event_oracle::overlap`]) checked against the closed forms the engine charges.
 //!
 //! * **replayable** — the exact `(tick, component, event)` sequence of an h100_70b
 //!   decision window is pinned, in the style of the scheduling traces in
@@ -9,16 +9,16 @@
 //!   estimate is never slower than the closed form and at most 8 % faster in
 //!   aggregate.
 
+mod event_oracle;
+
 use std::sync::{Arc, Mutex};
 
+use event_oracle::overlap::{estimate_decision_event, trace_decision_event};
 use neo_bench::{Policy, Scenario};
 use neo_core::config::EngineConfig;
 use neo_core::pipeline::estimate_decision;
 use neo_core::request::Request;
-use neo_core::{
-    estimate_decision_event, trace_decision_event, Engine, ExecutionMode, ScheduleContext,
-    ScheduleDecision, Scheduler, SubBatch,
-};
+use neo_core::{Engine, ExecutionMode, ScheduleContext, ScheduleDecision, Scheduler, SubBatch};
 use neo_sim::CostModel;
 
 /// `NEO_KV_HIERARCHY=on` (the CI `prefix-cache` matrix) turns the shared-prefix cache

@@ -1,17 +1,17 @@
 //! Event-ordered iteration-time estimation: the pricing oracle for the closed forms.
 //!
-//! [`crate::pipeline`] prices an iteration with closed forms — one formula per
+//! `neo_core::pipeline` prices an iteration with closed forms — one formula per
 //! [`ExecutionMode`] that *assumes* how compute and transfers overlap. This module
-//! re-expresses the same machinery as a [`neo_sim::event::TaskGraph`] over four serial
-//! resources — the GPU compute stream, the CPU attention pool, and the two directions
-//! of each rank's PCIe link (d2h, h2d; priced per rank) — and lets the overlap *fall
-//! out of event ordering* instead.
+//! re-expresses the same machinery as a [`TaskGraph`] over four serial resources — the
+//! GPU compute stream, the CPU attention pool, and the two directions of each rank's
+//! PCIe link (d2h, h2d; priced per rank) — and lets the overlap *fall out of event
+//! ordering* instead.
 //!
-//! The engine always charges the closed forms; this path is the oracle tests check
-//! them against. The two agree exactly when swap traffic flows in a single direction
-//! and the GPU is the per-layer critical resource, and within a small pinned tolerance
-//! otherwise, because the event model is *finer* in two ways the closed forms round
-//! up:
+//! The engine always charges the closed forms; this path is the oracle
+//! `tests/event_determinism.rs` checks them against. The two agree exactly when swap
+//! traffic flows in a single direction and the GPU is the per-layer critical resource,
+//! and within a small pinned tolerance otherwise, because the event model is *finer* in
+//! two ways the closed forms round up:
 //!
 //! * d2h and h2d traffic ride separate link directions concurrently, whereas the
 //!   closed forms serialize them into one per-layer transfer term;
@@ -23,12 +23,11 @@
 //! faster* than the closed form, never slower — the tolerance the cross-check tests
 //! pin.
 
-use neo_sim::event::{EventRecord, JobId, ResourceId, TaskGraph};
+use neo_core::pipeline::{estimate_decision, stage_times, IterationEstimate};
+use neo_core::{ExecutionMode, ScheduleDecision};
 use neo_sim::profiler::IterationCost;
 
-use crate::batch::ScheduleDecision;
-use crate::pipeline::{estimate_decision, stage_times, IterationEstimate};
-use crate::ExecutionMode;
+use super::task_graph::{EventRecord, JobId, ResourceId, TaskGraph};
 
 /// Resource index of the GPU compute stream.
 pub const GPU: ResourceId = 0;
@@ -200,7 +199,6 @@ fn build_asymmetric(
         }
     }
     if !layerwise_overlap {
-        // neo-lint: allow(panic-hygiene) -- ModelSpec validation rejects layers == 0; a default node id would silently miswire the job graph
         let last = *prev.first().expect("layers > 0");
         let lf = layers as f64;
         push_link_job(&mut graph, "bulk/d2h".into(), LINK_D2H, lf * out_t, last, &mut d2h);
@@ -246,7 +244,6 @@ fn build_gpu_only(
         }
     }
     if !layerwise_overlap {
-        // neo-lint: allow(panic-hygiene) -- ModelSpec validation rejects layers == 0; a default node id would silently miswire the job graph
         let last = prev.expect("layers > 0");
         let lf = layers as f64;
         push_link_job(&mut graph, "bulk/d2h".into(), LINK_D2H, lf * out_t, last, &mut d2h);
@@ -317,7 +314,7 @@ fn build_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{PrefillItem, SubBatch};
+    use neo_core::{PrefillItem, SubBatch};
     use neo_kvcache::Device;
     use neo_sim::{CostModel, ModelDesc, Testbed};
 

@@ -27,16 +27,13 @@ fn streaming_callbacks_fire_once_per_token_in_arrival_order() {
         let mut server = Server::new(scenario.engine(policy)).with_max_iterations(20_000_000);
         let log: Rc<RefCell<Vec<TokenEvent>>> = Rc::new(RefCell::new(Vec::new()));
         let mut handles = Vec::new();
-        for event in trace.events() {
+        for r in trace.requests() {
             let sink = Rc::clone(&log);
             handles.push(
                 server
-                    .submit_with_callback(
-                        event.time,
-                        event.prompt_len,
-                        event.output_len,
-                        move |t| sink.borrow_mut().push(*t),
-                    )
+                    .submit_with_callback(r.arrival, r.prompt_len, r.output_len, move |t| {
+                        sink.borrow_mut().push(*t)
+                    })
                     .unwrap(),
             );
         }
@@ -122,8 +119,9 @@ fn admission_backpressure_delays_but_never_drops_requests() {
     let mut server = Server::new(scenario.engine_with_config(Policy::Neo, config))
         .with_max_iterations(20_000_000);
     let handles: Vec<_> = trace
-        .events()
-        .map(|e| server.submit(e.time, e.prompt_len, e.output_len).unwrap())
+        .requests()
+        .iter()
+        .map(|r| server.submit(r.arrival, r.prompt_len, r.output_len).unwrap())
         .collect();
     let report = server.run_until_idle();
     assert!(report.max_backlog > 0, "the burst must exercise the backlog");
@@ -145,8 +143,9 @@ fn run_online_matches_a_manual_event_loop_replay() {
 
     let mut server = Server::new(scenario.engine(Policy::Neo)).with_max_iterations(20_000_000);
     let handles: Vec<_> = trace
-        .events()
-        .map(|event| server.submit(event.time, event.prompt_len, event.output_len).unwrap())
+        .requests()
+        .iter()
+        .map(|r| server.submit(r.arrival, r.prompt_len, r.output_len).unwrap())
         .collect();
     let report = server.run_until_idle();
 

@@ -20,7 +20,7 @@ use neo_serve::{
     run_offline, run_online, RequestHandle, RequestStatus, Server, ServerReport, TokenEvent,
 };
 use neo_sim::{CostModel, ModelDesc, Testbed};
-use neo_workload::{azure_code_like, osc_like, synthetic, ArrivalEvent, ArrivalProcess, Trace};
+use neo_workload::{azure_code_like, osc_like, synthetic, ArrivalProcess, Trace};
 
 /// The imports above are the real assertions; this test exists so the file
 /// reports a green check instead of compiling silently.
