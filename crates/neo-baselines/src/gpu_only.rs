@@ -51,8 +51,8 @@ impl SchedulerPolicy for GpuOnlyScheduler {
             ctx.gpu_run.iter().map(|&id| (id, ctx.context_len(id))).collect();
         // Earliest-arrival first, so victims are taken from the back (latest arrivals).
         decodes.sort_by(|a, b| {
-            let ta = ctx.requests[&a.0].arrival_time;
-            let tb = ctx.requests[&b.0].arrival_time;
+            let ta = ctx.requests[a.0].arrival_time;
+            let tb = ctx.requests[b.0].arrival_time;
             ta.total_cmp(&tb)
         });
         while decodes.len() as i64 > plan.gpu_free && decodes.len() > 1 {
@@ -95,7 +95,7 @@ impl SchedulerPolicy for GpuOnlyScheduler {
             if plan.gpu_free < chunk as i64 {
                 break;
             }
-            let already = ctx.requests[&id].prefilled;
+            let already = ctx.requests[id].prefilled;
             plan.batch0.prefills.push(PrefillItem {
                 req: id,
                 new_tokens: chunk,

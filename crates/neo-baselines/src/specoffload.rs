@@ -160,9 +160,8 @@ mod tests {
     use neo_core::engine::Engine;
     use neo_core::request::Request;
     use neo_core::Scheduler;
-    use neo_kvcache::Device;
+    use neo_kvcache::{Device, IdTable};
     use neo_sim::{CostModel, ModelDesc, Testbed};
-    use std::collections::BTreeMap;
 
     fn engine(testbed: Testbed, model: ModelDesc) -> Engine {
         let cost = CostModel::new(model, testbed, 1);
@@ -172,11 +171,11 @@ mod tests {
     /// Hand-built scheduling context for driving the policy directly, so the AIMD
     /// counters stay observable.
     struct Fixture {
-        requests: BTreeMap<u64, Request>,
+        requests: IdTable<Request>,
         waiting: Vec<u64>,
         gpu_run: Vec<u64>,
         cpu_run: Vec<u64>,
-        prefill_device: BTreeMap<u64, Device>,
+        prefill_device: IdTable<Device>,
         gpu_free: usize,
         cpu_free: usize,
         disk_free: usize,
@@ -186,11 +185,11 @@ mod tests {
     impl Fixture {
         fn new() -> Self {
             Self {
-                requests: BTreeMap::new(),
+                requests: IdTable::new(),
                 waiting: vec![],
                 gpu_run: vec![],
                 cpu_run: vec![],
-                prefill_device: BTreeMap::new(),
+                prefill_device: IdTable::new(),
                 // Small enough that the swap-in watermark never pulls the CPU-resident
                 // candidates back to the GPU, so the speculation path stays exercised.
                 gpu_free: 100,
@@ -203,7 +202,7 @@ mod tests {
         fn add_running(&mut self, id: u64, ctx_len: usize, device: Device) {
             let mut r = Request::new(id, 0.0, ctx_len.max(1), 64);
             r.advance_prefill(r.prompt_len);
-            self.requests.insert(id, r);
+            self.requests.insert(id, r).unwrap();
             match device {
                 Device::Gpu => self.gpu_run.push(id),
                 Device::Cpu => self.cpu_run.push(id),
@@ -353,9 +352,9 @@ mod tests {
         fx.gpu_free = 16;
         let mut r = Request::new(7, 0.0, 1_000, 32);
         r.advance_prefill(512);
-        fx.requests.insert(7, r);
+        fx.requests.insert(7, r).unwrap();
         fx.waiting.push(7);
-        fx.prefill_device.insert(7, Device::Gpu);
+        fx.prefill_device.insert(7, Device::Gpu).unwrap();
         let d = fx.schedule(&cost(), &mut SpecOffloadScheduler::new());
         assert!(d.batch0.prefills.is_empty(), "{:?}", d.batch0.prefills);
     }
@@ -366,7 +365,7 @@ mod tests {
         // 1,000-token prompt never fits the 600-token pool: it starts on the CPU.
         let mut fx = Fixture::new();
         fx.gpu_free = 600;
-        fx.requests.insert(1, Request::new(1, 0.0, 1_000, 32));
+        fx.requests.insert(1, Request::new(1, 0.0, 1_000, 32)).unwrap();
         fx.waiting.push(1);
         let d = fx.schedule(&cost(), &mut SpecOffloadScheduler::new());
         assert_eq!(d.batch0.prefills.len(), 1);

@@ -5,8 +5,6 @@
 //! bench measures one `schedule()` call against queue depth, for NEO and the baselines.
 #![allow(missing_docs)] // criterion_group! generates an undocumented accessor
 
-use std::collections::BTreeMap;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neo_baselines::{
     FastDecodePlusScheduler, GpuOnlyScheduler, PipoScheduler, SpecOffloadScheduler,
@@ -14,44 +12,44 @@ use neo_baselines::{
 use neo_core::config::EngineConfig;
 use neo_core::request::Request;
 use neo_core::scheduler::{NeoScheduler, ScheduleContext, Scheduler};
-use neo_kvcache::Device;
+use neo_kvcache::{Device, IdTable};
 use neo_sim::profiler::ProfiledCostModel;
 use neo_sim::{CostModel, ModelDesc, Testbed};
 
 struct Fixture {
     cost: ProfiledCostModel,
     config: EngineConfig,
-    requests: BTreeMap<u64, Request>,
+    requests: IdTable<Request>,
     waiting: Vec<u64>,
     gpu_run: Vec<u64>,
     cpu_run: Vec<u64>,
-    prefill_device: BTreeMap<u64, Device>,
+    prefill_device: IdTable<Device>,
 }
 
 fn build(n_waiting: usize, n_gpu: usize, n_cpu: usize) -> Fixture {
     let cost =
         ProfiledCostModel::new(CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1));
-    let mut requests = BTreeMap::new();
+    let mut requests = IdTable::new();
     let mut waiting = Vec::new();
     let mut gpu_run = Vec::new();
     let mut cpu_run = Vec::new();
     let mut id = 0u64;
     for _ in 0..n_waiting {
-        requests.insert(id, Request::new(id, 0.0, 1000, 200));
+        requests.insert(id, Request::new(id, 0.0, 1000, 200)).unwrap();
         waiting.push(id);
         id += 1;
     }
     for _ in 0..n_gpu {
         let mut r = Request::new(id, 0.0, 800, 200);
         r.advance_prefill(800);
-        requests.insert(id, r);
+        requests.insert(id, r).unwrap();
         gpu_run.push(id);
         id += 1;
     }
     for _ in 0..n_cpu {
         let mut r = Request::new(id, 0.0, 800, 200);
         r.advance_prefill(800);
-        requests.insert(id, r);
+        requests.insert(id, r).unwrap();
         cpu_run.push(id);
         id += 1;
     }
@@ -62,7 +60,7 @@ fn build(n_waiting: usize, n_gpu: usize, n_cpu: usize) -> Fixture {
         waiting,
         gpu_run,
         cpu_run,
-        prefill_device: BTreeMap::new(),
+        prefill_device: IdTable::new(),
     }
 }
 
@@ -104,7 +102,7 @@ fn bench_neo_cpu_heavy(c: &mut Criterion) {
         let len = 400 + (i * 37) % 1600;
         let mut r = Request::new(id, 0.0, len, 200);
         r.advance_prefill(len);
-        fx.requests.insert(id, r);
+        fx.requests.insert(id, r).unwrap();
     }
     let mut group = c.benchmark_group("scheduler/neo_cpu_heavy");
     group.bench_function("256", |b| {

@@ -1,4 +1,4 @@
-//! Performance-regression gate over the five criterion bench targets.
+//! Performance-regression gate over the six gated criterion bench targets.
 //!
 //! Runs `cargo bench` for each target in quick mode with the criterion shim's JSON
 //! emission enabled (`CRITERION_JSON_DIR`), collects the per-benchmark estimates, and
@@ -48,7 +48,7 @@ use std::process::{Command, ExitCode};
 use serde::{Deserialize, Serialize};
 
 /// The criterion bench targets of `neo-bench` that have a checked-in baseline.
-const BENCHES: [&str; 5] = ["cluster", "kernels", "kvcache", "pipeline", "scheduler"];
+const BENCHES: [&str; 6] = ["cluster", "kernels", "kvcache", "pipeline", "scheduler", "sim"];
 
 /// Quick-mode sample count used when `--samples` is not given.
 const DEFAULT_SAMPLES: usize = 10;

@@ -13,10 +13,10 @@
 //! comparisons only reflect scheduling differences — mirroring how the paper implements
 //! FastDecode+ on top of NEO's own runtime.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use neo_kvcache::manager::{KvCacheConfig, KvCacheManager};
-use neo_kvcache::{expand, Device, TokenRun};
+use neo_kvcache::{expand, Device, IdTable, TokenRun};
 use neo_sim::profiler::ProfiledCostModel;
 use neo_sim::{CostModel, SimClock};
 
@@ -78,12 +78,14 @@ pub struct Engine {
     scheduler: Box<dyn Scheduler>,
     kv: KvCacheManager,
     clock: SimClock,
-    requests: BTreeMap<u64, Request>,
+    requests: IdTable<Request>,
     waiting: Vec<u64>,
     gpu_run: Vec<u64>,
     cpu_run: Vec<u64>,
     disk_run: Vec<u64>,
-    prefill_device: BTreeMap<u64, Device>,
+    /// Each partially prefilled request's device; its ids are live requests', so it
+    /// never refuses an insert the request table took.
+    prefill_device: IdTable<Device>,
     /// Ids of every finished request, for the duplicate-id check.
     retired: BTreeSet<u64>,
     /// Ids that produced an output token in the most recent [`Engine::step`], in
@@ -146,12 +148,12 @@ impl Engine {
             scheduler,
             kv,
             clock: SimClock::new(),
-            requests: BTreeMap::new(),
+            requests: IdTable::new(),
             waiting: Vec::new(),
             gpu_run: Vec::new(),
             cpu_run: Vec::new(),
             disk_run: Vec::new(),
-            prefill_device: BTreeMap::new(),
+            prefill_device: IdTable::new(),
             retired: BTreeSet::new(),
             emitted: Vec::new(),
             iterations: 0,
@@ -179,21 +181,20 @@ impl Engine {
 
     /// Submits a new request; on success it joins the prefill waitqueue.
     ///
-    /// Refuses (typed, never by silent wedge) requests this engine can never serve:
-    /// a context that fits in none of its KV pools ([`AdmitError::NeverAdmissible`] —
-    /// see [`Engine::max_context_capacity`]) and anything while the engine is
-    /// fail-stopped ([`AdmitError::EngineDown`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a request with the same id is already live or completed — duplicate
-    /// ids are a caller bug, not an admission outcome.
+    /// Refuses (typed, never by silent wedge) ids the engine cannot key and requests
+    /// it can never serve, in this order, leaving the engine unchanged:
+    /// * [`AdmitError::DuplicateId`] — a request with the same id is live or finished;
+    /// * [`AdmitError::IdOutOfWindow`] — the id lies [`neo_kvcache::MAX_ID_WINDOW`] or
+    ///   more ids from a live request's, past what the request table indexes;
+    /// * [`AdmitError::EngineDown`] — the engine is fail-stopped;
+    /// * [`AdmitError::NeverAdmissible`] — the context fits in none of its KV pools
+    ///   (see [`Engine::max_context_capacity`]).
     pub fn submit(&mut self, request: Request) -> Result<(), AdmitError> {
-        assert!(
-            !self.requests.contains_key(&request.id) && !self.retired.contains(&request.id),
-            "duplicate request id {}",
-            request.id
-        );
+        let id = request.id;
+        if self.requests.contains(id) || self.retired.contains(&id) {
+            return Err(AdmitError::DuplicateId(id));
+        }
+        self.requests.fits(id)?;
         if self.down {
             return Err(AdmitError::EngineDown);
         }
@@ -205,9 +206,8 @@ impl Engine {
                 capacity_tokens: capacity,
             });
         }
-        let id = request.id;
+        self.requests.insert(id, request)?;
         self.waiting.push(id);
-        self.requests.insert(id, request);
         if self.config.prefix_cache {
             self.adopt_prefix_on_submit(id);
         }
@@ -224,7 +224,7 @@ impl Engine {
     /// Requests whose total context exceeds the GPU pool are skipped — adopted blocks
     /// are GPU-resident and such requests may need to live on the CPU.
     fn adopt_prefix_on_submit(&mut self, id: u64) {
-        let Some(req) = self.requests.get_mut(&id) else { return };
+        let Some(req) = self.requests.get_mut(id) else { return };
         if req.total_tokens() > self.kv.pool(Device::Gpu).capacity_tokens() {
             return;
         }
@@ -238,9 +238,9 @@ impl Engine {
         // treating a failure as a cache miss keeps this path panic-free.
         let Ok(adoption) = self.kv.adopt_prefix(id, &tokens, max_tokens) else { return };
         if adoption.cached_tokens > 0 {
-            let Some(req) = self.requests.get_mut(&id) else { return };
+            let Some(req) = self.requests.get_mut(id) else { return };
             req.advance_prefill(adoption.cached_tokens);
-            self.prefill_device.insert(id, Device::Gpu);
+            let _ = self.prefill_device.insert(id, Device::Gpu);
         }
     }
 
@@ -267,8 +267,7 @@ impl Engine {
     /// requests stay counted — the failure loses state, not history.
     pub fn fail(&mut self) -> Vec<Request> {
         self.down = true;
-        let mut ids: Vec<u64> = self.requests.keys().copied().collect();
-        ids.sort_unstable();
+        let ids: Vec<u64> = self.requests.ids().collect();
         ids.into_iter().filter_map(|id| self.evict(id)).collect()
     }
 
@@ -300,7 +299,7 @@ impl Engine {
 
     /// A live (submitted, not yet finished or evicted) request by id.
     pub fn request(&self, id: u64) -> Option<&Request> {
-        self.requests.get(&id)
+        self.requests.get(id)
     }
 
     /// Evicts a live request mid-flight (serving-layer cancellation): its KV blocks are
@@ -309,7 +308,7 @@ impl Engine {
     /// already finished, or already evicted); finished requests stay counted in
     /// [`Engine::completed`].
     pub fn evict(&mut self, id: u64) -> Option<Request> {
-        let request = self.requests.remove(&id)?;
+        let request = self.requests.remove(id)?;
         self.release_execution_state(id);
         self.waiting.retain(|&x| x != id);
         self.lift_reservation(id);
@@ -324,13 +323,13 @@ impl Engine {
         self.gpu_run.retain(|&x| x != id);
         self.cpu_run.retain(|&x| x != id);
         self.disk_run.retain(|&x| x != id);
-        self.prefill_device.remove(&id);
+        self.prefill_device.remove(id);
     }
 
     /// Discards a live request's KV and re-queues it for recomputation: the decision's
     /// preemptions and the progress rule's alike.
     fn preempt(&mut self, id: u64) {
-        let Some(request) = self.requests.get_mut(&id) else { return };
+        let Some(request) = self.requests.get_mut(id) else { return };
         request.preempt();
         self.release_execution_state(id);
         if !self.waiting.contains(&id) {
@@ -487,7 +486,7 @@ impl Engine {
         let mut demoted_disk = 0usize;
         for &id in &decision.demote_disk {
             if self.kv.swap(id, Device::Disk).is_ok() {
-                demote_tokens += self.requests[&id].context_len();
+                demote_tokens += self.requests[id].context_len();
                 move_id(&mut self.cpu_run, &mut self.disk_run, id);
                 demoted_disk += 1;
             }
@@ -499,7 +498,7 @@ impl Engine {
         let mut swapped_out = 0usize;
         for &id in &decision.swap_out {
             if self.kv.swap(id, Device::Cpu).is_ok() {
-                swap_out_tokens += self.requests[&id].context_len();
+                swap_out_tokens += self.requests[id].context_len();
                 move_id(&mut self.gpu_run, &mut self.cpu_run, id);
                 swapped_out += 1;
             }
@@ -508,7 +507,7 @@ impl Engine {
         let mut swapped_in = 0usize;
         for &id in &decision.swap_in {
             if self.kv.swap(id, Device::Gpu).is_ok() {
-                swap_in_tokens += self.requests[&id].context_len();
+                swap_in_tokens += self.requests[id].context_len();
                 move_id(&mut self.cpu_run, &mut self.gpu_run, id);
                 swapped_in += 1;
             }
@@ -519,7 +518,7 @@ impl Engine {
         let mut promoted_disk = 0usize;
         for &id in &decision.promote_disk {
             if self.kv.swap(id, Device::Cpu).is_ok() {
-                promote_tokens += self.requests[&id].context_len();
+                promote_tokens += self.requests[id].context_len();
                 move_id(&mut self.disk_run, &mut self.cpu_run, id);
                 promoted_disk += 1;
             }
@@ -551,8 +550,8 @@ impl Engine {
             }) {
                 continue;
             }
-            let allocated = if self.requests[&item.req].prefilled == 0 {
-                self.prefill_device.insert(item.req, item.target);
+            let allocated = if self.requests[item.req].prefilled == 0 {
+                let _ = self.prefill_device.insert(item.req, item.target);
                 self.kv.allocate_sequence(item.req, item.new_tokens, item.target).is_ok()
             } else {
                 self.kv.append_tokens(item.req, item.new_tokens).is_ok()
@@ -562,7 +561,7 @@ impl Engine {
             }
             self.lift_reservation(item.req);
             prefill_tokens += item.new_tokens;
-            let Some(request) = self.requests.get_mut(&item.req) else { continue };
+            let Some(request) = self.requests.get_mut(item.req) else { continue };
             request.advance_prefill(item.new_tokens);
             if request.prefill_complete() {
                 // The prefill iteration also emits the first output token.
@@ -578,7 +577,7 @@ impl Engine {
                     let _ = self.kv.insert_prefix(item.req, &expand(&runs));
                 }
                 self.waiting.retain(|&w| w != item.req);
-                self.prefill_device.remove(&item.req);
+                self.prefill_device.remove(item.req);
                 if finished {
                     self.retire(item.req);
                 } else {
@@ -603,7 +602,7 @@ impl Engine {
             .map(|&(id, _)| id)
             .collect();
         for id in decode_ids {
-            let Some(request) = self.requests.get(&id) else { continue };
+            let Some(request) = self.requests.get(id) else { continue };
             if !request.prefill_complete() || request.is_finished() {
                 continue;
             }
@@ -611,7 +610,7 @@ impl Engine {
                 continue; // no block available; the request idles this iteration
             }
             self.lift_reservation(id);
-            let Some(request) = self.requests.get_mut(&id) else { continue };
+            let Some(request) = self.requests.get_mut(id) else { continue };
             request.advance_decode();
             decode_tokens += 1;
             self.emitted.push(id);
@@ -688,7 +687,7 @@ impl Engine {
         self.release_execution_state(id);
         self.waiting.retain(|&x| x != id);
         self.lift_reservation(id);
-        if self.requests.remove(&id).is_some() {
+        if self.requests.remove(id).is_some() {
             self.retired.insert(id);
         }
     }
@@ -809,23 +808,42 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_submission_panics() {
+    fn duplicate_submission_is_refused_typed() {
         let mut e = a10g_engine();
         e.submit(Request::new(1, 0.0, 10, 5)).unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = e.submit(Request::new(1, 0.0, 10, 5));
-        }));
-        assert!(result.is_err());
+        assert_eq!(e.submit(Request::new(1, 0.0, 20, 5)), Err(AdmitError::DuplicateId(1)));
+        assert_eq!(e.request(1).unwrap().prompt_len, 10, "the live request is untouched");
+        assert_eq!((e.live_requests(), e.waiting.clone()), (1, vec![1]));
     }
 
     #[test]
-    #[should_panic(expected = "duplicate request id")]
-    fn resubmitting_a_completed_id_panics() {
+    fn resubmitting_a_completed_id_is_refused_typed() {
         let mut e = a10g_engine();
         e.submit(Request::new(1, 0.0, 10, 5)).unwrap();
         e.run_to_completion(10_000);
         assert_eq!(e.completed(), 1);
-        let _ = e.submit(Request::new(1, e.now(), 10, 5));
+        assert_eq!(e.submit(Request::new(1, e.now(), 10, 5)), Err(AdmitError::DuplicateId(1)));
+        assert!(e.is_idle());
+    }
+
+    #[test]
+    fn an_id_past_the_request_window_is_refused_typed() {
+        let mut e = a10g_engine();
+        let (old, far) = (7, 7 + neo_kvcache::MAX_ID_WINDOW);
+        e.submit(Request::new(far, 0.0, 100, 5)).unwrap();
+        let below = AdmitError::IdOutOfWindow { id: old, oldest: far, newest: far };
+        assert_eq!(e.submit(Request::new(old, 0.0, 100, 5)), Err(below));
+        e.run_to_completion(10_000);
+        e.submit(Request::new(old, e.now(), 100, 50)).unwrap();
+        let above = AdmitError::IdOutOfWindow { id: far + 1, oldest: old, newest: old };
+        let before = (e.requests.span(), e.waiting.clone(), e.kv().num_sequences());
+        assert_eq!(e.submit(Request::new(far + 1, e.now(), 100, 5)), Err(above));
+        assert_eq!((e.requests.span(), e.waiting.clone(), e.kv().num_sequences()), before);
+        // Once the old request finishes, the window rebases on the next id.
+        e.run_to_completion(10_000);
+        e.submit(Request::new(far + 1, e.now(), 100, 5)).unwrap();
+        e.run_to_completion(10_000);
+        assert_eq!(e.completed(), 3);
     }
 
     #[test]
@@ -952,7 +970,7 @@ mod tests {
         let mut seen = Emissions::default();
         while !e.is_idle() {
             let before: Vec<(u64, usize, bool)> =
-                e.requests.iter().map(|(&id, r)| (id, r.generated, r.prefill_complete())).collect();
+                e.requests.iter().map(|(id, r)| (id, r.generated, r.prefill_complete())).collect();
             e.step();
             // A request that left the engine during the step retired, so it grew too.
             let grew: Vec<&(u64, usize, bool)> = before
@@ -1023,7 +1041,7 @@ mod tests {
             let err = e.submit(Request::new(1, 0.0, capacity + 1, 1)).unwrap_err();
             assert_eq!(
                 err,
-                crate::AdmitError::NeverAdmissible {
+                AdmitError::NeverAdmissible {
                     required_tokens: capacity + 2,
                     capacity_tokens: capacity,
                 }
@@ -1053,7 +1071,7 @@ mod tests {
         assert_eq!(e.kv().num_sequences(), 0, "KV is lost on fail-stop");
         assert_eq!(e.live_requests(), 0);
         assert!(!e.can_admit());
-        assert_eq!(e.submit(Request::new(3, 0.0, 50, 4)), Err(crate::AdmitError::EngineDown));
+        assert_eq!(e.submit(Request::new(3, 0.0, 50, 4)), Err(AdmitError::EngineDown));
         // A down engine still advances time idly but does no work.
         let report = e.step();
         assert!(report.idle);
@@ -1282,12 +1300,12 @@ mod tests {
         let mut e = Engine::new(cost, EngineConfig::default(), Box::new(IdlePolicy));
         for &(id, prefilled, generated, device) in requests {
             e.submit(Request::new(id, 0.0, 1_000, 64)).unwrap();
-            let request = e.requests.get_mut(&id).unwrap();
+            let request = e.requests.get_mut(id).unwrap();
             request.advance_prefill(prefilled);
             request.generated = generated;
             if let Some(device) = device {
                 e.kv.allocate_sequence(id, prefilled + generated, device).unwrap();
-                e.prefill_device.insert(id, device);
+                e.prefill_device.insert(id, device).unwrap();
             }
         }
         e

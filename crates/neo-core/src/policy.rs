@@ -121,7 +121,7 @@ impl IterationPlan {
                 Device::Cpu => self.cpu_free -= chunk as i64,
                 Device::Disk => unreachable!("prefills never target the disk tier"),
             }
-            let already = ctx.requests[&id].prefilled;
+            let already = ctx.requests[id].prefilled;
             self.batch0.prefills.push(PrefillItem {
                 req: id,
                 new_tokens: chunk,
@@ -138,14 +138,14 @@ impl IterationPlan {
     /// earlier chunks landed on, and admission stops when that device has no room.
     pub fn admit_gpu_first(&mut self, ctx: &ScheduleContext<'_>) {
         self.admit_prefills(ctx, |plan, id, chunk| {
-            let target = match ctx.prefill_device.get(&id) {
+            let target = match ctx.prefill_device.get(id) {
                 Some(&d) => d,
                 // A prompt that exceeds the *whole* GPU pool can never finish a GPU
                 // prefill: pinned there, it would only stall when the pool fills and
                 // restart forever. Send it to the CPU cache from the first chunk —
                 // this is state-independent, so the choice is the same on an idle and
                 // on a loaded engine.
-                None if ctx.requests[&id].prompt_len > ctx.gpu_capacity_tokens => Device::Cpu,
+                None if ctx.requests[id].prompt_len > ctx.gpu_capacity_tokens => Device::Cpu,
                 None if plan.gpu_free >= chunk as i64 => Device::Gpu,
                 None => Device::Cpu,
             };
@@ -348,8 +348,8 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::request::Request;
+    use neo_kvcache::IdTable;
     use neo_sim::{CostModel, ModelDesc, Testbed};
-    use std::collections::BTreeMap;
 
     /// A minimal policy used to exercise the phase driver: admits prefills to the GPU and
     /// decodes whatever runs there.
@@ -380,26 +380,26 @@ mod tests {
     }
 
     struct Fixture {
-        requests: BTreeMap<u64, Request>,
+        requests: IdTable<Request>,
         waiting: Vec<u64>,
         gpu_run: Vec<u64>,
         cpu_run: Vec<u64>,
         disk_run: Vec<u64>,
         disk_free: usize,
-        prefill_device: BTreeMap<u64, Device>,
+        prefill_device: IdTable<Device>,
         config: EngineConfig,
     }
 
     impl Fixture {
         fn new() -> Self {
             Self {
-                requests: BTreeMap::new(),
+                requests: IdTable::new(),
                 waiting: vec![],
                 gpu_run: vec![],
                 cpu_run: vec![],
                 disk_run: vec![],
                 disk_free: 0,
-                prefill_device: BTreeMap::new(),
+                prefill_device: IdTable::new(),
                 config: EngineConfig::default(),
             }
         }
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn driver_runs_phases_in_order() {
         let mut fx = Fixture::new();
-        fx.requests.insert(1, Request::new(1, 0.0, 200, 10));
+        fx.requests.insert(1, Request::new(1, 0.0, 200, 10)).unwrap();
         fx.waiting.push(1);
         let cm = cost();
         let mut p = TrivialPolicy { phases_seen: vec![] };
@@ -455,7 +455,7 @@ mod tests {
         fx.config.max_batch_tokens = 600;
         fx.config.prefill_chunk = 512;
         for id in 0..4 {
-            fx.requests.insert(id, Request::new(id, 0.0, 500, 10));
+            fx.requests.insert(id, Request::new(id, 0.0, 500, 10)).unwrap();
             fx.waiting.push(id);
         }
         let cm = cost();
@@ -470,7 +470,7 @@ mod tests {
     fn admit_prefills_stops_when_target_declines() {
         let mut fx = Fixture::new();
         for id in 0..3 {
-            fx.requests.insert(id, Request::new(id, 0.0, 100, 10));
+            fx.requests.insert(id, Request::new(id, 0.0, 100, 10)).unwrap();
             fx.waiting.push(id);
         }
         let cm = cost();
@@ -499,9 +499,9 @@ mod tests {
         let mut fx = Fixture::new();
         fx.config.disk_tier = true;
         fx.disk_free = 100_000;
-        fx.requests.insert(1, running(1, 500));
+        fx.requests.insert(1, running(1, 500)).unwrap();
         fx.gpu_run.push(1);
-        fx.requests.insert(2, running(2, 900));
+        fx.requests.insert(2, running(2, 900)).unwrap();
         fx.cpu_run.push(2);
         let cm = cost();
         let ctx = ScheduleContext { gpu_free_tokens: 0, cpu_free_tokens: 100, ..fx.ctx(&cm) };
@@ -526,8 +526,8 @@ mod tests {
         let mut fx = Fixture::new();
         fx.config.disk_tier = true;
         fx.disk_free = 50_000;
-        fx.requests.insert(1, running(1, 800));
-        fx.requests.insert(2, running(2, 300));
+        fx.requests.insert(1, running(1, 800)).unwrap();
+        fx.requests.insert(2, running(2, 300)).unwrap();
         fx.disk_run.extend([1, 2]);
         let cm = cost();
         let ctx = fx.ctx(&cm); // cpu_free 100_000: plenty of room
@@ -546,7 +546,7 @@ mod tests {
         let mut fx = Fixture::new();
         fx.config.disk_tier = true;
         fx.disk_free = 50_000;
-        fx.requests.insert(1, running(1, 800));
+        fx.requests.insert(1, running(1, 800)).unwrap();
         fx.disk_run.push(1);
         let cm = cost();
         // 900 free: less than 2 * (800 + 1), but the context fits and the CPU is empty.
@@ -556,7 +556,7 @@ mod tests {
         assert_eq!(plan.promote_disk, vec![1], "bare fit promotes when the CPU is idle");
 
         // With a CPU resident the hysteresis still applies at the same free level.
-        fx.requests.insert(2, running(2, 100));
+        fx.requests.insert(2, running(2, 100)).unwrap();
         fx.cpu_run.push(2);
         let ctx = ScheduleContext { cpu_free_tokens: 900, ..fx.ctx(&cm) };
         let mut plan = IterationPlan::new(&ctx);
@@ -567,7 +567,7 @@ mod tests {
     #[test]
     fn disabled_disk_tier_never_moves_anything() {
         let mut fx = Fixture::new();
-        fx.requests.insert(1, running(1, 300));
+        fx.requests.insert(1, running(1, 300)).unwrap();
         fx.disk_run.push(1); // impossible in practice, but the policy must still ignore it
         let cm = cost();
         let ctx = fx.ctx(&cm);

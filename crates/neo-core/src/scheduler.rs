@@ -21,9 +21,7 @@
 //! offload split (steps 4–5) and mode selection (step 6). The blanket impl turns any
 //! policy into a [`Scheduler`], which is the engine-facing object-safe interface.
 
-use std::collections::BTreeMap;
-
-use neo_kvcache::Device;
+use neo_kvcache::{Device, IdTable};
 use neo_sim::profiler::IterationCost;
 
 use crate::batch::{ScheduleDecision, SubBatch};
@@ -45,7 +43,7 @@ pub struct ScheduleContext<'a> {
     /// Engine configuration.
     pub config: &'a EngineConfig,
     /// All live requests by id.
-    pub requests: &'a BTreeMap<u64, Request>,
+    pub requests: &'a IdTable<Request>,
     /// Prefill waitqueue (arrival order). Includes partially prefilled requests.
     pub waiting: &'a [u64],
     /// GPU decoding runqueue.
@@ -69,7 +67,7 @@ pub struct ScheduleContext<'a> {
     pub gpu_capacity_tokens: usize,
     /// Device each partially-prefilled request's KV currently resides on (absent for
     /// requests that have not started prefill).
-    pub prefill_device: &'a BTreeMap<u64, Device>,
+    pub prefill_device: &'a IdTable<Device>,
 }
 
 impl ScheduleContext<'_> {
@@ -79,7 +77,7 @@ impl ScheduleContext<'_> {
     ///
     /// Panics if the id is unknown; schedulers only receive ids present in `requests`.
     pub fn context_len(&self, id: u64) -> usize {
-        self.requests[&id].context_len()
+        self.requests[id].context_len()
     }
 
     /// Remaining prompt tokens of a request.
@@ -88,7 +86,7 @@ impl ScheduleContext<'_> {
     ///
     /// Panics if the id is unknown.
     pub fn remaining_prefill(&self, id: u64) -> usize {
-        self.requests[&id].remaining_prefill()
+        self.requests[id].remaining_prefill()
     }
 }
 
@@ -251,7 +249,14 @@ impl SchedulerPolicy for NeoScheduler {
 
     /// Step 6: greedy choice between the asymmetric and GPU-only schedules by estimated
     /// throughput.
+    ///
+    /// With no CPU decode in either sub-batch there is no choice to price: batch-1 is
+    /// empty, the GPU-only alternative is the plan itself, and the two estimates are
+    /// bit-equal (`Tl1 = Tca0 = Tca1 = 0`), a tie the greedy rule gives to GPU-only.
     fn select_mode(&mut self, ctx: &ScheduleContext<'_>, plan: IterationPlan) -> ScheduleDecision {
+        if plan.batch0.cpu_decodes.is_empty() && plan.batch1.cpu_decodes.is_empty() {
+            return ScheduleDecision { mode: ExecutionMode::GpuOnly, ..plan.into_decision() };
+        }
         let cost = ctx.cost;
         let cfg = ctx.config;
         let swap_out_tokens: usize = plan.swap_out.iter().map(|&id| ctx.context_len(id)).sum();
@@ -354,16 +359,18 @@ mod tests {
     use neo_sim::{CostModel, ModelDesc, Testbed};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    const GPU_ONLY: ExecutionMode = ExecutionMode::GpuOnly;
+
     fn cost() -> CostModel {
         CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1)
     }
 
     struct Fixture {
-        requests: BTreeMap<u64, Request>,
+        requests: IdTable<Request>,
         waiting: Vec<u64>,
         gpu_run: Vec<u64>,
         cpu_run: Vec<u64>,
-        prefill_device: BTreeMap<u64, Device>,
+        prefill_device: IdTable<Device>,
         gpu_free: usize,
         cpu_free: usize,
         config: EngineConfig,
@@ -372,11 +379,11 @@ mod tests {
     impl Fixture {
         fn new() -> Self {
             Self {
-                requests: BTreeMap::new(),
+                requests: IdTable::new(),
                 waiting: vec![],
                 gpu_run: vec![],
                 cpu_run: vec![],
-                prefill_device: BTreeMap::new(),
+                prefill_device: IdTable::new(),
                 gpu_free: 20_000,
                 cpu_free: 200_000,
                 config: EngineConfig::default(),
@@ -384,14 +391,14 @@ mod tests {
         }
 
         fn add_waiting(&mut self, id: u64, prompt: usize) {
-            self.requests.insert(id, Request::new(id, 0.0, prompt, 64));
+            self.requests.insert(id, Request::new(id, 0.0, prompt, 64)).unwrap();
             self.waiting.push(id);
         }
 
         fn add_running(&mut self, id: u64, ctx: usize, device: Device) {
             let mut r = Request::new(id, 0.0, ctx.max(1), 64);
             r.advance_prefill(r.prompt_len);
-            self.requests.insert(id, r);
+            self.requests.insert(id, r).unwrap();
             match device {
                 Device::Gpu => self.gpu_run.push(id),
                 Device::Cpu => self.cpu_run.push(id),
@@ -616,14 +623,41 @@ mod tests {
     }
 
     #[test]
+    fn a_schedule_without_cpu_decodes_prices_no_mode_choice() {
+        // A full GPU batch and a prefill chunk, nothing on the CPU: step 4 has no
+        // candidate and step 6 no choice, so the schedule issues no query at all.
+        let mut fx = Fixture::new();
+        for id in 0..40 {
+            fx.add_running(id, 800, Device::Gpu);
+        }
+        fx.add_waiting(1000, 1500);
+        let cost = CountingCost { inner: cost(), calls: AtomicUsize::new(0) };
+        let d = fx.schedule(&cost);
+        assert_eq!(
+            (d.mode, d.batch0.gpu_decodes.len(), d.batch0.prefills.len()),
+            (GPU_ONLY, 40, 1)
+        );
+        assert_eq!(cost.calls.load(Ordering::Relaxed), 0);
+        // A CPU resident too long to hide under either inequality is priced by step 4
+        // alone: its seven stage-time queries and two per rejected candidate.
+        fx.add_running(2000, 200_000, Device::Cpu);
+        let d = fx.schedule(&cost);
+        assert_eq!(
+            (d.mode, d.batch0.cpu_decodes.len(), d.batch1.cpu_decodes.len()),
+            (GPU_ONLY, 0, 0)
+        );
+        assert_eq!(cost.calls.load(Ordering::Relaxed), 9);
+    }
+
+    #[test]
     fn partially_prefilled_request_stays_on_its_device() {
         let mut fx = Fixture::new();
         fx.config.prefill_chunk = 128;
         let mut r = Request::new(7, 0.0, 600, 32);
         r.advance_prefill(128);
-        fx.requests.insert(7, r);
+        fx.requests.insert(7, r).unwrap();
         fx.waiting.push(7);
-        fx.prefill_device.insert(7, Device::Cpu);
+        fx.prefill_device.insert(7, Device::Cpu).unwrap();
         let d = fx.schedule(&cost());
         let item = d.batch0.prefills.iter().find(|p| p.req == 7).expect("request scheduled");
         assert_eq!(item.target, Device::Cpu);

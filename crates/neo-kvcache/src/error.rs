@@ -1,5 +1,6 @@
 //! Error types for the paged KV cache.
 
+use crate::idtable::OutOfWindow;
 use crate::pool::Device;
 
 /// Errors returned by KV cache operations.
@@ -18,6 +19,16 @@ pub enum KvCacheError {
     UnknownSequence(u64),
     /// The sequence id is already tracked (double allocation).
     DuplicateSequence(u64),
+    /// The sequence id lies so far from the tracked ones that holding it would stretch
+    /// the manager's id window past [`crate::MAX_ID_WINDOW`] ids.
+    IdOutOfWindow {
+        /// The refused sequence id.
+        seq_id: u64,
+        /// The oldest tracked sequence id.
+        oldest: u64,
+        /// The newest tracked sequence id.
+        newest: u64,
+    },
     /// A swap was requested to the device the sequence already lives on.
     AlreadyOnDevice {
         /// The sequence being swapped.
@@ -46,6 +57,10 @@ impl std::fmt::Display for KvCacheError {
             KvCacheError::DuplicateSequence(id) => {
                 write!(f, "sequence {id} already has an allocation")
             }
+            KvCacheError::IdOutOfWindow { seq_id, oldest, newest } => write!(
+                f,
+                "sequence {seq_id} lies too far from the tracked sequences {oldest}..={newest}"
+            ),
             KvCacheError::AlreadyOnDevice { seq_id, device } => {
                 write!(f, "sequence {seq_id} already resides on {device}")
             }
@@ -57,6 +72,12 @@ impl std::fmt::Display for KvCacheError {
 }
 
 impl std::error::Error for KvCacheError {}
+
+impl From<OutOfWindow> for KvCacheError {
+    fn from(e: OutOfWindow) -> Self {
+        KvCacheError::IdOutOfWindow { seq_id: e.id, oldest: e.oldest, newest: e.newest }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -76,6 +97,8 @@ mod tests {
 
         assert!(KvCacheError::UnknownSequence(9).to_string().contains('9'));
         assert!(KvCacheError::DuplicateSequence(3).to_string().contains('3'));
+        let far = KvCacheError::from(OutOfWindow { id: 99, oldest: 4, newest: 7 });
+        assert!(far.to_string().contains("99") && far.to_string().contains("4..=7"));
     }
 
     #[test]

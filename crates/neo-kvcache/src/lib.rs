@@ -9,6 +9,9 @@
 //! This crate provides:
 //!
 //! * [`allocator::BlockAllocator`] — a free-list block allocator with reference counting.
+//! * [`idtable::IdTable`] — values keyed by request id with O(1) lookup and ascending-id
+//!   iteration, indexed over the window of live ids; it holds the manager's sequences
+//!   and the engine's requests.
 //! * [`blocktable::BlockTable`] — the per-sequence logical-to-physical block mapping.
 //! * [`pool::KvPool`] — one device's pool (capacity accounting + allocator).
 //! * [`manager::KvCacheManager`] — the multi-tier manager: sequence allocation, growth,
@@ -44,6 +47,7 @@
 pub mod allocator;
 pub mod blocktable;
 pub mod error;
+pub mod idtable;
 pub mod manager;
 pub mod pool;
 pub mod prefix;
@@ -52,6 +56,7 @@ pub mod storage;
 pub use allocator::BlockAllocator;
 pub use blocktable::BlockTable;
 pub use error::KvCacheError;
+pub use idtable::{IdTable, OutOfWindow, MAX_ID_WINDOW};
 pub use manager::{KvCacheConfig, KvCacheManager, PrefixAdoption, RankOccupancy};
 pub use pool::{Device, KvPool};
 pub use prefix::{expand, PrefixHit, PrefixIndex, Token, TokenRun};

@@ -16,10 +16,9 @@
 //! * a **disk tier** ([`Device::Disk`]): a third pool sequences can be demoted to when
 //!   the CPU cache fills; parked sequences cannot decode until promoted back.
 
-use std::collections::BTreeMap;
-
 use crate::blocktable::BlockTable;
 use crate::error::KvCacheError;
+use crate::idtable::IdTable;
 use crate::pool::{Device, KvPool};
 use crate::prefix::{PrefixIndex, Token};
 
@@ -100,7 +99,7 @@ pub struct KvCacheManager {
     evictable_blocks: usize,
     prefix_hit_tokens: usize,
     cow_splits: usize,
-    seqs: BTreeMap<u64, SeqEntry>,
+    seqs: IdTable<SeqEntry>,
 }
 
 impl KvCacheManager {
@@ -134,7 +133,7 @@ impl KvCacheManager {
             prefix_hit_tokens: 0,
             cow_splits: 0,
             config,
-            seqs: BTreeMap::new(),
+            seqs: IdTable::new(),
         }
     }
 
@@ -186,7 +185,7 @@ impl KvCacheManager {
     ///
     /// Returns [`KvCacheError::UnknownSequence`] if the sequence is not tracked.
     pub fn device_of(&self, seq_id: u64) -> Result<Device, KvCacheError> {
-        self.seqs.get(&seq_id).map(|e| e.device).ok_or(KvCacheError::UnknownSequence(seq_id))
+        self.seqs.get(seq_id).map(|e| e.device).ok_or(KvCacheError::UnknownSequence(seq_id))
     }
 
     /// Number of cached tokens of a sequence.
@@ -196,7 +195,7 @@ impl KvCacheManager {
     /// Returns [`KvCacheError::UnknownSequence`] if the sequence is not tracked.
     pub fn num_tokens_of(&self, seq_id: u64) -> Result<usize, KvCacheError> {
         self.seqs
-            .get(&seq_id)
+            .get(seq_id)
             .map(|e| e.table.num_tokens())
             .ok_or(KvCacheError::UnknownSequence(seq_id))
     }
@@ -207,7 +206,7 @@ impl KvCacheManager {
     ///
     /// Returns [`KvCacheError::UnknownSequence`] if the sequence is not tracked.
     pub fn block_table(&self, seq_id: u64) -> Result<&BlockTable, KvCacheError> {
-        self.seqs.get(&seq_id).map(|e| &e.table).ok_or(KvCacheError::UnknownSequence(seq_id))
+        self.seqs.get(seq_id).map(|e| &e.table).ok_or(KvCacheError::UnknownSequence(seq_id))
     }
 
     /// Tokens' worth of GPU blocks held only by the prefix index (refcount 1): they are
@@ -290,6 +289,7 @@ impl KvCacheManager {
     /// # Errors
     ///
     /// * [`KvCacheError::DuplicateSequence`] if the id is already tracked.
+    /// * [`KvCacheError::IdOutOfWindow`] if the id lies too far from the tracked ones.
     /// * [`KvCacheError::OutOfMemory`] if the pool cannot hold the tokens.
     pub fn allocate_sequence(
         &mut self,
@@ -297,9 +297,7 @@ impl KvCacheManager {
         n_tokens: usize,
         device: Device,
     ) -> Result<(), KvCacheError> {
-        if self.seqs.contains_key(&seq_id) {
-            return Err(KvCacheError::DuplicateSequence(seq_id));
-        }
+        self.check_new_id(seq_id)?;
         let block_size = self.config.block_size;
         if device == Device::Gpu {
             self.ensure_gpu_free(n_tokens.div_ceil(block_size));
@@ -307,8 +305,17 @@ impl KvCacheManager {
         let blocks = self.pool_mut(device).allocate_tokens(n_tokens)?;
         let mut table = BlockTable::new(block_size);
         table.append(n_tokens, blocks)?;
-        self.seqs.insert(seq_id, SeqEntry { device, table });
+        self.seqs.insert(seq_id, SeqEntry { device, table })?;
         Ok(())
+    }
+
+    /// Refuses a sequence-creating call for an id that is tracked already or would not
+    /// fit the sequence table's id window, before anything changes.
+    fn check_new_id(&self, seq_id: u64) -> Result<(), KvCacheError> {
+        if self.seqs.contains(seq_id) {
+            return Err(KvCacheError::DuplicateSequence(seq_id));
+        }
+        Ok(self.seqs.fits(seq_id)?)
     }
 
     /// Appends `n_tokens` decode tokens to an existing sequence on its current device.
@@ -318,14 +325,14 @@ impl KvCacheManager {
     /// * [`KvCacheError::UnknownSequence`] if the id is not tracked.
     /// * [`KvCacheError::OutOfMemory`] if the device pool is full (sequence unchanged).
     pub fn append_tokens(&mut self, seq_id: u64, n_tokens: usize) -> Result<(), KvCacheError> {
-        let entry = self.seqs.get(&seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
+        let entry = self.seqs.get(seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
         let device = entry.device;
         let needed = entry.table.blocks_needed_for_append(n_tokens);
         if device == Device::Gpu {
             self.ensure_gpu_free(needed);
         }
         let blocks = self.pool_mut(device).allocate_blocks(needed)?;
-        let entry = self.seqs.get_mut(&seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
+        let entry = self.seqs.get_mut(seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
         entry.table.append(n_tokens, blocks)?;
         Ok(())
     }
@@ -336,7 +343,7 @@ impl KvCacheManager {
     ///
     /// Returns [`KvCacheError::UnknownSequence`] if the id is not tracked.
     pub fn free_sequence(&mut self, seq_id: u64) -> Result<usize, KvCacheError> {
-        let mut entry = self.seqs.remove(&seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
+        let mut entry = self.seqs.remove(seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
         let tokens = entry.table.num_tokens();
         let blocks = entry.table.take_blocks();
         self.release_seq_blocks(entry.device, &blocks)?;
@@ -352,7 +359,7 @@ impl KvCacheManager {
     /// * [`KvCacheError::OutOfMemory`] if the destination pool cannot hold it (the
     ///   sequence stays untouched on its current device).
     pub fn swap(&mut self, seq_id: u64, to: Device) -> Result<SwapStats, KvCacheError> {
-        let entry = self.seqs.get(&seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
+        let entry = self.seqs.get(seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
         if entry.device == to {
             return Err(KvCacheError::AlreadyOnDevice { seq_id, device: to });
         }
@@ -362,7 +369,7 @@ impl KvCacheManager {
             self.ensure_gpu_free(tokens.div_ceil(self.config.block_size));
         }
         let new_blocks = self.pool_mut(to).allocate_tokens(tokens)?;
-        let entry = self.seqs.get_mut(&seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
+        let entry = self.seqs.get_mut(seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
         let from = entry.device;
         let old_blocks = entry.table.take_blocks();
         entry.table.append(tokens, new_blocks)?;
@@ -388,16 +395,15 @@ impl KvCacheManager {
     ///
     /// # Errors
     ///
-    /// Returns [`KvCacheError::DuplicateSequence`] if the id is already tracked.
+    /// * [`KvCacheError::DuplicateSequence`] if the id is already tracked.
+    /// * [`KvCacheError::IdOutOfWindow`] if the id lies too far from the tracked ones.
     pub fn adopt_prefix(
         &mut self,
         seq_id: u64,
         tokens: &[Token],
         max_tokens: usize,
     ) -> Result<PrefixAdoption, KvCacheError> {
-        if self.seqs.contains_key(&seq_id) {
-            return Err(KvCacheError::DuplicateSequence(seq_id));
-        }
+        self.check_new_id(seq_id)?;
         let bs = self.config.block_size;
         let hit = match self.prefix.as_mut() {
             Some(prefix) => prefix.lookup(tokens),
@@ -437,7 +443,7 @@ impl KvCacheManager {
         if partial_len > 0 {
             table.append(partial_len, cow_blocks)?;
         }
-        self.seqs.insert(seq_id, SeqEntry { device: Device::Gpu, table });
+        self.seqs.insert(seq_id, SeqEntry { device: Device::Gpu, table })?;
         let splits = usize::from(partial_len > 0);
         self.prefix_hit_tokens += cached;
         self.cow_splits += splits;
@@ -454,7 +460,7 @@ impl KvCacheManager {
     ///
     /// Returns [`KvCacheError::UnknownSequence`] if the id is not tracked.
     pub fn insert_prefix(&mut self, seq_id: u64, tokens: &[Token]) -> Result<(), KvCacheError> {
-        let entry = self.seqs.get(&seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
+        let entry = self.seqs.get(seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
         if entry.device != Device::Gpu {
             return Ok(());
         }
@@ -478,10 +484,7 @@ impl KvCacheManager {
 
     /// Ids of all sequences currently resident on `device`, in ascending order.
     pub fn sequences_on(&self, device: Device) -> Vec<u64> {
-        let mut ids: Vec<u64> =
-            self.seqs.iter().filter(|(_, e)| e.device == device).map(|(&id, _)| id).collect();
-        ids.sort_unstable();
-        ids
+        self.seqs.iter().filter(|(_, e)| e.device == device).map(|(id, _)| id).collect()
     }
 
     /// Per-rank occupancy of the GPU pool under a `tp`-way tensor-parallel sharding.
@@ -560,6 +563,26 @@ mod tests {
             m.allocate_sequence(1, 10, Device::Cpu),
             Err(KvCacheError::DuplicateSequence(1))
         ));
+    }
+
+    #[test]
+    fn an_id_past_the_window_is_refused_before_anything_changes() {
+        let mut m = pmgr(256, 256);
+        m.allocate_sequence(5, 40, Device::Gpu).unwrap();
+        let far = 5 + crate::MAX_ID_WINDOW;
+        let refused = KvCacheError::IdOutOfWindow { seq_id: far, oldest: 5, newest: 5 };
+        let used = |m: &KvCacheManager| {
+            (m.pool(Device::Gpu).used_tokens(), m.pool(Device::Cpu).used_tokens())
+        };
+        let before = used(&m);
+        assert_eq!(m.allocate_sequence(far, 40, Device::Cpu), Err(refused.clone()));
+        assert_eq!(m.adopt_prefix(far, &prompt(1, 40), 39), Err(refused));
+        assert_eq!((used(&m), m.num_sequences()), (before, 1));
+        assert!(m.device_of(far).is_err());
+        // Once the old sequence is gone, the window rebases on the new id.
+        m.free_sequence(5).unwrap();
+        m.allocate_sequence(far, 40, Device::Cpu).unwrap();
+        assert_eq!(m.sequences_on(Device::Cpu), vec![far]);
     }
 
     #[test]

@@ -670,7 +670,7 @@ impl Server {
                     // Nothing reads the session's copy after admission.
                     std::mem::take(&mut session.runs),
                 ))
-                // neo-lint: allow(panic-hygiene) -- admission capacity and down-state were checked before enqueueing; losing a validated submission quietly would wedge the session as Scheduled forever
+                // neo-lint: allow(panic-hygiene) -- admission capacity and down-state were checked before enqueueing, and session ids are fresh and dense (the engine's id window bound needs 2^24 sessions behind a live one); losing a validated submission quietly would wedge the session as Scheduled forever
                 .expect("submission was validated against capacity and down-state");
         }
     }
@@ -723,7 +723,9 @@ impl Server {
     /// # Panics
     ///
     /// Panics if the budget set by [`Server::with_max_iterations`] runs out: that many
-    /// iterations in a row without progress (scheduler livelock).
+    /// iterations in a row without progress (scheduler livelock), or if a request
+    /// reaches admission [`neo_kvcache::MAX_ID_WINDOW`] submissions after one the
+    /// engine still holds, past the ids its request table indexes.
     pub fn tick(&mut self) -> bool {
         loop {
             self.deliver_due_events();

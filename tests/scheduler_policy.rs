@@ -1,22 +1,22 @@
 //! Integration tests of the `SchedulerPolicy` seam: the blanket-driver equivalence
 //! contract, cross-policy decision invariants on randomised scheduling contexts, NEO's
-//! incremental offload split against its from-scratch form, and pinned decision traces
-//! for the pipelined-offloading baselines on a small deterministic workload.
-
-use std::collections::BTreeMap;
+//! incremental offload split and mode choice against their from-scratch forms, and
+//! pinned decision traces for the pipelined-offloading baselines on a small
+//! deterministic workload.
 
 use neo_baselines::{
     FastDecodePlusScheduler, GpuOnlyScheduler, PipoScheduler, SimpleOffloadScheduler,
     SpecOffloadScheduler, SymmetricPipelineScheduler,
 };
 use neo_bench::{Policy, Scenario};
-use neo_core::batch::ScheduleDecision;
+use neo_core::batch::{ScheduleDecision, SubBatch};
 use neo_core::config::EngineConfig;
-use neo_core::pipeline::balanced;
+use neo_core::pipeline::{balanced, estimate_asymmetric, estimate_gpu_only};
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::request::Request;
 use neo_core::scheduler::{NeoScheduler, ScheduleContext, Scheduler};
-use neo_kvcache::Device;
+use neo_core::ExecutionMode;
+use neo_kvcache::{Device, IdTable};
 use neo_sim::profiler::{IterationCost, ProfiledCostModel};
 use neo_sim::{CostModel, ModelDesc, Testbed};
 use proptest::prelude::*;
@@ -25,11 +25,11 @@ use rand::{Rng, SeedableRng};
 
 /// A deterministic, hand-built scheduling context.
 struct Fixture {
-    requests: BTreeMap<u64, Request>,
+    requests: IdTable<Request>,
     waiting: Vec<u64>,
     gpu_run: Vec<u64>,
     cpu_run: Vec<u64>,
-    prefill_device: BTreeMap<u64, Device>,
+    prefill_device: IdTable<Device>,
     gpu_free: usize,
     cpu_free: usize,
     config: EngineConfig,
@@ -38,11 +38,11 @@ struct Fixture {
 impl Fixture {
     fn new(gpu_free: usize, cpu_free: usize) -> Self {
         Self {
-            requests: BTreeMap::new(),
+            requests: IdTable::new(),
             waiting: vec![],
             gpu_run: vec![],
             cpu_run: vec![],
-            prefill_device: BTreeMap::new(),
+            prefill_device: IdTable::new(),
             gpu_free,
             cpu_free,
             config: EngineConfig::default(),
@@ -50,14 +50,14 @@ impl Fixture {
     }
 
     fn add_waiting(&mut self, id: u64, prompt: usize) {
-        self.requests.insert(id, Request::new(id, 0.0, prompt, 32));
+        self.requests.insert(id, Request::new(id, 0.0, prompt, 32)).unwrap();
         self.waiting.push(id);
     }
 
     fn add_running(&mut self, id: u64, ctx_len: usize, device: Device) {
         let mut r = Request::new(id, 0.0, ctx_len.max(1), 32);
         r.advance_prefill(r.prompt_len);
-        self.requests.insert(id, r);
+        self.requests.insert(id, r).unwrap();
         match device {
             Device::Gpu => self.gpu_run.push(id),
             Device::Cpu => self.cpu_run.push(id),
@@ -149,7 +149,7 @@ fn check_decision_invariants(
         prop_assert!(window[0] != window[1], "{name}: id {} scheduled twice", window[0]);
     }
     for id in &ids {
-        prop_assert!(fx.requests.contains_key(id), "{name}: unknown id {id}");
+        prop_assert!(fx.requests.contains(*id), "{name}: unknown id {id}");
     }
     // Swap lists are disjoint, and preempted requests never also execute.
     for id in &d.swap_out {
@@ -230,10 +230,11 @@ proptest! {
     }
 }
 
-/// NEO with its offload split as first written: each CPU candidate is pushed, the
-/// iteration is re-priced from scratch with [`balanced`], and the candidate is popped if
-/// that fails; each shed attempt re-prices both sub-batches too. The oracle NEO's
-/// incremental split must match bit for bit.
+/// NEO with its offload split and mode choice as first written: each CPU candidate is
+/// pushed, the iteration is re-priced from scratch with [`balanced`], and the candidate
+/// is popped if that fails; each shed attempt re-prices both sub-batches too; and step 6
+/// prices both alternatives of every plan, whether or not a CPU decode was placed. The
+/// oracle NEO's incremental split and its mode choice must match bit for bit.
 #[derive(Default)]
 struct FromScratchNeo(NeoScheduler);
 
@@ -301,7 +302,23 @@ impl SchedulerPolicy for FromScratchNeo {
     }
 
     fn select_mode(&mut self, ctx: &ScheduleContext<'_>, plan: IterationPlan) -> ScheduleDecision {
-        self.0.select_mode(ctx, plan)
+        let (cost, overlap) = (ctx.cost, ctx.config.layerwise_swap_overlap);
+        let swap_out: usize = plan.swap_out.iter().map(|&id| ctx.context_len(id)).sum();
+        let swap_in: usize = plan.swap_in.iter().map(|&id| ctx.context_len(id)).sum();
+        let asym = ScheduleDecision { mode: ExecutionMode::Asymmetric, ..plan.into_decision() };
+        let mut gpu_only = ScheduleDecision {
+            mode: ExecutionMode::GpuOnly,
+            batch1: SubBatch::new(),
+            ..asym.clone()
+        };
+        gpu_only.batch0.cpu_decodes.clear();
+        let asym_est = estimate_asymmetric(cost, &asym, swap_out, swap_in, overlap);
+        let gpu_est = estimate_gpu_only(cost, &gpu_only.batch0, swap_out, swap_in, overlap);
+        if asym_est.throughput() > gpu_est.throughput() {
+            asym
+        } else {
+            gpu_only
+        }
     }
 }
 
@@ -332,11 +349,11 @@ fn split_case(shape: usize, seed: u64) -> Fixture {
             // Partially prefilled, with its KV pinned to the CPU cache. Half of them have
             // a short tail left: shedding that chunk barely moves `Tl0`, so the `Tga0`
             // side of the balance decides.
-            let r = fx.requests.get_mut(&id).expect("just added");
+            let r = fx.requests.get_mut(id).expect("just added");
             let tail = if rng.gen_range(0..2) == 0 { r.prompt_len.min(48) } else { r.prompt_len };
             let left = rng.gen_range(1..tail);
             r.advance_prefill(r.prompt_len - left);
-            fx.prefill_device.insert(id, Device::Cpu);
+            fx.prefill_device.insert(id, Device::Cpu).unwrap();
         }
     }
     for id in 100..100 + n_gpu {
@@ -351,9 +368,10 @@ fn split_case(shape: usize, seed: u64) -> Fixture {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// NEO's incremental offload split decides exactly what the from-scratch one does,
-    /// under the exact cost model and under a noisy profile, whose costs are not
-    /// monotone in context.
+    /// NEO's incremental offload split, and its mode choice that prices nothing when no
+    /// CPU decode was placed, decide exactly what the from-scratch NEO does, under the
+    /// exact cost model and under a noisy profile, whose costs are not monotone in
+    /// context.
     #[test]
     fn prop_incremental_split_matches_from_scratch(case in (0usize..3, 0u64..1 << 48)) {
         let (shape, seed) = case;
@@ -374,11 +392,12 @@ proptest! {
 }
 
 /// The equivalence property's cases reach every path they aim at: step 5 sheds a
-/// chunk, batch-0 is empty while CPU residents wait, and the sequence cap stops step 4.
+/// chunk, batch-0 is empty while CPU residents wait, the sequence cap stops step 4, and
+/// a plan schedules work with no CPU decode, which step 6 does not price.
 #[test]
 fn split_cases_reach_every_path() {
     let cost = a10g_cost();
-    let (mut shed, mut empty_batch0, mut capped) = (0, 0, 0);
+    let (mut shed, mut empty_batch0, mut capped, mut unpriced) = (0, 0, 0, 0);
     for seed in 0..32 {
         for shape in 0..3 {
             let fx = split_case(shape, seed);
@@ -398,11 +417,29 @@ fn split_cases_reach_every_path() {
             capped += usize::from(
                 placed < candidates && plan.sequences() >= 2 * fx.config.max_batch_seqs,
             );
+            unpriced += usize::from(cpu_decodes(&plan) == 0 && plan.sequences() > 0);
         }
     }
     assert!(shed > 0, "no case shed a prefill chunk");
     assert!(empty_batch0 > 0, "no case left batch-0 empty");
     assert!(capped > 0, "no case hit the sequence cap");
+    assert!(unpriced > 0, "no case scheduled work without a CPU decode");
+}
+
+/// Batch-0 empty and every CPU decode in batch-1: the mode choice has something to
+/// price, although batch-0 holds no CPU decode, and the plain CPU batch wins.
+#[test]
+fn a_cpu_only_plan_still_prices_its_mode() {
+    let mut fx = Fixture::new(0, 200_000);
+    for id in 0..8 {
+        fx.add_running(id, 900, Device::Cpu);
+    }
+    let cost = a10g_cost();
+    let ctx = fx.ctx(&cost);
+    let d = NeoScheduler::new().schedule(&ctx);
+    assert!(d.batch0.is_empty() && d.batch1.cpu_decodes.len() == 8);
+    assert_eq!(d.mode, ExecutionMode::Asymmetric);
+    assert_eq!(d, FromScratchNeo::default().schedule(&ctx));
 }
 
 /// Compact signature of one executed iteration, for decision-trace pinning.
