@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 
 use neo_kvcache::manager::{KvCacheConfig, KvCacheManager};
-use neo_kvcache::{expand, Device, IdTable, TokenRun};
+use neo_kvcache::{Device, IdTable, TokenRun};
 use neo_sim::profiler::ProfiledCostModel;
 use neo_sim::{CostModel, SimClock};
 
@@ -231,14 +231,12 @@ impl Engine {
         if req.prompt_runs.is_empty() {
             req.prompt_runs = vec![TokenRun { id: OPAQUE_RUN_NS | id, len: req.prompt_len }];
         }
-        let runs = req.prompt_runs.clone();
-        let max_tokens = req.prompt_len - 1;
-        let tokens = expand(&runs);
         // `submit` inserted a fresh id one call above, so adoption cannot fail;
         // treating a failure as a cache miss keeps this path panic-free.
-        let Ok(adoption) = self.kv.adopt_prefix(id, &tokens, max_tokens) else { return };
+        let Ok(adoption) = self.kv.adopt_prefix(id, &req.prompt_runs, req.prompt_len - 1) else {
+            return;
+        };
         if adoption.cached_tokens > 0 {
-            let Some(req) = self.requests.get_mut(id) else { return };
             req.advance_prefill(adoption.cached_tokens);
             let _ = self.prefill_device.insert(id, Device::Gpu);
         }
@@ -569,12 +567,14 @@ impl Engine {
                 decode_tokens += 1;
                 self.emitted.push(item.req);
                 let finished = request.is_finished();
-                let runs = request.prompt_runs.clone();
                 // Register the finished prompt's blocks in the prefix cache *before*
                 // possibly retiring the request, so even one-token answers leave their
                 // prompt behind for later requests to adopt.
-                if self.config.prefix_cache && item.target == Device::Gpu && !runs.is_empty() {
-                    let _ = self.kv.insert_prefix(item.req, &expand(&runs));
+                if self.config.prefix_cache
+                    && item.target == Device::Gpu
+                    && !request.prompt_runs.is_empty()
+                {
+                    let _ = self.kv.insert_prefix(item.req, &request.prompt_runs);
                 }
                 self.waiting.retain(|&w| w != item.req);
                 self.prefill_device.remove(item.req);
@@ -1127,6 +1127,35 @@ mod tests {
         assert_eq!(e.cow_splits(), 1);
         e.run_to_completion(10_000);
         assert_eq!(e.completed(), 2);
+    }
+
+    #[test]
+    fn an_empty_interior_run_adopts_and_inserts_as_without_it() {
+        // The empty run sits mid-block, between a 100-token shared head and each
+        // request's own tail; it adds no tokens, so it must change nothing.
+        let run = |gap: &[TokenRun]| {
+            let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
+            let config = EngineConfig { prefix_cache: true, ..EngineConfig::default() };
+            let mut e = Engine::new(cost, config, Box::new(NeoScheduler::new()));
+            let prompt = |tail: u64| {
+                [&[TokenRun { id: 5, len: 100 }], gap, &[TokenRun { id: tail, len: 50 }]].concat()
+            };
+            let mut reports = Vec::new();
+            // Request 3 repeats request 1's prompt, so it adopts what request 1 inserted
+            // past the empty run.
+            for (id, tail) in [(1, 201), (2, 202), (3, 201)] {
+                e.submit(Request::with_runs(id, 0.0, 150, 4, prompt(tail))).unwrap();
+                while !e.is_idle() {
+                    reports.push(e.step());
+                }
+            }
+            assert_eq!(e.completed(), 3);
+            (e.prefix_hit_tokens(), e.cow_splits(), e.kv().prefix_blocks(), reports)
+        };
+        let plain = run(&[]);
+        assert_eq!((plain.0, plain.1), (100 + 149, 2), "a shared head and a full repeat");
+        assert_eq!(run(&[TokenRun { id: 9, len: 0 }]), plain);
+        assert_eq!(run(&[TokenRun { id: 5, len: 0 }]), plain);
     }
 
     #[test]

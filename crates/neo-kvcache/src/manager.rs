@@ -8,7 +8,7 @@
 //! Two optional features extend the two-tier core:
 //!
 //! * a **shared-prefix cache** ([`crate::prefix::PrefixIndex`]): prompt blocks of
-//!   prefilled GPU sequences are indexed by token identity, later requests *adopt* the
+//!   prefilled GPU sequences are indexed by their token runs, later requests *adopt* the
 //!   cached prefix (refcount bump, copy-on-write for partial tail blocks) and skip
 //!   re-prefilling it. Index-only blocks (refcount 1) are *evictable*: they are counted
 //!   as free capacity and reclaimed LRU-first the moment a real allocation needs room,
@@ -20,7 +20,7 @@ use crate::blocktable::BlockTable;
 use crate::error::KvCacheError;
 use crate::idtable::IdTable;
 use crate::pool::{Device, KvPool};
-use crate::prefix::{PrefixIndex, Token};
+use crate::prefix::{PrefixIndex, TokenRun};
 
 /// Configuration of the two KV pools.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -385,7 +385,7 @@ impl KvCacheManager {
 
     /// Tries to serve the head of a new sequence's prompt from the prefix cache.
     ///
-    /// `tokens` is the prompt's token identity (see [`crate::prefix::expand`]) and
+    /// `runs` is the prompt's token identity as [`TokenRun`]s and
     /// `max_tokens` caps how much may be adopted (callers pass `prompt_len - 1` so at
     /// least one token is always prefilled and the first output token is produced
     /// normally). On a hit the sequence is created on the GPU holding the shared blocks
@@ -400,13 +400,13 @@ impl KvCacheManager {
     pub fn adopt_prefix(
         &mut self,
         seq_id: u64,
-        tokens: &[Token],
+        runs: &[TokenRun],
         max_tokens: usize,
     ) -> Result<PrefixAdoption, KvCacheError> {
         self.check_new_id(seq_id)?;
         let bs = self.config.block_size;
         let hit = match self.prefix.as_mut() {
-            Some(prefix) => prefix.lookup(tokens),
+            Some(prefix) => prefix.lookup(runs),
             None => return Ok(PrefixAdoption::default()),
         };
         let full_take = hit.blocks.len().min(max_tokens / bs);
@@ -451,23 +451,21 @@ impl KvCacheManager {
     }
 
     /// Registers a prefilled GPU sequence's prompt blocks in the prefix cache so later
-    /// requests can adopt them. `tokens` is the *prompt* token identity; only the first
-    /// `min(tokens.len(), cached len)` tokens are indexed. No-op when the cache is
-    /// disabled or the sequence lives off-GPU. Safe to call repeatedly: identical
-    /// content is deduplicated.
+    /// requests can adopt them. `runs` is the *prompt* token identity; only as many of
+    /// its tokens as the sequence caches are indexed. No-op when the cache is disabled
+    /// or the sequence lives off-GPU. Safe to call repeatedly: identical content is
+    /// deduplicated.
     ///
     /// # Errors
     ///
     /// Returns [`KvCacheError::UnknownSequence`] if the id is not tracked.
-    pub fn insert_prefix(&mut self, seq_id: u64, tokens: &[Token]) -> Result<(), KvCacheError> {
+    pub fn insert_prefix(&mut self, seq_id: u64, runs: &[TokenRun]) -> Result<(), KvCacheError> {
         let entry = self.seqs.get(seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
         if entry.device != Device::Gpu {
             return Ok(());
         }
-        let n = tokens.len().min(entry.table.num_tokens());
-        let blocks: Vec<usize> = entry.table.blocks().to_vec();
         let Some(prefix) = self.prefix.as_mut() else { return Ok(()) };
-        let outcome = prefix.insert(&tokens[..n], &blocks);
+        let outcome = prefix.insert(runs, entry.table.num_tokens(), entry.table.blocks());
         // Newly indexed blocks are also the sequence's, so none becomes evictable; a
         // pruned block stops being evictable if only the index held it.
         for &b in &outcome.retained {
@@ -687,8 +685,8 @@ mod tests {
         )
     }
 
-    fn prompt(id: u64, len: usize) -> Vec<Token> {
-        crate::prefix::expand(&[crate::prefix::TokenRun { id, len }])
+    fn prompt(id: u64, len: usize) -> [TokenRun; 1] {
+        [TokenRun { id, len }]
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! Prompts are identified by [`TokenRun`]s — `(run id, length)` pairs — rather than raw
 //! token ids: the simulator has no vocabulary, but two requests share a prefix exactly when
 //! their leading runs are identical, which is how workload generators express "same system
-//! prompt" or "same session history". [`expand`] flattens runs into per-token identities.
+//! prompt" or "same session history". Token `k` of a run with id `r` is the token
+//! `(r, k)`; [`expand`] spells a prompt out token by token. The index never does: each
+//! node holds its block's content as the canonical segments `(run id, first offset, len)`
+//! the block's tokens fall into, so a block inside one run is one segment, and every
+//! comparison walks segments with the same meaning as comparing the tokens.
 //!
 //! The index itself owns no memory; it only names blocks. The [`crate::KvCacheManager`]
 //! holds one allocator reference per indexed block, and eviction (LRU over leaves whose
@@ -38,7 +42,8 @@ pub struct TokenRun {
 /// One prompt token's identity: `(run id, offset within the run)`.
 pub type Token = (u64, u64);
 
-/// Flattens runs into per-token identities, in prompt order.
+/// Flattens runs into per-token identities, in prompt order: the token-level meaning of
+/// the segments the index compares.
 pub fn expand(runs: &[TokenRun]) -> Vec<Token> {
     let mut out = Vec::with_capacity(runs.iter().map(|r| r.len).sum());
     for run in runs {
@@ -47,6 +52,100 @@ pub fn expand(runs: &[TokenRun]) -> Vec<Token> {
         }
     }
     out
+}
+
+/// `len` consecutive tokens of run `run`, starting at offset `first`.
+///
+/// A block's segments are canonical: one per run the block touches, empty runs skipped.
+/// Every segment after a block's first starts a run at offset 0, so two neighbours never
+/// continue each other (not even two runs with the same id), and equal token sequences
+/// have equal segment lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Segment {
+    run: u64,
+    first: usize,
+    len: usize,
+}
+
+/// Number of tokens the segments hold.
+fn tokens_in(segments: &[Segment]) -> usize {
+    segments.iter().map(|s| s.len).sum()
+}
+
+/// Length of the longest common token prefix of two canonical segment lists.
+fn common_prefix(a: &[Segment], b: &[Segment]) -> usize {
+    let mut n = 0;
+    for (x, y) in a.iter().zip(b) {
+        if (x.run, x.first) != (y.run, y.first) {
+            break;
+        }
+        n += x.len.min(y.len);
+        // The shorter segment's successor starts a run at offset 0, while the longer
+        // one continues at a positive offset: the sequences diverge here.
+        if x.len != y.len {
+            break;
+        }
+    }
+    n
+}
+
+/// A block's content, inline when the block lies inside one run.
+#[derive(Debug, Clone)]
+enum Content {
+    One(Segment),
+    Many(Box<[Segment]>),
+}
+
+impl Content {
+    fn new(segments: &[Segment]) -> Self {
+        match segments {
+            [one] => Self::One(*one),
+            many => Self::Many(many.into()),
+        }
+    }
+
+    fn segments(&self) -> &[Segment] {
+        match self {
+            Self::One(one) => std::slice::from_ref(one),
+            Self::Many(many) => many,
+        }
+    }
+}
+
+/// Walks a prompt's runs one block at a time, up to a token limit.
+struct Chunks<'a> {
+    runs: &'a [TokenRun],
+    /// Offset into `runs[0]` of the next token.
+    offset: usize,
+    /// Tokens still to walk.
+    left: usize,
+}
+
+impl<'a> Chunks<'a> {
+    fn new(runs: &'a [TokenRun], limit: usize) -> Self {
+        Self { runs, offset: 0, left: limit }
+    }
+
+    /// Replaces `out` with the segments of the next `block_size` tokens (fewer at the
+    /// end) and returns how many tokens they hold.
+    fn next_into(&mut self, block_size: usize, out: &mut Vec<Segment>) -> usize {
+        out.clear();
+        let mut taken = 0;
+        while taken < block_size && self.left > 0 {
+            let Some((run, rest)) = self.runs.split_first() else { break };
+            let n = (run.len - self.offset).min(block_size - taken).min(self.left);
+            if n == 0 {
+                self.runs = rest;
+                self.offset = 0;
+                continue;
+            }
+            out.push(Segment { run: run.id, first: self.offset, len: n });
+            self.offset += n;
+            self.left -= n;
+            taken += n;
+        }
+        taken
+    }
 }
 
 /// Result of a prefix lookup: the chain of fully matching blocks, plus at most one
@@ -81,7 +180,7 @@ pub struct InsertOutcome {
 /// only for leaf "tail" nodes).
 #[derive(Debug, Clone)]
 struct Node {
-    content: Vec<Token>,
+    content: Content,
     block: usize,
     parent: Option<usize>,
     children: Vec<usize>,
@@ -162,8 +261,8 @@ impl PrefixIndex {
     }
 
     /// The child of `parent` whose content is exactly `chunk`.
-    fn child_with(&self, parent: Option<usize>, chunk: &[Token]) -> Option<usize> {
-        self.children_of(parent).iter().copied().find(|&c| self.node(c).content == chunk)
+    fn child_with(&self, parent: Option<usize>, chunk: &[Segment]) -> Option<usize> {
+        self.children_of(parent).iter().copied().find(|&c| self.node(c).content.segments() == chunk)
     }
 
     /// The leaf-set key of node `idx`.
@@ -184,16 +283,17 @@ impl PrefixIndex {
 
     /// Removes the leaf children of `parent` whose content is a strict prefix of
     /// `chunk` (subsumed partial tails), in child order, returning their blocks.
-    fn prune_subsumed(&mut self, parent: Option<usize>, chunk: &[Token]) -> Vec<usize> {
+    fn prune_subsumed(&mut self, parent: Option<usize>, chunk: &[Segment]) -> Vec<usize> {
+        let chunk_len = tokens_in(chunk);
         let subsumed: Vec<usize> = self
             .children_of(parent)
             .iter()
             .copied()
             .filter(|&c| {
                 let n = self.node(c);
-                n.content.len() < chunk.len()
-                    && n.children.is_empty()
-                    && chunk.starts_with(&n.content)
+                let content = n.content.segments();
+                let len = tokens_in(content);
+                len < chunk_len && n.children.is_empty() && common_prefix(content, chunk) == len
             })
             .collect();
         subsumed.into_iter().map(|c| self.remove_node(c)).collect()
@@ -202,7 +302,7 @@ impl PrefixIndex {
     fn add_node(
         &mut self,
         parent: Option<usize>,
-        content: Vec<Token>,
+        content: Content,
         block: usize,
         now: u64,
     ) -> usize {
@@ -257,34 +357,33 @@ impl PrefixIndex {
         node.block
     }
 
-    /// Longest cached prefix of `tokens`: the chain of fully matching blocks plus at most
-    /// one partially matching child (best common prefix; ties broken by smallest block).
-    /// Touches every matched node for LRU purposes.
-    pub fn lookup(&mut self, tokens: &[Token]) -> PrefixHit {
+    /// Longest cached prefix of the prompt `runs`: the chain of fully matching blocks plus
+    /// at most one partially matching child (best common prefix; ties broken by smallest
+    /// block). Touches every matched node for LRU purposes.
+    pub fn lookup(&mut self, runs: &[TokenRun]) -> PrefixHit {
         let now = self.tick();
         let bs = self.block_size;
+        let mut chunks = Chunks::new(runs, usize::MAX);
+        let mut chunk = Vec::new();
         let mut parent: Option<usize> = None;
         let mut blocks = Vec::new();
-        let mut start = 0usize;
         loop {
-            if start >= tokens.len() {
+            let len = chunks.next_into(bs, &mut chunk);
+            if len == 0 {
                 return PrefixHit { blocks, partial: None };
             }
-            let remaining = &tokens[start..];
-            if remaining.len() >= bs {
-                if let Some(c) = self.child_with(parent, &remaining[..bs]) {
+            if len == bs {
+                if let Some(c) = self.child_with(parent, &chunk) {
                     self.touch(c, now);
                     blocks.push(self.node(c).block);
                     parent = Some(c);
-                    start += bs;
                     continue;
                 }
             }
             // No full-block step: find the best partially matching child.
             let mut best: Option<(usize, usize, usize)> = None; // (cpl, block, node)
             for &c in self.children_of(parent) {
-                let content = &self.node(c).content;
-                let cpl = content.iter().zip(remaining.iter()).take_while(|(a, b)| a == b).count();
+                let cpl = common_prefix(self.node(c).content.segments(), &chunk);
                 if cpl >= 1 {
                     let key = (cpl, self.node(c).block);
                     let better = match best {
@@ -306,54 +405,54 @@ impl PrefixIndex {
         }
     }
 
-    /// Registers the prompt `tokens` of a prefilled sequence, backed block-by-block by
-    /// `blocks` (the sequence's block table, chunk `i` caching
-    /// `tokens[i*block_size..(i+1)*block_size]`). Existing nodes with identical content
-    /// are reused (touched, not re-referenced); shorter partial nodes subsumed by new
-    /// content are pruned.
+    /// Registers the first `limit` tokens of the prompt `runs` (all of them if the prompt
+    /// is shorter) for a prefilled sequence, backed block-by-block by `blocks` (the
+    /// sequence's block table, block `i` caching tokens `i*block_size..(i+1)*block_size`).
+    /// Existing nodes with identical content are reused (touched, not re-referenced);
+    /// shorter partial nodes subsumed by new content are pruned.
     ///
     /// # Panics
     ///
-    /// Panics if `blocks` has fewer entries than `tokens` needs.
-    pub fn insert(&mut self, tokens: &[Token], blocks: &[usize]) -> InsertOutcome {
+    /// Panics if `blocks` has fewer entries than the registered tokens need.
+    pub fn insert(&mut self, runs: &[TokenRun], limit: usize, blocks: &[usize]) -> InsertOutcome {
+        let bs = self.block_size;
+        let total = runs.iter().map(|r| r.len).sum::<usize>().min(limit);
         assert!(
-            blocks.len() * self.block_size >= tokens.len(),
-            "insert needs one block per {} tokens: {} tokens, {} blocks",
-            self.block_size,
-            tokens.len(),
+            blocks.len() * bs >= total,
+            "insert needs one block per {bs} tokens: {total} tokens, {} blocks",
             blocks.len()
         );
         let now = self.tick();
-        let bs = self.block_size;
+        let mut chunks = Chunks::new(runs, limit);
+        let mut chunk = Vec::new();
         let mut outcome = InsertOutcome::default();
         let mut parent: Option<usize> = None;
-        let mut i = 0usize;
-        while i * bs < tokens.len() {
-            let end = ((i + 1) * bs).min(tokens.len());
-            let chunk = &tokens[i * bs..end];
-            if chunk.len() == bs {
-                if let Some(c) = self.child_with(parent, chunk) {
+        for &block in blocks {
+            let len = chunks.next_into(bs, &mut chunk);
+            if len == 0 {
+                break;
+            }
+            if len == bs {
+                if let Some(c) = self.child_with(parent, &chunk) {
                     self.touch(c, now);
                     parent = Some(c);
-                    i += 1;
                     continue;
                 }
                 // Prune partial siblings the new full block subsumes.
-                outcome.released.extend(self.prune_subsumed(parent, chunk));
-                let id = self.add_node(parent, chunk.to_vec(), blocks[i], now);
-                outcome.retained.push(blocks[i]);
+                outcome.released.extend(self.prune_subsumed(parent, &chunk));
+                let id = self.add_node(parent, Content::new(&chunk), block, now);
+                outcome.retained.push(block);
                 parent = Some(id);
-                i += 1;
             } else {
                 // Partial tail: only index it if no existing child already serves it.
-                let covered = self.children_of(parent).iter().any(|&c| {
-                    let content = &self.node(c).content;
-                    content.len() >= chunk.len() && content[..chunk.len()] == *chunk
-                });
+                let covered = self
+                    .children_of(parent)
+                    .iter()
+                    .any(|&c| common_prefix(self.node(c).content.segments(), &chunk) == len);
                 if !covered {
-                    outcome.released.extend(self.prune_subsumed(parent, chunk));
-                    self.add_node(parent, chunk.to_vec(), blocks[i], now);
-                    outcome.retained.push(blocks[i]);
+                    outcome.released.extend(self.prune_subsumed(parent, &chunk));
+                    self.add_node(parent, Content::new(&chunk), block, now);
+                    outcome.retained.push(block);
                 }
                 break;
             }
@@ -375,14 +474,33 @@ impl PrefixIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn toks(ids: &[u64]) -> Vec<Token> {
-        // Helper: one run per id, each of length 1, so tokens are just ids.
-        ids.iter().map(|&id| (id, 0)).collect()
-    }
+    use proptest::prelude::*;
 
     fn run(id: u64, len: usize) -> TokenRun {
         TokenRun { id, len }
+    }
+
+    /// Every block's segments, walked as the index walks a prompt.
+    fn segment_blocks(runs: &[TokenRun], limit: usize, bs: usize) -> Vec<Vec<Segment>> {
+        let mut chunks = Chunks::new(runs, limit);
+        let mut out = Vec::new();
+        loop {
+            let mut chunk = Vec::new();
+            if chunks.next_into(bs, &mut chunk) == 0 {
+                return out;
+            }
+            out.push(chunk);
+        }
+    }
+
+    /// The same blocks, token by token.
+    fn token_blocks(runs: &[TokenRun], limit: usize, bs: usize) -> Vec<Vec<Token>> {
+        let tokens = expand(runs);
+        tokens[..tokens.len().min(limit)].chunks(bs).map(<[Token]>::to_vec).collect()
+    }
+
+    fn token_common_prefix(a: &[Token], b: &[Token]) -> usize {
+        a.iter().zip(b).take_while(|(x, y)| x == y).count()
     }
 
     #[test]
@@ -393,18 +511,79 @@ mod tests {
     }
 
     #[test]
+    fn blocks_split_into_one_segment_per_run() {
+        let runs = [run(7, 6), run(3, 0), run(9, 5)];
+        let seg = |run, first, len| Segment { run, first, len };
+        assert_eq!(
+            segment_blocks(&runs, usize::MAX, 4),
+            vec![vec![seg(7, 0, 4)], vec![seg(7, 4, 2), seg(9, 0, 2)], vec![seg(9, 2, 3)]]
+        );
+        assert_eq!(
+            segment_blocks(&runs, 7, 4),
+            vec![vec![seg(7, 0, 4)], vec![seg(7, 4, 2), seg(9, 0, 1)]]
+        );
+        assert!(segment_blocks(&[run(1, 0)], usize::MAX, 4).is_empty());
+    }
+
+    #[test]
+    fn a_repeated_run_restarts_and_never_merges() {
+        // `5 5` spelled as two runs is (5,0) (5,1) (5,2) (5,0) (5,1) (5,2), not six
+        // consecutive tokens of run 5.
+        let twice = [run(5, 3), run(5, 3)];
+        let once = [run(5, 6)];
+        let a = segment_blocks(&twice, usize::MAX, 4);
+        let b = segment_blocks(&once, usize::MAX, 4);
+        assert_eq!(a[0].len(), 2, "the second run starts a segment of its own");
+        assert_eq!(common_prefix(&a[0], &b[0]), 3);
+        let mut idx = PrefixIndex::new(4);
+        idx.insert(&once, usize::MAX, &[10, 11]);
+        assert_eq!(idx.lookup(&twice), PrefixHit { blocks: vec![], partial: Some((10, 3)) });
+    }
+
+    proptest! {
+        /// The segment walk agrees with a token-by-token comparison of every pair of
+        /// blocks, across zero-length runs, ids repeated back to back, and limits that
+        /// cut a run mid-block: same block lengths, equal segments exactly when the
+        /// tokens are equal, and the same common-prefix length.
+        #[test]
+        fn prop_segment_common_prefix_matches_a_token_count(
+            a in proptest::collection::vec((0u64..3, 0usize..7), 0..6),
+            b in proptest::collection::vec((0u64..3, 0usize..7), 0..6),
+            bs in 1usize..6,
+            limit in 0usize..40,
+        ) {
+            let runs =
+                |v: &[(u64, usize)]| v.iter().map(|&(id, len)| run(id, len)).collect::<Vec<_>>();
+            let (a, b) = (runs(&a), runs(&b));
+            let (sa, sb) = (segment_blocks(&a, limit, bs), segment_blocks(&b, usize::MAX, bs));
+            let (ta, tb) = (token_blocks(&a, limit, bs), token_blocks(&b, usize::MAX, bs));
+            prop_assert_eq!(sa.len(), ta.len());
+            prop_assert_eq!(sb.len(), tb.len());
+            for (s, t) in sa.iter().zip(&ta).chain(sb.iter().zip(&tb)) {
+                prop_assert_eq!(tokens_in(s), t.len());
+            }
+            for (s, t) in sa.iter().zip(&ta) {
+                for (u, v) in sb.iter().zip(&tb) {
+                    prop_assert_eq!(common_prefix(s, u), token_common_prefix(t, v));
+                    prop_assert_eq!(s == u, t == v);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn insert_then_lookup_full_chain() {
         let mut idx = PrefixIndex::new(2);
-        let tokens = expand(&[run(1, 6)]);
-        let out = idx.insert(&tokens, &[10, 11, 12]);
+        let prompt = [run(1, 6)];
+        let out = idx.insert(&prompt, usize::MAX, &[10, 11, 12]);
         assert_eq!(out.retained, vec![10, 11, 12]);
         assert!(out.released.is_empty());
-        let hit = idx.lookup(&tokens);
+        let hit = idx.lookup(&prompt);
         assert_eq!(hit.blocks, vec![10, 11, 12]);
         assert_eq!(hit.partial, None);
         assert_eq!(hit.tokens(2), 6);
         // A shorter prompt matches a shorter chain.
-        let hit = idx.lookup(&tokens[..4]);
+        let hit = idx.lookup(&[run(1, 4)]);
         assert_eq!(hit.blocks, vec![10, 11]);
         assert_eq!(hit.partial, None);
     }
@@ -412,9 +591,9 @@ mod tests {
     #[test]
     fn reinserting_identical_content_adds_no_nodes() {
         let mut idx = PrefixIndex::new(2);
-        let tokens = expand(&[run(1, 4)]);
-        idx.insert(&tokens, &[10, 11]);
-        let out = idx.insert(&tokens, &[20, 21]);
+        let prompt = [run(1, 4)];
+        idx.insert(&prompt, usize::MAX, &[10, 11]);
+        let out = idx.insert(&prompt, usize::MAX, &[20, 21]);
         assert!(out.retained.is_empty(), "identical chunks are deduplicated");
         assert_eq!(idx.len(), 2);
     }
@@ -422,10 +601,10 @@ mod tests {
     #[test]
     fn diverging_suffixes_share_the_common_prefix() {
         let mut idx = PrefixIndex::new(2);
-        let a = expand(&[run(1, 2), run(2, 2)]);
-        let b = expand(&[run(1, 2), run(3, 2)]);
-        idx.insert(&a, &[10, 11]);
-        let out = idx.insert(&b, &[20, 21]);
+        let a = [run(1, 2), run(2, 2)];
+        let b = [run(1, 2), run(3, 2)];
+        idx.insert(&a, usize::MAX, &[10, 11]);
+        let out = idx.insert(&b, usize::MAX, &[20, 21]);
         assert_eq!(out.retained, vec![21], "only the diverging block is new");
         let hit = idx.lookup(&b);
         assert_eq!(hit.blocks, vec![10, 21]);
@@ -435,10 +614,9 @@ mod tests {
     fn partial_tail_hits_copy_on_write_candidates() {
         let mut idx = PrefixIndex::new(4);
         // 6 tokens: one full block + a 2-token tail.
-        let tokens = expand(&[run(1, 6)]);
-        idx.insert(&tokens, &[10, 11]);
+        idx.insert(&[run(1, 6)], usize::MAX, &[10, 11]);
         // A prompt sharing 5 tokens: full block + 1 token of the tail block.
-        let probe = [&tokens[..5], &toks(&[99, 98, 97])[..]].concat();
+        let probe = [run(1, 5), run(99, 1), run(98, 1), run(97, 1)];
         let hit = idx.lookup(&probe);
         assert_eq!(hit.blocks, vec![10]);
         assert_eq!(hit.partial, Some((11, 1)));
@@ -448,10 +626,9 @@ mod tests {
     #[test]
     fn longer_tail_prunes_the_shorter_partial_node() {
         let mut idx = PrefixIndex::new(4);
-        let short = expand(&[run(1, 6)]); // block 10 full, block 11 holds 2 tokens
-        idx.insert(&short, &[10, 11]);
-        let long = expand(&[run(1, 8)]); // same run, now two full blocks
-        let out = idx.insert(&long, &[20, 21]);
+        idx.insert(&[run(1, 6)], usize::MAX, &[10, 11]); // block 11 holds 2 tokens
+        let long = [run(1, 8)]; // same run, now two full blocks
+        let out = idx.insert(&long, usize::MAX, &[20, 21]);
         assert_eq!(out.released, vec![11], "subsumed partial is pruned");
         assert_eq!(out.retained, vec![21]);
         let hit = idx.lookup(&long);
@@ -461,20 +638,30 @@ mod tests {
     #[test]
     fn covered_partial_is_not_reindexed() {
         let mut idx = PrefixIndex::new(4);
-        let long = expand(&[run(1, 8)]);
-        idx.insert(&long, &[10, 11]);
-        let short = expand(&[run(1, 6)]);
-        let out = idx.insert(&short, &[20, 21]);
+        idx.insert(&[run(1, 8)], usize::MAX, &[10, 11]);
+        let out = idx.insert(&[run(1, 6)], usize::MAX, &[20, 21]);
         assert!(out.retained.is_empty(), "existing full block covers the shorter tail");
         assert_eq!(idx.len(), 2);
     }
 
     #[test]
+    fn the_limit_caps_what_is_indexed() {
+        let mut idx = PrefixIndex::new(4);
+        // A sequence holding 6 of its 9 prompt tokens indexes a 2-token tail, cut
+        // inside the second run.
+        let prompt = [run(1, 5), run(2, 4)];
+        let out = idx.insert(&prompt, 6, &[10, 11]);
+        assert_eq!(out.retained, vec![10, 11]);
+        let hit = idx.lookup(&prompt);
+        assert_eq!(hit, PrefixHit { blocks: vec![10], partial: Some((11, 2)) });
+    }
+
+    #[test]
     fn evict_lru_prefers_oldest_leaf_and_respects_predicate() {
         let mut idx = PrefixIndex::new(2);
-        idx.insert(&expand(&[run(1, 2)]), &[10]);
-        idx.insert(&expand(&[run(2, 2)]), &[11]);
-        idx.lookup(&expand(&[run(1, 2)])); // refresh block 10
+        idx.insert(&[run(1, 2)], usize::MAX, &[10]);
+        idx.insert(&[run(2, 2)], usize::MAX, &[11]);
+        idx.lookup(&[run(1, 2)]); // refresh block 10
         assert_eq!(idx.evict_lru(|_| true), Some(11), "LRU leaf goes first");
         assert_eq!(idx.evict_lru(|b| b != 10), None, "predicate can veto");
         assert_eq!(idx.evict_lru(|_| true), Some(10));
@@ -484,7 +671,7 @@ mod tests {
     #[test]
     fn eviction_is_leaf_first() {
         let mut idx = PrefixIndex::new(2);
-        idx.insert(&expand(&[run(1, 4)]), &[10, 11]);
+        idx.insert(&[run(1, 4)], usize::MAX, &[10, 11]);
         // The interior block 10 is never evicted while its child lives.
         assert_eq!(idx.evict_lru(|_| true), Some(11));
         assert_eq!(idx.evict_lru(|_| true), Some(10));
@@ -494,8 +681,8 @@ mod tests {
     #[test]
     fn blocks_lists_every_indexed_block() {
         let mut idx = PrefixIndex::new(2);
-        idx.insert(&expand(&[run(1, 4)]), &[10, 11]);
-        idx.insert(&expand(&[run(2, 2)]), &[12]);
+        idx.insert(&[run(1, 4)], usize::MAX, &[10, 11]);
+        idx.insert(&[run(2, 2)], usize::MAX, &[12]);
         let mut blocks = idx.blocks();
         blocks.sort_unstable();
         assert_eq!(blocks, vec![10, 11, 12]);
@@ -512,6 +699,6 @@ mod tests {
     #[should_panic(expected = "one block per")]
     fn insert_with_too_few_blocks_panics() {
         let mut idx = PrefixIndex::new(2);
-        idx.insert(&expand(&[run(1, 4)]), &[10]);
+        idx.insert(&[run(1, 4)], usize::MAX, &[10]);
     }
 }

@@ -456,8 +456,9 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `runs` is empty, a run is empty, or `arrival`/`output_len` are
-    /// invalid (see [`Server::submit`]).
+    /// Panics if `runs` is empty, if the runs hold no tokens between them, or if
+    /// `arrival`/`output_len` are invalid (see [`Server::submit`]). A run of length
+    /// zero adds no tokens and is otherwise allowed.
     pub fn submit_with_runs(
         &mut self,
         arrival: f64,

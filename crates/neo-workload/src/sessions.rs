@@ -182,19 +182,18 @@ pub fn multi_turn_chat(cfg: &ChatConfig, seed: u64) -> SessionTrace {
         // sample no matter how the length targets are configured.
         let shared = rand::Rng::gen_range(&mut rng, 0.0..1.0) < cfg.shared_system_prob;
         let system_id = if shared { SHARED_SYSTEM_RUN } else { run_id(s, 0, KIND_SYSTEM) };
-        let mut history = vec![TokenRun { id: system_id, len: cfg.system_len }];
+        let mut history = Vec::with_capacity(2 * cfg.turns + 1);
+        history.push(TokenRun { id: system_id, len: cfg.system_len });
         for t in 0..cfg.turns {
             let user = TokenRun { id: run_id(s, t, KIND_USER), len: user_dist.sample(&mut rng) };
             let output_len = output_dist.sample(&mut rng);
-            let mut runs = history.clone();
-            runs.push(user);
+            history.push(user);
             requests.push(SessionRequest {
                 arrival: start + t as f64 * cfg.turn_gap,
-                runs: runs.clone(),
+                runs: history.clone(),
                 output_len,
             });
             // Next turn re-sends this prompt plus the answer just generated.
-            history = runs;
             history.push(TokenRun { id: run_id(s, t, KIND_ANSWER), len: output_len });
         }
     }

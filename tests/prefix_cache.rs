@@ -6,7 +6,9 @@
 //! * **Radix tree vs. a naive oracle** — random interleaved insert/lookup/evict
 //!   sequences against a `BTreeMap`-of-prefixes model that re-derives the tree's
 //!   documented semantics from scratch (paths as keys, parents as length-truncated
-//!   prefixes). Every operation's result and the whole indexed block set must agree.
+//!   prefixes). The tree gets each prompt as token runs, the oracle the same prompt
+//!   spelled out token by token. Every operation's result and the whole indexed block
+//!   set must agree.
 //! * **Manager conservation** — random adopt/prefill/decode/swap/free interleavings on a
 //!   tiny three-tier [`KvCacheManager`]: pools never leak a block, every indexed block
 //!   stays referenced, and after releasing all sequences the full GPU capacity is
@@ -175,30 +177,41 @@ impl OracleIndex {
     }
 }
 
-/// Decodes one generated op tuple into prompt tokens from a tiny run alphabet, so
-/// random sequences constantly produce shared prefixes, diverging suffixes, and
-/// partial tails.
-fn op_tokens(run: u64, len: usize, extra: usize) -> Vec<Token> {
-    expand(&[
-        TokenRun { id: run + 1, len },
-        TokenRun { id: (run + extra as u64) % 3 + 1, len: 1 + extra },
-    ])
+/// Decodes one generated op tuple into prompt runs from a tiny run alphabet, so random
+/// sequences constantly produce shared prefixes, diverging suffixes, and partial tails.
+/// The first run may be empty; `extra % 3 == 0` repeats its id back to back (a run
+/// that restarts at offset 0), and an odd `extra` puts an empty run between the two.
+fn op_runs(run: u64, len: usize, extra: usize) -> Vec<TokenRun> {
+    let second = (run + extra as u64) % 3 + 1;
+    let mut runs = vec![TokenRun { id: run + 1, len }];
+    if extra % 2 == 1 {
+        runs.push(TokenRun { id: second, len: 0 });
+    }
+    runs.push(TokenRun { id: second, len: 1 + extra });
+    runs
 }
 
-fn check_index_against_oracle(ops: &[(usize, u64, usize, usize)]) -> Result<(), TestCaseError> {
+/// One generated op: `((selector, insert cut), (run, len, extra))`.
+type IndexOp = ((usize, usize), (u64, usize, usize));
+
+fn check_index_against_oracle(ops: &[IndexOp]) -> Result<(), TestCaseError> {
     let mut idx = PrefixIndex::new(BS);
     let mut oracle = OracleIndex::default();
     let mut next_block = 100usize;
-    for &(sel, run, len, extra) in ops {
+    for &((sel, cut), (run, len, extra)) in ops {
+        let runs = op_runs(run, len, extra);
+        let tokens = expand(&runs);
         match sel {
-            // Insert (weighted heaviest: it is the only tree-growing op).
+            // Insert (weighted heaviest: it is the only tree-growing op), capped `cut`
+            // tokens short of the prompt as for a sequence holding fewer tokens than
+            // its prompt, with one spare block in the table on odd `extra`.
             0..=2 => {
-                let tokens = op_tokens(run, len, extra);
+                let limit = tokens.len().saturating_sub(cut);
                 let blocks: Vec<usize> =
-                    (0..tokens.len().div_ceil(BS)).map(|i| next_block + i).collect();
+                    (0..limit.div_ceil(BS) + extra % 2).map(|i| next_block + i).collect();
                 next_block += blocks.len();
-                let real = idx.insert(&tokens, &blocks);
-                let (retained, released) = oracle.insert(&tokens, &blocks);
+                let real = idx.insert(&runs, limit, &blocks);
+                let (retained, released) = oracle.insert(&tokens[..limit], &blocks);
                 let mut real_retained = real.retained.clone();
                 let mut real_released = real.released.clone();
                 real_retained.sort_unstable();
@@ -211,8 +224,7 @@ fn check_index_against_oracle(ops: &[(usize, u64, usize, usize)]) -> Result<(), 
                 prop_assert_eq!(real_released, want_released, "insert released set");
             }
             3 | 4 => {
-                let tokens = op_tokens(run, len, extra);
-                let real = idx.lookup(&tokens);
+                let real = idx.lookup(&runs);
                 let (blocks, partial) = oracle.lookup(&tokens);
                 prop_assert_eq!(&real.blocks, &blocks, "lookup full chain");
                 prop_assert_eq!(real.partial, partial, "lookup partial tail");
@@ -302,9 +314,13 @@ fn check_manager_invariants(m: &KvCacheManager) -> Result<(), TestCaseError> {
 
 /// The engine's per-request flow against the manager: adopt what the cache has, prefill
 /// the rest, publish the prompt. Returns whether the sequence ended up live.
-fn admit_request(m: &mut KvCacheManager, id: u64, tokens: &[Token]) -> Result<bool, TestCaseError> {
-    let plen = tokens.len();
-    let adoption = m.adopt_prefix(id, tokens, plen - 1).expect("fresh id");
+fn admit_request(
+    m: &mut KvCacheManager,
+    id: u64,
+    runs: &[TokenRun],
+) -> Result<bool, TestCaseError> {
+    let plen: usize = runs.iter().map(|r| r.len).sum();
+    let adoption = m.adopt_prefix(id, runs, plen - 1).expect("fresh id");
     prop_assert!(adoption.cached_tokens < plen, "adoption is capped below the prompt");
     if adoption.cached_tokens == 0 {
         if m.allocate_sequence(id, plen, Device::Gpu).is_err() {
@@ -316,7 +332,7 @@ fn admit_request(m: &mut KvCacheManager, id: u64, tokens: &[Token]) -> Result<bo
         m.free_sequence(id).expect("adopted sequence exists");
         return Ok(false);
     }
-    m.insert_prefix(id, tokens).expect("live sequence");
+    m.insert_prefix(id, runs).expect("live sequence");
     Ok(true)
 }
 
@@ -327,10 +343,9 @@ fn check_manager_conservation(ops: &[(usize, u64, usize, usize)]) -> Result<(), 
     for &(sel, run, len, extra) in ops {
         match sel {
             0..=3 => {
-                let tokens = op_tokens(run, len, extra);
                 let id = next_id;
                 next_id += 1;
-                if admit_request(&mut m, id, &tokens)? {
+                if admit_request(&mut m, id, &op_runs(run, len, extra))? {
                     live.push(id);
                 }
             }
@@ -387,7 +402,10 @@ proptest! {
     /// interleaved insert/lookup/evict sequences.
     #[test]
     fn prop_prefix_index_matches_naive_oracle(
-        ops in proptest::collection::vec((0usize..6, 0u64..3, 1usize..10, 0usize..5), 1..60)
+        ops in proptest::collection::vec(
+            ((0usize..6, 0usize..6), (0u64..3, 0usize..10, 0usize..6)),
+            1..60,
+        )
     ) {
         check_index_against_oracle(&ops)?;
     }
