@@ -5,7 +5,6 @@
 //! memory and the token budget allow, and requests that cannot fit simply wait. This is
 //! the "GPU-only" baseline every figure of the paper normalises against.
 
-use neo_core::batch::PrefillItem;
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
 use neo_kvcache::Device;
@@ -69,42 +68,21 @@ impl SchedulerPolicy for GpuOnlyScheduler {
         }
     }
 
-    /// Admit prefills while the token budget and GPU memory allow. This loop is bespoke
-    /// (not [`IterationPlan::admit_prefills`]) because SwiftLLM-like whole-prompt
-    /// admission blocks the head of the line when the remaining budget cannot take a full
-    /// prompt.
+    /// Admit prefills while the token budget and GPU memory allow: vLLM-like chunks at
+    /// [`neo_core::EngineConfig::prefill_chunk`], SwiftLLM-like whole prompts. When the
+    /// rest of the budget cannot take a whole prompt, SwiftLLM-like admission stops
+    /// there (head-of-line blocking); prompts longer than the whole budget are
+    /// necessarily chunked.
     fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let cfg = ctx.config;
-        let mut token_budget = plan.token_budget(ctx);
-        for &id in ctx.waiting {
-            if token_budget == 0 || plan.batch0.sequences() >= cfg.max_batch_seqs {
-                break;
-            }
+        let chunk_cap = if self.chunked_prefill { cfg.prefill_chunk } else { usize::MAX };
+        plan.admit_prefills(ctx, chunk_cap, |plan, id, chunk| {
             let remaining = ctx.remaining_prefill(id);
-            if remaining == 0 {
-                continue;
-            }
-            let chunk_cap = if self.chunked_prefill { cfg.prefill_chunk.max(1) } else { remaining };
-            let chunk = remaining.min(token_budget).min(chunk_cap);
             if !self.chunked_prefill && chunk < remaining && remaining <= cfg.max_batch_tokens {
-                // Whole-prompt admission: if the remainder of the budget cannot take the
-                // full prompt, stop admitting (head-of-line blocking, like SwiftLLM).
-                // Prompts longer than the whole budget are necessarily chunked.
-                break;
+                return None;
             }
-            if plan.gpu_free < chunk as i64 {
-                break;
-            }
-            let already = ctx.requests[id].prefilled;
-            plan.batch0.prefills.push(PrefillItem {
-                req: id,
-                new_tokens: chunk,
-                ctx_after: already + chunk,
-                target: Device::Gpu,
-            });
-            plan.gpu_free -= chunk as i64;
-            token_budget -= chunk;
-        }
+            (plan.gpu_free >= chunk as i64).then_some(Device::Gpu)
+        });
     }
 
     /// The CPU cache does not exist for a GPU-only policy.

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neo_core::batch::{ScheduleDecision, SubBatch};
 use neo_core::config::EngineConfig;
 use neo_core::engine::Engine;
-use neo_core::pipeline::{estimate_asymmetric, estimate_gpu_only};
+use neo_core::pipeline::estimate_asymmetric;
 use neo_core::request::Request;
 use neo_core::scheduler::NeoScheduler;
 use neo_core::ExecutionMode;
@@ -44,9 +44,6 @@ fn bench_estimators(c: &mut Criterion) {
         let d = decision(n, n / 2);
         group.bench_with_input(BenchmarkId::new("asymmetric", n), &d, |b, d| {
             b.iter(|| estimate_asymmetric(&cost, d, 0, 0, true));
-        });
-        group.bench_with_input(BenchmarkId::new("gpu_only", n), &d, |b, d| {
-            b.iter(|| estimate_gpu_only(&cost, &d.batch0, 0, 0, true));
         });
     }
     group.finish();

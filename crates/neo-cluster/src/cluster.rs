@@ -209,9 +209,6 @@ struct Slot {
     /// `(deliver_at, id)` in delivery order (monotone: the link is serial FIFO).
     inflight: VecDeque<(f64, u64)>,
     routed: usize,
-    /// Whether the engine is in service; a down slot admits nothing and has no
-    /// activity until an `EngineRecover` fault.
-    up: bool,
     /// Largest context (prompt + output) any pool of this engine can ever hold — the
     /// admissibility bound for routing.
     capacity: usize,
@@ -426,9 +423,8 @@ impl Cluster {
             match event.kind {
                 FaultKind::EngineFail => self.fail_engine(event.at, event.engine),
                 FaultKind::EngineRecover => {
-                    if !self.slots[event.engine].up {
+                    if self.slots[event.engine].server.is_down() {
                         self.slots[event.engine].server.recover();
-                        self.slots[event.engine].up = true;
                         self.rekey(event.engine);
                     }
                 }
@@ -456,7 +452,7 @@ impl Cluster {
     /// Fail-stops engine `e` at `at`: its KV is lost, the slot goes down, and every
     /// pending request it held (on the link or admitted) is orphaned in id order.
     fn fail_engine(&mut self, at: f64, engine: usize) {
-        if !self.slots[engine].up {
+        if self.slots[engine].server.is_down() {
             return;
         }
         let victims: Vec<u64> = (0..self.site.len() as u64)
@@ -466,7 +462,6 @@ impl Cluster {
             })
             .collect();
         let _ = self.slots[engine].server.fail();
-        self.slots[engine].up = false;
         self.slots[engine].inflight.clear();
         self.rekey(engine);
         for id in victims {
@@ -539,7 +534,7 @@ impl Cluster {
             let eligible: Vec<usize> =
                 (0..self.slots.len()).filter(|&e| self.eligible(id, e)).collect();
             if eligible.is_empty() {
-                if self.slots.iter().any(|s| s.up) {
+                if self.slots.iter().any(|s| !s.server.is_down()) {
                     self.retry_queue.remove(slot);
                     self.site[id as usize] = Site::Idle;
                     self.drop_request(at, id, DropReason::NoAdmissibleEngine);
@@ -566,7 +561,7 @@ impl Cluster {
     /// Whether engine `e` is live and could ever serve request `id` (its full
     /// context fits the engine's largest pool).
     fn eligible(&self, id: u64, engine: usize) -> bool {
-        self.slots[engine].up && self.admissible(id, engine)
+        !self.slots[engine].server.is_down() && self.admissible(id, engine)
     }
 
     /// Whether request `id`'s full context fits engine `e`'s largest pool,
@@ -726,7 +721,8 @@ impl Cluster {
             return;
         }
         self.router.arrivals_since_rebalance = 0;
-        let live: Vec<usize> = (0..self.slots.len()).filter(|&e| self.slots[e].up).collect();
+        let live: Vec<usize> =
+            (0..self.slots.len()).filter(|&e| !self.slots[e].server.is_down()).collect();
         if live.len() < 2 {
             return;
         }
@@ -888,7 +884,6 @@ impl Cluster {
                 link: SerialLine::new(config.link_latency_s, config.link_bytes_per_s),
                 inflight: VecDeque::new(),
                 routed: 0,
-                up: true,
             })
             .collect();
         let requests = trace.requests().to_vec();

@@ -195,21 +195,34 @@ impl Engine {
             return Err(AdmitError::DuplicateId(id));
         }
         self.requests.fits(id)?;
-        if self.down {
-            return Err(AdmitError::EngineDown);
-        }
-        let required = request.total_tokens();
-        let capacity = self.max_context_capacity();
-        if required > capacity {
-            return Err(AdmitError::NeverAdmissible {
-                required_tokens: required,
-                capacity_tokens: capacity,
-            });
-        }
+        self.check_admissible(request.total_tokens())?;
         self.requests.insert(id, request)?;
         self.waiting.push(id);
         if self.config.prefix_cache {
             self.adopt_prefix_on_submit(id);
+        }
+        Ok(())
+    }
+
+    /// Whether a request of `total_tokens` (prompt + output) could be submitted now,
+    /// whatever its id: the two refusals of [`Engine::submit`] that depend on the engine
+    /// alone, in its order.
+    ///
+    /// # Errors
+    ///
+    /// * [`AdmitError::EngineDown`] — the engine is fail-stopped;
+    /// * [`AdmitError::NeverAdmissible`] — the context fits in none of its KV pools
+    ///   (see [`Engine::max_context_capacity`]).
+    pub fn check_admissible(&self, total_tokens: usize) -> Result<(), AdmitError> {
+        if self.down {
+            return Err(AdmitError::EngineDown);
+        }
+        let capacity = self.max_context_capacity();
+        if total_tokens > capacity {
+            return Err(AdmitError::NeverAdmissible {
+                required_tokens: total_tokens,
+                capacity_tokens: capacity,
+            });
         }
         Ok(())
     }
@@ -477,50 +490,34 @@ impl Engine {
             self.preempt(id);
         }
 
-        // Disk demotions free CPU cache room before the swap-outs that need it. Demoted
-        // requests move to `disk_run` (the disk tier is an extension of the host cache);
-        // they just cannot decode until promoted back.
-        let mut demote_tokens = 0usize;
-        let mut demoted_disk = 0usize;
-        for &id in &decision.demote_disk {
-            if self.kv.swap(id, Device::Disk).is_ok() {
-                demote_tokens += self.requests[id].context_len();
-                move_id(&mut self.cpu_run, &mut self.disk_run, id);
-                demoted_disk += 1;
+        // Move whole sequences between tiers, list by list: disk demotions free the CPU
+        // cache room the swap-outs need, swaps free and claim GPU memory for this
+        // iteration, and promotions claim the CPU room the scheduler verified was free.
+        // A demoted request moves to `disk_run` (the disk tier extends the host cache)
+        // and cannot decode until promoted back. The requests and tokens each list moved
+        // are reported and priced.
+        let moves = [
+            (&decision.demote_disk, Device::Cpu, Device::Disk),
+            (&decision.swap_out, Device::Gpu, Device::Cpu),
+            (&decision.swap_in, Device::Cpu, Device::Gpu),
+            (&decision.promote_disk, Device::Disk, Device::Cpu),
+        ];
+        let (mut counts, mut tokens) = ([0usize; 4], [0usize; 4]);
+        for (k, (ids, from, to)) in moves.into_iter().enumerate() {
+            for &id in ids {
+                if self.kv.swap(id, to).is_ok() {
+                    counts[k] += 1;
+                    tokens[k] += self.requests[id].context_len();
+                    self.run_queue(from).retain(|&x| x != id);
+                    let queue = self.run_queue(to);
+                    if !queue.contains(&id) {
+                        queue.push(id);
+                    }
+                }
             }
         }
-
-        // Apply whole-sequence swaps first (they free / claim GPU memory for this
-        // iteration) and track the tokens they move for the time estimate.
-        let mut swap_out_tokens = 0usize;
-        let mut swapped_out = 0usize;
-        for &id in &decision.swap_out {
-            if self.kv.swap(id, Device::Cpu).is_ok() {
-                swap_out_tokens += self.requests[id].context_len();
-                move_id(&mut self.gpu_run, &mut self.cpu_run, id);
-                swapped_out += 1;
-            }
-        }
-        let mut swap_in_tokens = 0usize;
-        let mut swapped_in = 0usize;
-        for &id in &decision.swap_in {
-            if self.kv.swap(id, Device::Gpu).is_ok() {
-                swap_in_tokens += self.requests[id].context_len();
-                move_id(&mut self.cpu_run, &mut self.gpu_run, id);
-                swapped_in += 1;
-            }
-        }
-
-        // Disk promotions claim the CPU room the scheduler verified was free.
-        let mut promote_tokens = 0usize;
-        let mut promoted_disk = 0usize;
-        for &id in &decision.promote_disk {
-            if self.kv.swap(id, Device::Cpu).is_ok() {
-                promote_tokens += self.requests[id].context_len();
-                move_id(&mut self.disk_run, &mut self.cpu_run, id);
-                promoted_disk += 1;
-            }
-        }
+        let [demoted_disk, swapped_out, swapped_in, promoted_disk] = counts;
+        let [demote_tokens, swap_out_tokens, swap_in_tokens, promote_tokens] = tokens;
 
         // "Execute": charge the iteration's duration from the exact cost model through
         // the paper's closed-form iteration formulas.
@@ -581,11 +578,7 @@ impl Engine {
                 if finished {
                     self.retire(item.req);
                 } else {
-                    match item.target {
-                        Device::Gpu => self.gpu_run.push(item.req),
-                        Device::Cpu => self.cpu_run.push(item.req),
-                        Device::Disk => unreachable!("prefills never target the disk tier"),
-                    }
+                    self.run_queue(item.target).push(item.req);
                 }
             }
         }
@@ -682,6 +675,15 @@ impl Engine {
         self.reserved = Some((owner, pool));
     }
 
+    /// The run queue of the requests whose KV is on `device`.
+    fn run_queue(&mut self, device: Device) -> &mut Vec<u64> {
+        match device {
+            Device::Gpu => &mut self.gpu_run,
+            Device::Cpu => &mut self.cpu_run,
+            Device::Disk => &mut self.disk_run,
+        }
+    }
+
     /// Removes a finished request from every queue, frees its KV cache and counts it.
     fn retire(&mut self, id: u64) {
         self.release_execution_state(id);
@@ -701,13 +703,6 @@ impl Engine {
             n += 1;
         }
         n
-    }
-}
-
-fn move_id(from: &mut Vec<u64>, to: &mut Vec<u64>, id: u64) {
-    from.retain(|&x| x != id);
-    if !to.contains(&id) {
-        to.push(id);
     }
 }
 
@@ -1293,7 +1288,7 @@ mod tests {
         }
 
         fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
-            plan.admit_prefills(ctx, |plan, _, chunk| {
+            plan.admit_prefills(ctx, ctx.config.prefill_chunk, |plan, _, chunk| {
                 (plan.gpu_free >= chunk as i64).then_some(Device::Gpu)
             });
         }

@@ -1,17 +1,21 @@
-//! Iteration-time estimation for asymmetric pipelining and GPU-only execution.
+//! Iteration-time estimation for asymmetric pipelining, GPU-only execution and PIPO-style
+//! KV streaming.
 //!
 //! This module turns a candidate [`ScheduleDecision`] into the iteration-time estimate the
 //! paper's scheduler maximises throughput with (§3.2):
 //!
 //! ```text
 //! T ≈ L × ( max{Tl0, Tca1} + max{Tl1 + Tga0, Tca0} )      (asymmetric, eq. in §3.2)
-//! T ≈ L × ( Tl0 + Tga0 )                                   (GPU-only)
 //! ```
 //!
 //! plus the non-layer stages (embedding, LM head, sampling) and the *exposed* part of any
-//! KV swap traffic. Swap-out of newly prefilled KV is overlapped layer by layer with
-//! compute when [`crate::EngineConfig::layerwise_swap_overlap`] is on; whole-sequence
-//! swap-in/swap-out decided by the scheduler is charged through the PCIe model directly.
+//! KV swap traffic. GPU-only execution is the same formula with an empty batch-1 and no
+//! CPU decodes (`Tl1 = Tca0 = Tca1 = 0`), which is exactly `L × (Tl0 + Tga0)`, so
+//! [`estimate_asymmetric`] prices both modes. Only PIPO's double-buffered KV stream
+//! ([`estimate_streamed`]) has a formula of its own. Swap-out of newly prefilled KV is
+//! overlapped layer by layer with compute when
+//! [`crate::EngineConfig::layerwise_swap_overlap`] is on; whole-sequence swap-in/swap-out
+//! decided by the scheduler is charged through the PCIe model directly.
 //!
 //! All PCIe terms obtained from [`IterationCost`] are *per-rank wall-clock* times: under
 //! tensor parallelism every rank moves only its `1/tp` KV shard over its own link, in
@@ -108,7 +112,8 @@ pub fn balanced(
     batch1_cpu_hidden(s1.tca, s0.tl, slack) && batch0_cpu_hidden(s0.tca, s1.tl, s0.tga, slack)
 }
 
-/// Estimates one iteration of NEO's asymmetric pipelining.
+/// Estimates one iteration of NEO's asymmetric pipelining, or of GPU-only execution when
+/// batch-1 is empty and batch-0 has no CPU decodes.
 ///
 /// `whole_swap_out_tokens` / `whole_swap_in_tokens` are the tokens of whole-sequence swaps
 /// the scheduler decided on (step 2 of §3.2); newly prefilled KV headed for the CPU cache
@@ -155,42 +160,6 @@ pub fn estimate_asymmetric(
         gpu_busy_per_layer: gpu_busy,
         cpu_busy_per_layer: cpu_busy,
         bubble_per_layer: bubble,
-        exposed_swap_time: exposed_swap,
-    }
-}
-
-/// Estimates one iteration of plain GPU-only execution of batch-0 (no offloaded attention,
-/// no batch-1).
-pub fn estimate_gpu_only(
-    cost: &dyn IterationCost,
-    batch0: &SubBatch,
-    whole_swap_out_tokens: usize,
-    whole_swap_in_tokens: usize,
-    layerwise_overlap: bool,
-) -> IterationEstimate {
-    let s0 = stage_times(cost, batch0);
-    debug_assert_eq!(s0.tca, 0.0, "GPU-only batches must not contain CPU decodes");
-    let layers = cost.n_layers() as f64;
-    let per_layer = s0.tl + s0.tga;
-
-    let per_layer_transfer = cost.swap_out_time(batch0.swap_out_tokens())
-        + cost.swap_out_time(whole_swap_out_tokens)
-        + cost.swap_in_time(whole_swap_in_tokens);
-    let exposed_swap = if layerwise_overlap {
-        layerwise_exposed_time(cost.n_layers(), per_layer, per_layer_transfer)
-    } else {
-        deferred_exposed_time(cost.n_layers(), per_layer_transfer)
-    };
-
-    let batch_size = batch0.sequences();
-    let pre_post = cost.pre_post_time(batch0.linear_tokens(), batch_size);
-
-    IterationEstimate {
-        total_time: layers * per_layer + exposed_swap + pre_post,
-        batch_size,
-        gpu_busy_per_layer: per_layer,
-        cpu_busy_per_layer: 0.0,
-        bubble_per_layer: 0.0,
         exposed_swap_time: exposed_swap,
     }
 }
@@ -262,7 +231,8 @@ pub fn estimate_streamed(
     }
 }
 
-/// Estimates a decision in whichever mode it selects.
+/// Estimates a decision in whichever mode it selects. A GPU-only decision is priced by
+/// [`estimate_asymmetric`], which its empty batch-1 reduces to `L × (Tl0 + Tga0)`.
 pub fn estimate_decision(
     cost: &dyn IterationCost,
     decision: &ScheduleDecision,
@@ -271,20 +241,20 @@ pub fn estimate_decision(
     layerwise_overlap: bool,
 ) -> IterationEstimate {
     match decision.mode {
-        ExecutionMode::Asymmetric => estimate_asymmetric(
-            cost,
-            decision,
-            whole_swap_out_tokens,
-            whole_swap_in_tokens,
-            layerwise_overlap,
-        ),
-        ExecutionMode::GpuOnly => estimate_gpu_only(
-            cost,
-            &decision.batch0,
-            whole_swap_out_tokens,
-            whole_swap_in_tokens,
-            layerwise_overlap,
-        ),
+        ExecutionMode::Asymmetric | ExecutionMode::GpuOnly => {
+            debug_assert!(
+                decision.mode == ExecutionMode::Asymmetric
+                    || (decision.batch0.cpu_decodes.is_empty() && decision.batch1.is_empty()),
+                "a GPU-only decision carries no CPU decode and has an empty batch-1"
+            );
+            estimate_asymmetric(
+                cost,
+                decision,
+                whole_swap_out_tokens,
+                whole_swap_in_tokens,
+                layerwise_overlap,
+            )
+        }
         ExecutionMode::Streamed => {
             estimate_streamed(cost, decision, whole_swap_out_tokens, whole_swap_in_tokens)
         }
@@ -296,7 +266,9 @@ mod tests {
     use super::*;
     use crate::batch::PrefillItem;
     use neo_kvcache::Device;
+    use neo_sim::profiler::ProfiledCostModel;
     use neo_sim::{CostModel, ModelDesc, Testbed};
+    use proptest::prelude::*;
 
     fn cost() -> CostModel {
         CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1)
@@ -322,19 +294,21 @@ mod tests {
             ctx_after: 768,
             target: Device::Gpu,
         });
-        let gpu_only = estimate_gpu_only(&cm, &batch0, 0, 0, true);
-
-        let cpu_extra: Vec<(u64, usize)> = (100..116).map(|i| (i, 1000)).collect();
-        let decision = ScheduleDecision {
-            mode: ExecutionMode::Asymmetric,
-            batch0: batch0.clone(),
-            batch1: decode_batch(&[], &cpu_extra),
+        let mut decision = ScheduleDecision {
+            mode: ExecutionMode::GpuOnly,
+            batch0,
+            batch1: SubBatch::new(),
             swap_out: vec![],
             swap_in: vec![],
             preempt: vec![],
             demote_disk: vec![],
             promote_disk: vec![],
         };
+        let gpu_only = estimate_decision(&cm, &decision, 0, 0, true);
+
+        let cpu_extra: Vec<(u64, usize)> = (100..116).map(|i| (i, 1000)).collect();
+        decision.mode = ExecutionMode::Asymmetric;
+        decision.batch1 = decode_batch(&[], &cpu_extra);
         let asym = estimate_asymmetric(&cm, &decision, 0, 0, true);
         assert_eq!(asym.batch_size, gpu_only.batch_size + 16);
         assert!(asym.cpu_busy_per_layer > 0.0);
@@ -351,24 +325,75 @@ mod tests {
         );
     }
 
-    #[test]
-    fn asymmetric_with_empty_batch1_degenerates_towards_gpu_only() {
-        let cm = cost();
-        let gpu: Vec<(u64, usize)> = (0..16).map(|i| (i, 500)).collect();
-        let decision = ScheduleDecision {
-            mode: ExecutionMode::Asymmetric,
-            batch0: decode_batch(&gpu, &[]),
-            batch1: SubBatch::new(),
-            swap_out: vec![],
-            swap_in: vec![],
-            preempt: vec![],
-            demote_disk: vec![],
-            promote_disk: vec![],
-        };
-        let asym = estimate_asymmetric(&cm, &decision, 0, 0, true);
-        let gpu_only = estimate_gpu_only(&cm, &decision.batch0, 0, 0, true);
-        let rel = (asym.total_time - gpu_only.total_time).abs() / gpu_only.total_time;
-        assert!(rel < 0.05, "relative difference {rel}");
+    proptest! {
+        /// A GPU-only decision prices to the closed form `L·(Tl0 + Tga0) + exposed swap +
+        /// pre/post` bit for bit, on the exact and the profiled cost model (noisy or
+        /// not), single-GPU and tensor-parallel, with and without layer-wise overlap.
+        #[test]
+        fn prop_gpu_only_prices_to_the_closed_form_bit_for_bit(
+            chunks in proptest::collection::vec((1usize..2_048, 0usize..6_000, 0u8..2), 0..4),
+            decodes in proptest::collection::vec(1usize..8_192, 0..96),
+            swaps in (0usize..40_000, 0usize..40_000),
+            knobs in (0u8..2, 0u8..3, 0u8..2),
+        ) {
+            let (overlap, model, testbed) = (knobs.0 == 1, knobs.1, knobs.2);
+            let exact = if testbed == 0 {
+                cost()
+            } else {
+                CostModel::new(ModelDesc::llama3_70b(), Testbed::hgx_h100(2), 2)
+            };
+            let cost: Box<dyn IterationCost> = match model {
+                0 => Box::new(exact),
+                1 => Box::new(ProfiledCostModel::new(exact)),
+                _ => Box::new(ProfiledCostModel::with_noise(exact, 0.05)),
+            };
+            let batch0 = SubBatch {
+                prefills: chunks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(new_tokens, already, cpu))| PrefillItem {
+                        req: i as u64,
+                        new_tokens,
+                        ctx_after: already + new_tokens,
+                        target: if cpu == 1 { Device::Cpu } else { Device::Gpu },
+                    })
+                    .collect(),
+                gpu_decodes: decodes.iter().enumerate().map(|(i, &c)| (100 + i as u64, c)).collect(),
+                cpu_decodes: vec![],
+            };
+            let (swap_out, swap_in) = swaps;
+
+            let s0 = stage_times(cost.as_ref(), &batch0);
+            let layers = cost.n_layers();
+            let per_layer = s0.tl + s0.tga;
+            let transfer = cost.swap_out_time(batch0.swap_out_tokens())
+                + cost.swap_out_time(swap_out)
+                + cost.swap_in_time(swap_in);
+            let exposed = if overlap {
+                layerwise_exposed_time(layers, per_layer, transfer)
+            } else {
+                deferred_exposed_time(layers, transfer)
+            };
+            let pre_post = cost.pre_post_time(batch0.linear_tokens(), batch0.sequences());
+            let total = layers as f64 * per_layer + exposed + pre_post;
+
+            let decision = ScheduleDecision {
+                mode: ExecutionMode::GpuOnly,
+                batch0,
+                batch1: SubBatch::new(),
+                swap_out: vec![],
+                swap_in: vec![],
+                preempt: vec![],
+                demote_disk: vec![],
+                promote_disk: vec![],
+            };
+            let est = estimate_decision(cost.as_ref(), &decision, swap_out, swap_in, overlap);
+            prop_assert_eq!(est.total_time.to_bits(), total.to_bits());
+            prop_assert_eq!(est.exposed_swap_time.to_bits(), exposed.to_bits());
+            prop_assert_eq!(est.gpu_busy_per_layer.to_bits(), per_layer.to_bits());
+            prop_assert_eq!((est.cpu_busy_per_layer, est.bubble_per_layer), (0.0, 0.0));
+            prop_assert_eq!(est.batch_size, decision.batch0.sequences());
+        }
     }
 
     #[test]

@@ -93,15 +93,17 @@ impl IterationPlan {
     /// Admits prefill chunks from the waitqueue into batch-0 under the iteration token
     /// budget, charging the free-token counters as it goes.
     ///
-    /// `target_for` is asked, per candidate, where the chunk's KV should land given the
-    /// plan so far and the chunk size; returning `None` stops admission (the policy's
-    /// budget or memory rule fired). Chunks are capped at
-    /// [`crate::EngineConfig::prefill_chunk`]; partially prefilled requests keep arriving
-    /// until their prompt is done. Policies with bespoke admission rules (e.g. the
-    /// SwiftLLM-like whole-prompt baseline) write their own loop instead.
+    /// Each chunk is the request's remaining prompt, cut to the budget left and to
+    /// `chunk_cap` tokens (at least one): chunked-prefill policies pass
+    /// [`crate::EngineConfig::prefill_chunk`], whole-prompt ones `usize::MAX`. Partially
+    /// prefilled requests keep arriving until their prompt is done. `target_for` is
+    /// asked, per candidate, where the chunk's KV should land given the plan so far, the
+    /// request id and the chunk size; returning `None` stops admission (the policy's
+    /// budget, memory or head-of-line rule fired).
     pub fn admit_prefills(
         &mut self,
         ctx: &ScheduleContext<'_>,
+        chunk_cap: usize,
         mut target_for: impl FnMut(&Self, u64, usize) -> Option<Device>,
     ) {
         let cfg = ctx.config;
@@ -114,7 +116,7 @@ impl IterationPlan {
             if remaining == 0 {
                 continue;
             }
-            let chunk = remaining.min(token_budget).min(cfg.prefill_chunk.max(1));
+            let chunk = remaining.min(token_budget).min(chunk_cap.max(1));
             let Some(target) = target_for(self, id, chunk) else { break };
             match target {
                 Device::Gpu => self.gpu_free -= chunk as i64,
@@ -137,7 +139,7 @@ impl IterationPlan {
     /// host cache otherwise. A partially prefilled request continues on the device its
     /// earlier chunks landed on, and admission stops when that device has no room.
     pub fn admit_gpu_first(&mut self, ctx: &ScheduleContext<'_>) {
-        self.admit_prefills(ctx, |plan, id, chunk| {
+        self.admit_prefills(ctx, ctx.config.prefill_chunk, |plan, id, chunk| {
             let target = match ctx.prefill_device.get(id) {
                 Some(&d) => d,
                 // A prompt that exceeds the *whole* GPU pool can never finish a GPU
@@ -370,7 +372,7 @@ mod tests {
         }
         fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
             self.phases_seen.push("admit");
-            plan.admit_prefills(ctx, |plan, _id, chunk| {
+            plan.admit_prefills(ctx, ctx.config.prefill_chunk, |plan, _id, chunk| {
                 (plan.gpu_free >= chunk as i64).then_some(Device::Gpu)
             });
         }
@@ -461,7 +463,7 @@ mod tests {
         let cm = cost();
         let ctx = fx.ctx(&cm);
         let mut plan = IterationPlan::new(&ctx);
-        plan.admit_prefills(&ctx, |_, _, _| Some(Device::Gpu));
+        plan.admit_prefills(&ctx, fx.config.prefill_chunk, |_, _, _| Some(Device::Gpu));
         assert!(plan.batch0.linear_tokens() <= 600);
         assert_eq!(plan.gpu_free, 10_000 - plan.batch0.linear_tokens() as i64);
     }
@@ -477,7 +479,7 @@ mod tests {
         let ctx = fx.ctx(&cm);
         let mut plan = IterationPlan::new(&ctx);
         let mut admitted = 0;
-        plan.admit_prefills(&ctx, |_, _, _| {
+        plan.admit_prefills(&ctx, fx.config.prefill_chunk, |_, _, _| {
             admitted += 1;
             (admitted <= 2).then_some(Device::Cpu)
         });

@@ -26,9 +26,7 @@ use neo_sim::profiler::IterationCost;
 
 use crate::batch::{ScheduleDecision, SubBatch};
 use crate::config::EngineConfig;
-use crate::pipeline::{
-    batch0_cpu_hidden, batch1_cpu_hidden, estimate_asymmetric, estimate_gpu_only,
-};
+use crate::pipeline::{batch0_cpu_hidden, batch1_cpu_hidden, estimate_decision};
 use crate::policy::{IterationPlan, SchedulerPolicy};
 use crate::request::Request;
 use crate::ExecutionMode;
@@ -65,8 +63,12 @@ pub struct ScheduleContext<'a> {
     /// CPU from the first chunk, because partially-prefilled requests are pinned to
     /// their device.
     pub gpu_capacity_tokens: usize,
-    /// Device each partially-prefilled request's KV currently resides on (absent for
-    /// requests that have not started prefill).
+    /// Device each request's prefill is pinned to, so its later chunks land where the
+    /// first did. The engine records the pin when it attempts a request's first chunk,
+    /// before allocating it, or when a prefix-cache hit adopts GPU blocks at submit; it
+    /// drops the pin when the prefill completes or the request is preempted or leaves.
+    /// So a request whose first allocation failed is pinned while it holds no KV.
+    /// Absent for requests whose prefill was never attempted.
     pub prefill_device: &'a IdTable<Device>,
 }
 
@@ -264,7 +266,7 @@ impl SchedulerPolicy for NeoScheduler {
 
         let mut asym = plan.into_decision();
         asym.mode = ExecutionMode::Asymmetric;
-        let asym_est = estimate_asymmetric(
+        let asym_est = estimate_decision(
             cost,
             &asym,
             swap_out_tokens,
@@ -285,9 +287,9 @@ impl SchedulerPolicy for NeoScheduler {
             demote_disk: asym.demote_disk.clone(),
             promote_disk: asym.promote_disk.clone(),
         };
-        let gpu_est = estimate_gpu_only(
+        let gpu_est = estimate_decision(
             cost,
-            &gpu_only.batch0,
+            &gpu_only,
             swap_out_tokens,
             swap_in_tokens,
             cfg.layerwise_swap_overlap,
@@ -618,8 +620,9 @@ mod tests {
         assert_eq!(placed, 70);
         assert_eq!(d.batch0.prefills.len(), 1, "shedding the chunk would unbalance");
         // Re-pricing both sub-batches from scratch for every candidate (push,
-        // `balanced`, pop) issued 2,751 queries for this schedule.
-        assert_eq!(cost.calls.load(Ordering::Relaxed), 553);
+        // `balanced`, pop) issued 2,751 queries for this schedule. Step 6 prices the
+        // GPU-only alternative's empty batch-1 too: three queries that each return 0.
+        assert_eq!(cost.calls.load(Ordering::Relaxed), 556);
     }
 
     #[test]

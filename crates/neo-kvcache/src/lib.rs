@@ -8,12 +8,12 @@
 //!
 //! This crate provides:
 //!
-//! * [`allocator::BlockAllocator`] — a free-list block allocator with reference counting.
 //! * [`idtable::IdTable`] — values keyed by request id with O(1) lookup and ascending-id
 //!   iteration, indexed over the window of live ids; it holds the manager's sequences
 //!   and the engine's requests.
 //! * [`blocktable::BlockTable`] — the per-sequence logical-to-physical block mapping.
-//! * [`pool::KvPool`] — one device's pool (capacity accounting + allocator).
+//! * [`pool::KvPool`] — one device's pool: capacity accounting over a free-list block
+//!   allocator with reference counting.
 //! * [`manager::KvCacheManager`] — the multi-tier manager: sequence allocation, growth,
 //!   release, GPU↔CPU (and optional disk-tier) swaps with byte accounting, plus the
 //!   shared-prefix adoption/insertion hooks.
@@ -44,7 +44,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod allocator;
 pub mod blocktable;
 pub mod error;
 pub mod idtable;
@@ -53,7 +52,6 @@ pub mod pool;
 pub mod prefix;
 pub mod storage;
 
-pub use allocator::BlockAllocator;
 pub use blocktable::BlockTable;
 pub use error::KvCacheError;
 pub use idtable::{IdTable, OutOfWindow, MAX_ID_WINDOW};

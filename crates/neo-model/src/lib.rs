@@ -40,5 +40,5 @@ pub mod weights;
 
 pub use cache::PagedKvCache;
 pub use model::{Model, ModelError};
-pub use sampling::{argmax, sample_top_k};
+pub use sampling::argmax;
 pub use weights::{LayerWeights, ModelWeights};

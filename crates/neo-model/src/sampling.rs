@@ -1,7 +1,5 @@
 //! Token sampling from logits.
 
-use rand::Rng;
-
 /// Returns the index of the largest logit (greedy decoding).
 ///
 /// # Panics
@@ -18,40 +16,9 @@ pub fn argmax(logits: &[f32]) -> u32 {
     best as u32
 }
 
-/// Samples a token from the top-`k` logits with softmax weights, using the provided RNG.
-///
-/// `k` is clamped to the vocabulary size; `k == 1` is equivalent to [`argmax`].
-///
-/// # Panics
-///
-/// Panics if `logits` is empty or `k` is zero.
-pub fn sample_top_k<R: Rng>(logits: &[f32], k: usize, rng: &mut R) -> u32 {
-    assert!(!logits.is_empty(), "cannot sample from an empty logit vector");
-    assert!(k > 0, "k must be positive");
-    let k = k.min(logits.len());
-
-    let mut indexed: Vec<(usize, f32)> = logits.iter().copied().enumerate().collect();
-    indexed.sort_by(|a, b| b.1.total_cmp(&a.1));
-    indexed.truncate(k);
-
-    let max = indexed[0].1;
-    let weights: Vec<f32> = indexed.iter().map(|(_, v)| (v - max).exp()).collect();
-    let total: f32 = weights.iter().sum();
-    let mut draw = rng.gen_range(0.0..total.max(f32::MIN_POSITIVE));
-    for ((idx, _), w) in indexed.iter().zip(&weights) {
-        if draw < *w {
-            return *idx as u32;
-        }
-        draw -= w;
-    }
-    indexed[0].0 as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn argmax_picks_the_peak() {
@@ -62,39 +29,6 @@ mod tests {
     #[test]
     fn argmax_prefers_first_of_equal_peaks() {
         assert_eq!(argmax(&[1.0, 2.0, 2.0]), 1);
-    }
-
-    #[test]
-    fn top_1_sampling_is_greedy() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let logits = [0.0f32, 10.0, -1.0];
-        for _ in 0..10 {
-            assert_eq!(sample_top_k(&logits, 1, &mut rng), 1);
-        }
-    }
-
-    #[test]
-    fn top_k_sampling_stays_within_top_k() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let logits = [5.0f32, 4.9, -100.0, -100.0, 4.8];
-        for _ in 0..100 {
-            let t = sample_top_k(&logits, 3, &mut rng);
-            assert!(t == 0 || t == 1 || t == 4, "sampled unlikely token {t}");
-        }
-    }
-
-    #[test]
-    fn sampling_is_reproducible_with_same_seed() {
-        let logits: Vec<f32> = (0..20).map(|i| (i as f32 * 0.3).sin()).collect();
-        let a: Vec<u32> = {
-            let mut rng = StdRng::seed_from_u64(9);
-            (0..20).map(|_| sample_top_k(&logits, 5, &mut rng)).collect()
-        };
-        let b: Vec<u32> = {
-            let mut rng = StdRng::seed_from_u64(9);
-            (0..20).map(|_| sample_top_k(&logits, 5, &mut rng)).collect()
-        };
-        assert_eq!(a, b);
     }
 
     #[test]

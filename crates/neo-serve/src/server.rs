@@ -496,17 +496,7 @@ impl Server {
         assert!(arrival.is_finite(), "arrival time must be finite");
         assert!(prompt_len > 0, "prompt length must be positive");
         assert!(output_len > 0, "output length must be positive");
-        if self.engine.is_down() {
-            return Err(AdmitError::EngineDown);
-        }
-        let required = prompt_len + output_len;
-        let capacity = self.engine.max_context_capacity();
-        if required > capacity {
-            return Err(AdmitError::NeverAdmissible {
-                required_tokens: required,
-                capacity_tokens: capacity,
-            });
-        }
+        self.engine.check_admissible(prompt_len + output_len)?;
         let arrival = arrival.max(self.engine.now());
         let id = self.sessions.len() as u64;
         self.sessions.push(Session {

@@ -38,8 +38,6 @@ pub mod trace;
 pub use arrivals::ArrivalProcess;
 pub use datasets::{azure_code_like, fleet_mix, osc_like, synthetic};
 pub use lengths::LengthDistribution;
-pub use sessions::{
-    agent_loop, multi_turn_chat, AgentConfig, ChatConfig, SessionRequest, SessionTrace,
-};
+pub use sessions::{multi_turn_chat, ChatConfig, SessionRequest, SessionTrace};
 pub use slo::SloPolicy;
 pub use trace::{Trace, TraceRequest, TraceStats};

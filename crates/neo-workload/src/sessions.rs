@@ -1,22 +1,18 @@
-//! Session workloads: multi-turn chat and agent loops with prompt *identity*.
+//! Session workloads: multi-turn chat with prompt *identity*.
 //!
 //! The plain [`crate::Trace`] describes requests only by their lengths, which is enough
 //! for the latency/throughput experiments but says nothing about *which* tokens a prompt
 //! contains. Prefix caching needs identity: a turn of a chat session re-sends the whole
 //! conversation so far, so its prompt literally starts with the previous turn's prompt
-//! plus the previous answer. These generators produce [`SessionTrace`]s whose requests
+//! plus the previous answer. The generator produces [`SessionTrace`]s whose requests
 //! carry [`TokenRun`]s — `(run id, length)` pairs, the same currency
-//! `neo_kvcache::PrefixIndex` matches on — forming per-session prefix chains:
+//! `neo_kvcache::PrefixIndex` matches on — forming per-session prefix chains.
 //!
-//! * [`multi_turn_chat`] — chat sessions of `turns` requests each. Turn `t`'s prompt is
-//!   `[system, user_1, answer_1, …, user_t]`; the answer runs have exactly the previous
-//!   turn's output length, so consecutive turns share everything but the newest user
-//!   message. A fraction of sessions (driven by `shared_system_prob`) lead with one
-//!   fleet-wide system run, so even *first* turns of different sessions can share KV.
-//! * [`agent_loop`] — tool-using agent trajectories. Step `t`'s prompt is
-//!   `[preamble, task, action_1, observation_1, …, action_{t-1}, observation_{t-1}]`:
-//!   the context grows monotonically and every step is a pure extension of the previous
-//!   one — the best case for prefix reuse.
+//! [`multi_turn_chat`] generates chat sessions of `turns` requests each. Turn `t`'s
+//! prompt is `[system, user_1, answer_1, …, user_t]`; the answer runs have exactly the
+//! previous turn's output length, so consecutive turns share everything but the newest
+//! user message. A fraction of sessions (driven by `shared_system_prob`) lead with one
+//! fleet-wide system run, so even *first* turns of different sessions can share KV.
 //!
 //! The share decision of a session is drawn once from a per-session stream seeded
 //! independently of `shared_system_prob`, so sweeping the probability upward only ever
@@ -34,9 +30,6 @@ use crate::trace::{Trace, TraceRequest};
 /// Run id of the fleet-wide chat system prompt shared across sessions.
 pub const SHARED_SYSTEM_RUN: u64 = 1;
 
-/// Run id of the fleet-wide agent preamble (system prompt + tool definitions).
-pub const AGENT_PREAMBLE_RUN: u64 = 2;
-
 /// Builds a session-private run id. Stays far below the engine's opaque-run namespace
 /// (`1 << 63`), so workload-issued identities never collide with synthesised ones.
 fn run_id(session: usize, turn: usize, kind: u64) -> u64 {
@@ -47,7 +40,6 @@ fn run_id(session: usize, turn: usize, kind: u64) -> u64 {
 const KIND_SYSTEM: u64 = 0;
 const KIND_USER: u64 = 1;
 const KIND_ANSWER: u64 = 2;
-const KIND_TASK: u64 = 3;
 
 /// One request of a session workload: an arrival time, the prompt as identity-carrying
 /// runs, and the output length.
@@ -200,86 +192,6 @@ pub fn multi_turn_chat(cfg: &ChatConfig, seed: u64) -> SessionTrace {
     SessionTrace::new(requests)
 }
 
-/// Shape of an [`agent_loop`] workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AgentConfig {
-    /// Number of agent trajectories.
-    pub sessions: usize,
-    /// Steps (requests) per trajectory.
-    pub steps: usize,
-    /// Length of the fleet-wide preamble (system prompt + tool definitions).
-    pub preamble_len: usize,
-    /// Target task-description length; samples land in `[0.9·len, 1.1·len]`.
-    pub task_len: usize,
-    /// Target tool-observation length; samples land in `[0.9·len, 1.1·len]`.
-    pub observation_len: usize,
-    /// Target action (model output) length; samples land in `[0.9·len, 1.1·len]`.
-    pub output_len: usize,
-    /// Poisson rate of trajectory starts, in sessions per second.
-    pub session_rate: f64,
-    /// Tool-execution time between a step's arrival and the next step.
-    pub step_gap: f64,
-}
-
-impl AgentConfig {
-    fn validate(&self) {
-        assert!(self.steps > 0, "trajectories need at least one step");
-        assert!(
-            self.preamble_len > 0
-                && self.task_len > 0
-                && self.observation_len > 0
-                && self.output_len > 0,
-            "lengths must be positive"
-        );
-        assert!(
-            self.session_rate > 0.0 && self.session_rate.is_finite(),
-            "session rate must be positive"
-        );
-        assert!(self.step_gap >= 0.0 && self.step_gap.is_finite(), "step gap must be finite");
-    }
-}
-
-/// Generates an agent-loop workload: every step's prompt extends the previous step's
-/// prompt with the action taken and the observation returned, so a trajectory is one
-/// unbroken prefix chain. All trajectories share the preamble run.
-///
-/// Deterministic per `(cfg, seed)`.
-///
-/// # Panics
-///
-/// Panics if a length or rate is non-positive or `steps` is zero.
-pub fn agent_loop(cfg: &AgentConfig, seed: u64) -> SessionTrace {
-    cfg.validate();
-    let mut arrival_rng = StdRng::seed_from_u64(seed);
-    let starts =
-        ArrivalProcess::Poisson { rate: cfg.session_rate }.generate(cfg.sessions, &mut arrival_rng);
-    let task_dist = LengthDistribution::AroundTarget(cfg.task_len);
-    let obs_dist = LengthDistribution::AroundTarget(cfg.observation_len);
-    let output_dist = LengthDistribution::AroundTarget(cfg.output_len);
-
-    let mut requests = Vec::with_capacity(cfg.sessions * cfg.steps);
-    for (s, &start) in starts.iter().enumerate() {
-        let mut rng = session_rng(seed, s);
-        let mut history = vec![
-            TokenRun { id: AGENT_PREAMBLE_RUN, len: cfg.preamble_len },
-            TokenRun { id: run_id(s, 0, KIND_TASK), len: task_dist.sample(&mut rng) },
-        ];
-        for t in 0..cfg.steps {
-            let output_len = output_dist.sample(&mut rng);
-            requests.push(SessionRequest {
-                arrival: start + t as f64 * cfg.step_gap,
-                runs: history.clone(),
-                output_len,
-            });
-            // The action the model emitted and the observation the tool returned both
-            // join the next step's context.
-            history.push(TokenRun { id: run_id(s, t, KIND_ANSWER), len: output_len });
-            history.push(TokenRun { id: run_id(s, t, KIND_USER), len: obs_dist.sample(&mut rng) });
-        }
-    }
-    SessionTrace::new(requests)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,53 +292,12 @@ mod tests {
     #[test]
     fn run_ids_stay_below_the_opaque_namespace() {
         let chat = multi_turn_chat(&chat_cfg(0.5), 7);
-        let agent = agent_loop(&agent_cfg(), 7);
-        for r in chat.requests().iter().chain(agent.requests()) {
+        for r in chat.requests() {
             assert_eq!(r.prompt_len(), r.runs.iter().map(|x| x.len).sum::<usize>());
             for run in &r.runs {
                 assert!(run.len > 0);
                 assert!(run.id < 1 << 63, "workload ids stay out of the opaque namespace");
             }
-        }
-    }
-
-    fn agent_cfg() -> AgentConfig {
-        AgentConfig {
-            sessions: 6,
-            steps: 5,
-            preamble_len: 512,
-            task_len: 96,
-            observation_len: 128,
-            output_len: 32,
-            session_rate: 1.0,
-            step_gap: 2.0,
-        }
-    }
-
-    #[test]
-    fn agent_steps_grow_one_unbroken_prefix_chain() {
-        let trace = agent_loop(&agent_cfg(), 11);
-        assert_eq!(trace.len(), 6 * 5);
-        // Group by the task run (index 1), which is unique per trajectory.
-        let mut by_session: std::collections::BTreeMap<u64, Vec<&SessionRequest>> =
-            std::collections::BTreeMap::new();
-        for r in trace.requests() {
-            assert_eq!(r.runs[0].id, AGENT_PREAMBLE_RUN);
-            by_session.entry(r.runs[1].id).or_default().push(r);
-        }
-        assert_eq!(by_session.len(), 6);
-        for steps in by_session.values_mut() {
-            steps.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-            assert_eq!(steps.len(), 5);
-            for pair in steps.windows(2) {
-                let (prev, next) = (pair[0], pair[1]);
-                // Each step appends exactly an action and an observation.
-                assert_eq!(next.runs.len(), prev.runs.len() + 2);
-                assert_eq!(&next.runs[..prev.runs.len()], &prev.runs[..]);
-                assert_eq!(next.runs[prev.runs.len()].len, prev.output_len);
-            }
-            // The context grows monotonically along the trajectory.
-            assert!(steps.windows(2).all(|w| w[1].prompt_len() > w[0].prompt_len()));
         }
     }
 
@@ -453,6 +324,6 @@ mod tests {
     #[test]
     fn emptiness_is_reported() {
         assert!(SessionTrace::default().is_empty());
-        assert!(!agent_loop(&agent_cfg(), 2).is_empty());
+        assert!(!multi_turn_chat(&chat_cfg(0.5), 2).is_empty());
     }
 }

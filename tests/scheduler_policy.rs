@@ -11,7 +11,7 @@ use neo_baselines::{
 use neo_bench::{Policy, Scenario};
 use neo_core::batch::{ScheduleDecision, SubBatch};
 use neo_core::config::EngineConfig;
-use neo_core::pipeline::{balanced, estimate_asymmetric, estimate_gpu_only};
+use neo_core::pipeline::{balanced, estimate_decision};
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::request::Request;
 use neo_core::scheduler::{NeoScheduler, ScheduleContext, Scheduler};
@@ -312,8 +312,8 @@ impl SchedulerPolicy for FromScratchNeo {
             ..asym.clone()
         };
         gpu_only.batch0.cpu_decodes.clear();
-        let asym_est = estimate_asymmetric(cost, &asym, swap_out, swap_in, overlap);
-        let gpu_est = estimate_gpu_only(cost, &gpu_only.batch0, swap_out, swap_in, overlap);
+        let asym_est = estimate_decision(cost, &asym, swap_out, swap_in, overlap);
+        let gpu_est = estimate_decision(cost, &gpu_only, swap_out, swap_in, overlap);
         if asym_est.throughput() > gpu_est.throughput() {
             asym
         } else {

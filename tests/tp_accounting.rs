@@ -177,7 +177,7 @@ fn tp2_swap_terms_carry_half_the_bytes() {
 #[test]
 fn estimates_inherit_per_rank_swap_accounting() {
     use neo_core::batch::{ScheduleDecision, SubBatch};
-    use neo_core::pipeline::estimate_gpu_only;
+    use neo_core::pipeline::estimate_decision;
     use neo_core::ExecutionMode;
 
     let tp2 = h100_tp2();
@@ -198,7 +198,7 @@ fn estimates_inherit_per_rank_swap_accounting() {
     };
     // 20k whole-sequence swap-in tokens, deferred (not layer-overlapped): the exposed
     // swap time is exactly L × per-layer swap-in time, i.e. per-rank wall-clock.
-    let est = estimate_gpu_only(&tp2, &decision.batch0, 0, 20_000, false);
+    let est = estimate_decision(&tp2, &decision, 0, 20_000, false);
     let expected = tp2.swap_in_time_total(20_000);
     assert!(
         (est.exposed_swap_time - expected).abs() < 1e-12,
