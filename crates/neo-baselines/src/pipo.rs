@@ -27,19 +27,12 @@ use crate::common::{admit_prefills_to_cpu, collect_full_offload_decodes, HOST_KV
 /// The PIPO scheduler: all KV host-resident, decode attention on the GPU over a
 /// double-buffered layer-by-layer KV stream.
 #[derive(Debug, Clone, Default)]
-pub struct PipoScheduler {
-    iterations: u64,
-}
+pub struct PipoScheduler;
 
 impl PipoScheduler {
     /// Creates the scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of schedules produced so far.
-    pub fn iterations(&self) -> u64 {
-        self.iterations
+        Self
     }
 }
 
@@ -52,7 +45,6 @@ impl SchedulerPolicy for PipoScheduler {
     /// evicted, as in FastDecode+) and all of them are streamed every iteration — no
     /// balancing, no fallback, no adaptation.
     fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
-        self.iterations += 1;
         plan.mode = ExecutionMode::Streamed;
         let decodes = collect_full_offload_decodes(ctx, plan, ctx.config.max_batch_seqs);
         plan.batch0.cpu_decodes = decodes;

@@ -20,7 +20,7 @@
 //! (`results-fresh`).
 
 use neo_bench::{print_table, save_json, scaled, Policy, Scenario};
-use neo_cluster::{Cluster, ClusterConfig, Discipline, FaultPlan};
+use neo_cluster::{Cluster, ClusterConfig, Discipline, FaultPlan, RETRY_BUDGET};
 use neo_core::Engine;
 use neo_workload::{fleet_mix, SloPolicy, Trace, TraceRequest};
 use serde::Serialize;
@@ -99,7 +99,7 @@ fn main() {
                     discipline: discipline.label().to_string(),
                     failover,
                     outages,
-                    retry_budget: config_budget(),
+                    retry_budget: RETRY_BUDGET,
                     requests: report.requests,
                     completed: report.completed,
                     dropped: report.dropped,
@@ -128,9 +128,4 @@ fn main() {
         &rows,
     );
     save_json("fig_fault_sweep", &points);
-}
-
-/// The retry budget every cell runs under (recorded per point for the schema test).
-fn config_budget() -> u32 {
-    ClusterConfig::default().retry_budget
 }

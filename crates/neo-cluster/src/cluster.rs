@@ -11,10 +11,10 @@
 //! All of it lives in one [`Cluster`], and [`Cluster::run`] is one loop: take the
 //! earliest instant at which anything has work (`next_due`) and `settle` it, until
 //! nothing is due. A settle pass processes every event at its instant in a fixed kind
-//! order (faults, then link deliveries, then engine steps, then retry re-dispatch,
-//! then frontend arrivals, then central dispatch), so same-instant events always meet
-//! in the same order and every output is a function of the trace, the fleet and the
-//! configuration alone.
+//! order (faults, then deadlines, then link deliveries, then engine steps, then retry
+//! re-dispatch, then frontend arrivals, then central dispatch), so same-instant events
+//! always meet in the same order and every output is a function of the trace, the
+//! fleet and the configuration alone.
 //!
 //! A wake-up index keyed `(due, engine)` holds each slot's earliest work: the earlier
 //! of its link head and its server's next activity. The cluster re-keys a slot
@@ -26,15 +26,18 @@
 //! # Failure model
 //!
 //! A [`FaultPlan`] injects timed faults as first-class events: engines fail-stop
-//! (losing their KV and orphaning everything they held), recover empty, links degrade
-//! and restore, and per-request deadlines expire. On an engine death the router marks
-//! the slot down and, when `failover` is enabled, re-dispatches the orphans to
-//! surviving engines with capped exponential backoff under a per-request retry
-//! budget — a retried request restarts from scratch (recompute, not migration) and
-//! its partial output is discarded. Requests that exhaust the budget, miss their SLO
-//! deadline, or fit no live engine are *shed* with a typed [`DropReason`]; every
-//! request therefore reaches exactly one terminal state (completed or dropped), the
-//! conservation contract `tests/fault_determinism.rs` proves.
+//! (losing their KV and orphaning everything they held), recover empty, and links
+//! degrade and restore. An [`SloPolicy`] gives every request a completion deadline;
+//! the cluster reads them from one cursor over the request ids sorted by deadline,
+//! right after the plan's own cursor. On an engine death the router marks the slot
+//! down and, when `failover` is enabled, re-dispatches the orphans to surviving
+//! engines with capped exponential backoff (50 ms doubled per retry, at most 1 s)
+//! under a per-request budget of [`RETRY_BUDGET`] retries — a retried request
+//! restarts from scratch (recompute, not migration) and its partial output is
+//! discarded. Requests that exhaust the budget, miss their SLO deadline, or fit no
+//! live engine are *shed* with a typed [`DropReason`]; every request therefore
+//! reaches exactly one terminal state (completed or dropped), the conservation
+//! contract `tests/fault_determinism.rs` proves.
 //!
 //! # Time semantics
 //!
@@ -59,28 +62,37 @@ use serde::Serialize;
 use crate::discipline::Discipline;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 
+/// `CFcfs` only: a request is dispatched once some engine's outstanding work (queue
+/// depth + in-flight on its link) is below this window. 1 would starve continuous
+/// batching; a few requests keep every engine's batch fed while the central queue
+/// stays work-conserving.
+const DISPATCH_WINDOW: usize = 4;
+/// `DFcfs` only: remap one indirection-table entry from the deepest to the shallowest
+/// engine every this many arrivals.
+const REBALANCE_EVERY: usize = 32;
+/// `DFcfs` only: indirection-table entries per engine (the table has `engines × this`
+/// slots, initialized round-robin).
+const TABLE_ENTRIES_PER_ENGINE: usize = 4;
+/// Propagation latency of each frontend→engine link, in seconds: a 10 Gbit/s
+/// datacenter hop with ~200 µs of RPC latency.
+const LINK_LATENCY_S: f64 = 2e-4;
+/// Bandwidth of each frontend→engine link, in bytes per second (10 Gbit/s).
+const LINK_BYTES_PER_S: f64 = 1.25e9;
+/// Request payload priced on the link: bytes per prompt token.
+const BYTES_PER_TOKEN: f64 = 4.0;
+/// Re-dispatches allowed per request beyond its first dispatch; the attempt after the
+/// budget is exhausted is shed as [`DropReason::RetriesExhausted`].
+pub const RETRY_BUDGET: u32 = 3;
+/// Backoff before the first re-dispatch, in seconds (doubled per retry).
+const BACKOFF_BASE_S: f64 = 0.05;
+/// Ceiling on the exponential backoff, in seconds.
+const BACKOFF_CAP_S: f64 = 1.0;
+
 /// Configuration of a cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// How the router binds arrivals to engines.
     pub discipline: Discipline,
-    /// `CFcfs` only: a request is dispatched once some engine's outstanding work
-    /// (queue depth + in-flight on its link) is below this window. 1 would starve
-    /// continuous batching; a few requests keep every engine's batch fed while the
-    /// central queue stays work-conserving.
-    pub dispatch_window: usize,
-    /// `DFcfs` only: remap one indirection-table entry from the deepest to the
-    /// shallowest engine every this many arrivals (0 = never rebalance).
-    pub rebalance_every: usize,
-    /// `DFcfs` only: indirection-table entries per engine (the table has
-    /// `engines × this` slots, initialized round-robin).
-    pub table_entries_per_engine: usize,
-    /// Propagation latency of each frontend→engine link, in seconds.
-    pub link_latency_s: f64,
-    /// Bandwidth of each frontend→engine link, in bytes per second.
-    pub link_bytes_per_s: f64,
-    /// Request payload priced on the link: bytes per prompt token.
-    pub bytes_per_token: f64,
     /// Settle passes (one per processed instant) allowed in a row without progress —
     /// no polled engine emitted a token and no request was shed (livelock guard).
     pub max_events: u64,
@@ -90,16 +102,8 @@ pub struct ClusterConfig {
     /// Whether orphans of a dead engine are re-dispatched to survivors. With
     /// failover off, every request a failed engine held is shed on the spot.
     pub failover: bool,
-    /// Re-dispatches allowed per request beyond its first dispatch; the attempt
-    /// after the budget is exhausted is shed as [`DropReason::RetriesExhausted`].
-    pub retry_budget: u32,
-    /// Backoff before the first re-dispatch, in seconds (doubled per retry).
-    pub backoff_base_s: f64,
-    /// Ceiling on the exponential backoff, in seconds.
-    pub backoff_cap_s: f64,
     /// Completion-deadline policy. `None` disables deadline shedding; with a policy,
-    /// every request gets a `DeadlineExpire` fault at its deadline and is shed
-    /// (wherever it is) if still unfinished then.
+    /// a request still unfinished at its deadline is shed, wherever it is.
     pub slo: Option<SloPolicy>,
 }
 
@@ -107,19 +111,9 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
             discipline: Discipline::RoundRobin,
-            dispatch_window: 4,
-            rebalance_every: 32,
-            table_entries_per_engine: 4,
-            // A 10 Gbit/s datacenter hop with ~200 µs of RPC latency.
-            link_latency_s: 2e-4,
-            link_bytes_per_s: 1.25e9,
-            bytes_per_token: 4.0,
             max_events: 5_000_000,
             fault_plan: FaultPlan::default(),
             failover: true,
-            retry_budget: 3,
-            backoff_base_s: 0.05,
-            backoff_cap_s: 1.0,
             slo: None,
         }
     }
@@ -278,8 +272,8 @@ struct RouterState {
     max_central: usize,
     /// `DFcfs` indirection table: entry → engine.
     table: Vec<usize>,
+    /// `DFcfs` arrivals so far.
     seq: usize,
-    arrivals_since_rebalance: usize,
     rebalances: usize,
 }
 
@@ -297,8 +291,7 @@ pub struct Cluster {
     next_arrival: usize,
     router: RouterState,
     records: Vec<RouteRecord>,
-    /// Fault plan (plus SLO deadline events), sorted by time; `fault_cursor` is the
-    /// next unapplied event.
+    /// The fault plan, sorted by time; `fault_cursor` is the next unapplied event.
     fault_events: Vec<FaultEvent>,
     fault_cursor: usize,
     /// Where each frontend id currently sits.
@@ -307,6 +300,10 @@ pub struct Cluster {
     attempts: Vec<u32>,
     /// Completion deadline per request (`f64::INFINITY` without an SLO policy).
     deadline: Vec<f64>,
+    /// With an SLO policy, every frontend id stably sorted by deadline (empty
+    /// without one); `deadline_cursor` is the next unexpired deadline.
+    by_deadline: Vec<u64>,
+    deadline_cursor: usize,
     /// Orphans waiting out their failover backoff.
     retry_queue: Vec<RetryEntry>,
     /// Every shed request, in drop order.
@@ -318,19 +315,22 @@ pub struct Cluster {
 
 impl Cluster {
     /// The earliest instant at which anything in the cluster has work: a fault, a
-    /// link delivery, an engine's next activity, a retry coming off backoff, or a
-    /// frontend arrival. The central queue needs no wake-up of its own — it only
-    /// becomes dispatchable as a consequence of one of these, and every settle pass
-    /// ends with a dispatch attempt.
+    /// deadline, a link delivery, an engine's next activity, a retry coming off
+    /// backoff, or a frontend arrival. The central queue needs no wake-up of its own —
+    /// it only becomes dispatchable as a consequence of one of these, and every settle
+    /// pass ends with a dispatch attempt.
     fn next_due(&self) -> Option<f64> {
         let mut due: Option<f64> = self.wake.first().map(|&(Due(at), _)| at);
         let mut fold = |t: f64| due = Some(due.map_or(t, |d: f64| d.min(t)));
         if let Some(request) = self.requests.get(self.next_arrival) {
             fold(request.arrival);
         }
-        // Never the deadline of an ended request: `settle` consumes those as they lead.
         if let Some(event) = self.fault_events.get(self.fault_cursor) {
             fold(event.at);
+        }
+        // Never the deadline of an ended request: `settle` consumes those as they lead.
+        if let Some(&id) = self.by_deadline.get(self.deadline_cursor) {
+            fold(self.deadline[id as usize]);
         }
         if let Some(at) = self.retry_due() {
             fold(at);
@@ -352,14 +352,14 @@ impl Cluster {
     }
 
     /// Processes every cluster event due at the instant `at` in the fixed kind order
-    /// faults → link deliveries → engine steps → retry re-dispatch → frontend arrivals
-    /// → central dispatch. [`Cluster::run`] calls it once per instant, earliest first,
-    /// so every routing decision is a function of simulated time and this order alone.
-    /// Deliveries and engine steps visit only the slots the wake-up index holds as due
-    /// at `at` once the faults are applied, in ascending engine id; no other slot has
-    /// work then. The pass ends by consuming the leading deadline events of requests
-    /// that already ended: they are no-ops and must not wake the cluster. Returns
-    /// whether a polled engine emitted a token or a request was shed.
+    /// faults → deadlines → link deliveries → engine steps → retry re-dispatch →
+    /// frontend arrivals → central dispatch. [`Cluster::run`] calls it once per
+    /// instant, earliest first, so every routing decision is a function of simulated
+    /// time and this order alone. Deliveries and engine steps visit only the slots the
+    /// wake-up index holds as due at `at` once the faults are applied, in ascending
+    /// engine id; no other slot has work then. The pass ends by consuming the leading
+    /// deadlines of requests that already ended: they are no-ops and must not wake the
+    /// cluster. Returns whether a polled engine emitted a token or a request was shed.
     fn settle(&mut self, at: f64) -> bool {
         let (drops, mut emitted) = (self.drops.len(), false);
         self.apply_faults(at);
@@ -395,10 +395,8 @@ impl Cluster {
             }
         }
         self.dispatch_central(at);
-        while self.fault_events.get(self.fault_cursor).is_some_and(|event| {
-            event.kind == FaultKind::DeadlineExpire && !self.is_pending(event.request)
-        }) {
-            self.fault_cursor += 1;
+        while self.by_deadline.get(self.deadline_cursor).is_some_and(|&id| !self.is_pending(id)) {
+            self.deadline_cursor += 1;
         }
         emitted || self.drops.len() > drops
     }
@@ -415,7 +413,9 @@ impl Cluster {
         !matches!(self.site[id as usize], Site::Dropped) && !self.completed(id)
     }
 
-    /// Applies every fault event due at or before `at`, in plan order.
+    /// Applies every fault event due at or before `at`, in plan order, then sheds every
+    /// request whose deadline passed by `at` unfinished, in deadline order (id order
+    /// among equal deadlines).
     fn apply_faults(&mut self, at: f64) {
         while self.fault_events.get(self.fault_cursor).is_some_and(|event| event.at <= at) {
             let event = self.fault_events[self.fault_cursor];
@@ -430,21 +430,25 @@ impl Cluster {
                 }
                 FaultKind::LinkDegrade => {
                     let link = &mut self.slots[event.engine].link;
-                    let latency = self.config.link_latency_s + event.added_latency_s;
                     link.reconfigure(
-                        latency,
-                        self.config.link_bytes_per_s * event.bandwidth_factor,
+                        LINK_LATENCY_S + event.added_latency_s,
+                        LINK_BYTES_PER_S * event.bandwidth_factor,
                     );
                 }
                 FaultKind::LinkRestore => {
                     let link = &mut self.slots[event.engine].link;
-                    link.reconfigure(self.config.link_latency_s, self.config.link_bytes_per_s);
+                    link.reconfigure(LINK_LATENCY_S, LINK_BYTES_PER_S);
                 }
-                FaultKind::DeadlineExpire => {
-                    if self.is_pending(event.request) {
-                        self.drop_request(event.at, event.request, DropReason::DeadlineExpired);
-                    }
-                }
+            }
+        }
+        while let Some(&id) = self
+            .by_deadline
+            .get(self.deadline_cursor)
+            .filter(|&&id| self.deadline[id as usize] <= at)
+        {
+            self.deadline_cursor += 1;
+            if self.is_pending(id) {
+                self.drop_request(self.deadline[id as usize], id, DropReason::DeadlineExpired);
             }
         }
     }
@@ -480,13 +484,12 @@ impl Cluster {
             return;
         }
         let attempts = self.attempts[idx];
-        if attempts > self.config.retry_budget {
+        if attempts > RETRY_BUDGET {
             self.drop_request(at, id, DropReason::RetriesExhausted);
             return;
         }
         let exponent = attempts.saturating_sub(1).min(30);
-        let delay =
-            (self.config.backoff_base_s * (1u64 << exponent) as f64).min(self.config.backoff_cap_s);
+        let delay = (BACKOFF_BASE_S * (1u64 << exponent) as f64).min(BACKOFF_CAP_S);
         let ready_at = at + delay;
         if ready_at >= self.deadline[idx] {
             self.drop_request(at, id, DropReason::DeadlineExpired);
@@ -531,26 +534,16 @@ impl Cluster {
                 }
             }
             let Some((slot, _, id)) = pick else { break };
-            let eligible: Vec<usize> =
-                (0..self.slots.len()).filter(|&e| self.eligible(id, e)).collect();
-            if eligible.is_empty() {
-                if self.slots.iter().any(|s| !s.server.is_down()) {
-                    self.retry_queue.remove(slot);
-                    self.site[id as usize] = Site::Idle;
-                    self.drop_request(at, id, DropReason::NoAdmissibleEngine);
-                    continue;
-                }
+            let best = self.least_outstanding(id);
+            if best.is_none() && self.slots.iter().all(|s| s.server.is_down()) {
                 break;
             }
             self.retry_queue.remove(slot);
             self.site[id as usize] = Site::Idle;
-            // `eligible` was checked non-empty above, so min_by_key yields a value;
-            // the unreachable fallback keeps this path panic-free.
-            let best = eligible
-                .iter()
-                .copied()
-                .min_by_key(|&e| (self.outstanding(e), e))
-                .unwrap_or(eligible[0]);
+            let Some(best) = best else {
+                self.drop_request(at, id, DropReason::NoAdmissibleEngine);
+                continue;
+            };
             if self.attempts[id as usize] >= 1 {
                 self.retries += 1;
             }
@@ -562,6 +555,14 @@ impl Cluster {
     /// context fits the engine's largest pool).
     fn eligible(&self, id: u64, engine: usize) -> bool {
         !self.slots[engine].server.is_down() && self.admissible(id, engine)
+    }
+
+    /// The least-outstanding live engine that could ever serve request `id`, lowest id
+    /// on ties; `None` if nothing live can hold it.
+    fn least_outstanding(&self, id: u64) -> Option<usize> {
+        (0..self.slots.len())
+            .filter(|&e| self.eligible(id, e))
+            .min_by_key(|&e| (self.outstanding(e), e))
     }
 
     /// Whether request `id`'s full context fits engine `e`'s largest pool,
@@ -625,18 +626,14 @@ impl Cluster {
                 let entry = self.router.seq % self.router.table.len();
                 self.router.seq += 1;
                 let engine = self.router.table[entry];
-                if self.eligible(id, engine) {
-                    self.bind(at, id, engine);
-                } else {
-                    // The table pointed somewhere dead or too small; fall back to
-                    // the least-outstanding engine that can take it.
-                    let best = (0..self.slots.len())
-                        .filter(|&e| self.eligible(id, e))
-                        .min_by_key(|&e| (self.outstanding(e), e));
-                    match best {
-                        Some(engine) => self.bind(at, id, engine),
-                        None => self.orphan(at, id),
-                    }
+                // A table entry pointing somewhere dead or too small falls back to the
+                // least-outstanding engine that can take it.
+                let engine = Some(engine)
+                    .filter(|&e| self.eligible(id, e))
+                    .or_else(|| self.least_outstanding(id));
+                match engine {
+                    Some(engine) => self.bind(at, id, engine),
+                    None => self.orphan(at, id),
                 }
                 self.maybe_rebalance();
             }
@@ -667,16 +664,13 @@ impl Cluster {
             return;
         }
         while let Some(&id) = self.router.central.front() {
-            let best = (0..self.slots.len())
-                .filter(|&e| self.eligible(id, e))
-                .min_by_key(|&e| (self.outstanding(e), e));
-            let Some(best) = best else {
+            let Some(best) = self.least_outstanding(id) else {
                 self.router.central.pop_front();
                 self.site[id as usize] = Site::Idle;
                 self.orphan(at, id);
                 continue;
             };
-            if self.outstanding(best) >= self.config.dispatch_window {
+            if self.outstanding(best) >= DISPATCH_WINDOW {
                 break;
             }
             self.router.central.pop_front();
@@ -712,15 +706,12 @@ impl Cluster {
         best.map(|(e, _)| e)
     }
 
-    /// `DFcfs` correction knob: every `rebalance_every` arrivals, remap one
+    /// `DFcfs` correction knob: every [`REBALANCE_EVERY`] arrivals, remap one
     /// indirection-table entry from the deepest live engine to the shallowest.
     fn maybe_rebalance(&mut self) {
-        self.router.arrivals_since_rebalance += 1;
-        let every = self.config.rebalance_every;
-        if every == 0 || self.router.arrivals_since_rebalance < every {
+        if self.router.seq % REBALANCE_EVERY != 0 {
             return;
         }
-        self.router.arrivals_since_rebalance = 0;
         let live: Vec<usize> =
             (0..self.slots.len()).filter(|&e| !self.slots[e].server.is_down()).collect();
         if live.len() < 2 {
@@ -750,7 +741,7 @@ impl Cluster {
         let request = self.requests[id as usize];
         self.records.push(RouteRecord { id, time: at, engine });
         self.attempts[id as usize] += 1;
-        let bytes = request.prompt_len as f64 * self.config.bytes_per_token;
+        let bytes = request.prompt_len as f64 * BYTES_PER_TOKEN;
         let deliver_at = self.slots[engine].link.delivery(at, bytes);
         self.slots[engine].inflight.push_back((deliver_at, id));
         self.slots[engine].routed += 1;
@@ -839,33 +830,11 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the fleet is empty, a non-positive window/table size is configured
-    /// for the discipline that needs it, any engine already holds requests, the
-    /// retry/backoff knobs are not finite and non-negative, or the fault plan
-    /// references an engine/request outside the fleet/trace or carries non-positive
-    /// degradation parameters.
+    /// Panics if the fleet is empty, any engine already holds requests, or the fault
+    /// plan references an engine outside the fleet or carries non-positive degradation
+    /// parameters.
     pub fn new(engines: Vec<(String, Engine)>, trace: &Trace, config: ClusterConfig) -> Self {
         assert!(!engines.is_empty(), "a cluster needs at least one engine");
-        assert!(
-            config.discipline != Discipline::CFcfs || config.dispatch_window >= 1,
-            "cFCFS needs a dispatch window of at least 1"
-        );
-        assert!(
-            config.discipline != Discipline::DFcfs || config.table_entries_per_engine >= 1,
-            "dFCFS needs at least one indirection-table entry per engine"
-        );
-        assert!(
-            config.bytes_per_token.is_finite() && config.bytes_per_token >= 0.0,
-            "bytes_per_token must be finite and >= 0"
-        );
-        assert!(
-            config.backoff_base_s.is_finite() && config.backoff_base_s >= 0.0,
-            "backoff base must be finite and >= 0"
-        );
-        assert!(
-            config.backoff_cap_s.is_finite() && config.backoff_cap_s >= 0.0,
-            "backoff cap must be finite and >= 0"
-        );
         let fleet_size = engines.len();
         let slots: Vec<Slot> = engines
             .into_iter()
@@ -881,7 +850,7 @@ impl Cluster {
                 due: None,
                 name,
                 server: Server::new(engine),
-                link: SerialLine::new(config.link_latency_s, config.link_bytes_per_s),
+                link: SerialLine::new(LINK_LATENCY_S, LINK_BYTES_PER_S),
                 inflight: VecDeque::new(),
                 routed: 0,
             })
@@ -891,24 +860,22 @@ impl Cluster {
             .iter()
             .map(|r| config.slo.map_or(f64::INFINITY, |slo| slo.deadline(r.arrival, r.output_len)))
             .collect();
-        let mut fault_events = config.fault_plan.sorted_events();
+        let mut by_deadline: Vec<u64> = Vec::new();
+        if config.slo.is_some() {
+            by_deadline.extend(0..requests.len() as u64);
+            by_deadline.sort_by(|&a, &b| deadline[a as usize].total_cmp(&deadline[b as usize]));
+        }
+        let fault_events = config.fault_plan.sorted_events();
         for event in &fault_events {
             assert!(
                 event.at.is_finite() && event.at >= 0.0,
                 "fault event times must be finite and >= 0"
             );
-            match event.kind {
-                FaultKind::DeadlineExpire => assert!(
-                    (event.request as usize) < requests.len(),
-                    "deadline fault targets request {} outside the trace",
-                    event.request
-                ),
-                _ => assert!(
-                    event.engine < fleet_size,
-                    "fault event targets engine {} outside the fleet",
-                    event.engine
-                ),
-            }
+            assert!(
+                event.engine < fleet_size,
+                "fault event targets engine {} outside the fleet",
+                event.engine
+            );
             if event.kind == FaultKind::LinkDegrade {
                 assert!(
                     event.bandwidth_factor.is_finite() && event.bandwidth_factor > 0.0,
@@ -920,29 +887,15 @@ impl Cluster {
                 );
             }
         }
-        if config.slo.is_some() {
-            for (id, &at) in deadline.iter().enumerate() {
-                fault_events.push(FaultEvent {
-                    at,
-                    kind: FaultKind::DeadlineExpire,
-                    engine: 0,
-                    request: id as u64,
-                    bandwidth_factor: 1.0,
-                    added_latency_s: 0.0,
-                });
-            }
-            fault_events.sort_by(|a, b| a.at.total_cmp(&b.at));
-        }
         let router = RouterState {
             discipline: config.discipline,
             rr_next: 0,
             central: VecDeque::new(),
             max_central: 0,
-            table: (0..fleet_size * config.table_entries_per_engine.max(1))
+            table: (0..fleet_size * TABLE_ENTRIES_PER_ENGINE)
                 .map(|entry| entry % fleet_size)
                 .collect(),
             seq: 0,
-            arrivals_since_rebalance: 0,
             rebalances: 0,
         };
         let request_count = requests.len();
@@ -959,6 +912,8 @@ impl Cluster {
             site: vec![Site::Idle; request_count],
             attempts: vec![0; request_count],
             deadline,
+            by_deadline,
+            deadline_cursor: 0,
             retry_queue: Vec::new(),
             drops: Vec::new(),
             retries: 0,
@@ -1041,11 +996,7 @@ mod tests {
     fn cfcfs_binds_late_and_bounds_outstanding_work() {
         // A burst at t=0: the central queue must engage and dispatch FIFO.
         let trace = synthetic(12, 300, 12, ArrivalProcess::AllAtOnce, 5);
-        let config = ClusterConfig {
-            discipline: Discipline::CFcfs,
-            dispatch_window: 2,
-            ..ClusterConfig::default()
-        };
+        let config = ClusterConfig { discipline: Discipline::CFcfs, ..ClusterConfig::default() };
         let report = Cluster::new(homogeneous_pair(), &trace, config).run();
         assert_eq!(report.completed, 12);
         assert!(report.max_central_queue >= 8, "the window must hold the burst back");
@@ -1062,11 +1013,7 @@ mod tests {
         // pile work on it, and the periodic remap must fire.
         let fleet = vec![("a10g".to_string(), a10g_engine()), ("t4".to_string(), t4_engine())];
         let trace = synthetic(40, 300, 12, ArrivalProcess::Uniform { rate: 6.0 }, 9);
-        let config = ClusterConfig {
-            discipline: Discipline::DFcfs,
-            rebalance_every: 8,
-            ..ClusterConfig::default()
-        };
+        let config = ClusterConfig { discipline: Discipline::DFcfs, ..ClusterConfig::default() };
         let report = Cluster::new(fleet, &trace, config).run();
         assert_eq!(report.completed, 40);
         assert!(report.rebalances >= 1, "skew must trigger at least one remap");
@@ -1188,6 +1135,27 @@ mod tests {
     }
 
     #[test]
+    fn deadlines_of_ended_requests_never_wake_the_cluster() {
+        // Every deadline falls long after the last completion, so the pass that ends the
+        // last request must consume them all: nothing is due once every request ended.
+        let trace = synthetic(10, 300, 12, ArrivalProcess::Uniform { rate: 4.0 }, 11);
+        let config =
+            ClusterConfig { slo: Some(SloPolicy::new(1_000.0, 0.0)), ..ClusterConfig::default() };
+        let mut cluster = Cluster::new(homogeneous_pair(), &trace, config);
+        let mut ended = false;
+        while let Some(at) = cluster.next_due() {
+            assert!(!ended, "the cluster woke at t={at} after every request ended");
+            cluster.settle(at);
+            ended = (0..10).all(|id| !cluster.is_pending(id));
+            if ended {
+                assert_eq!(cluster.next_due(), None, "a deadline of an ended request is due");
+            }
+        }
+        assert!(ended);
+        assert!((0..10).all(|id| cluster.completed(id)), "{:?}", cluster.drops);
+    }
+
+    #[test]
     fn a_degraded_link_inflates_frontend_ttft() {
         let fleet = || vec![("a10g".to_string(), a10g_engine())];
         let trace = synthetic(4, 300, 8, ArrivalProcess::Uniform { rate: 2.0 }, 7);
@@ -1214,16 +1182,13 @@ mod tests {
             plan = plan.engine_fail(at, k % 2).engine_recover(at + 0.05, k % 2);
         }
         let trace = synthetic(8, 300, 12, ArrivalProcess::AllAtOnce, 5);
-        let config = ClusterConfig {
-            fault_plan: plan,
-            retry_budget: 2,
-            backoff_base_s: 0.01,
-            backoff_cap_s: 0.02,
-            ..ClusterConfig::default()
-        };
+        let config = ClusterConfig { fault_plan: plan, ..ClusterConfig::default() };
         let report = Cluster::new(homogeneous_pair(), &trace, config).run();
         assert_eq!(report.completed + report.dropped, 8);
-        assert!(report.retries <= 8 * 2, "retries must respect the per-request budget");
+        assert!(
+            report.retries <= 8 * RETRY_BUDGET as u64,
+            "retries must respect the per-request budget"
+        );
     }
 
     fn h100_tp2_engine() -> Engine {
@@ -1255,8 +1220,6 @@ mod tests {
     /// What one checked drive saw besides the report.
     #[derive(Debug, Default)]
     struct Drive {
-        /// Passes that settled the same instant as the pass before.
-        repeated_instants: usize,
         /// Requests shed while on a link, and while on a server.
         link_drops: usize,
         server_drops: usize,
@@ -1271,10 +1234,7 @@ mod tests {
     /// - every engine's `LeastKv` score equals the one built from its ranks.
     fn drive_checked(mut cluster: Cluster) -> (ClusterReport, Drive) {
         let mut drive = Drive::default();
-        let mut last: Option<f64> = None;
         while let Some(at) = cluster.next_due() {
-            drive.repeated_instants += usize::from(last == Some(at));
-            last = Some(at);
             let sites = cluster.site.clone();
             // Applying the faults first leaves settle's own call nothing to do.
             cluster.apply_faults(at);
@@ -1343,28 +1303,18 @@ mod tests {
     }
 
     #[test]
-    fn the_wake_up_index_matches_brute_force_on_a_zero_latency_central_queue() {
+    fn the_wake_up_index_matches_brute_force_on_a_central_queue() {
         let fleet = || {
             let mut fleet = homogeneous_pair();
             fleet.push(("t4".to_string(), t4_engine()));
             fleet
         };
         let trace = synthetic(30, 300, 12, ArrivalProcess::Uniform { rate: 20.0 }, 4);
-        let config = || ClusterConfig {
-            discipline: Discipline::CFcfs,
-            dispatch_window: 2,
-            link_latency_s: 0.0,
-            bytes_per_token: 0.0,
-            ..ClusterConfig::default()
-        };
-        let (checked, drive) = drive_checked(Cluster::new(fleet(), &trace, config()));
+        let config = || ClusterConfig { discipline: Discipline::CFcfs, ..ClusterConfig::default() };
+        let (checked, _) = drive_checked(Cluster::new(fleet(), &trace, config()));
         let report = Cluster::new(fleet(), &trace, config()).run();
         assert_eq!(checked.routes, report.routes, "the checked drive is the run");
         assert_eq!(report.completed, 30);
-        assert!(
-            drive.repeated_instants > 0,
-            "a bind on a zero-latency link is delivered by a new pass at the same instant"
-        );
     }
 
     /// A livelocked policy: it stays idle whatever waits.
@@ -1386,16 +1336,11 @@ mod tests {
                     without progress"
     )]
     fn max_events_bounds_the_passes_without_progress() {
-        // Every request is routed at t=0 and lands at t=0.5 on an engine whose policy
-        // never schedules it: the routing pass, the delivery pass and every idle
-        // quantum after it make no progress.
+        // Every request is routed at t=0 and lands about 0.2 ms later on an engine whose
+        // policy never schedules it: the routing pass, the delivery passes and every
+        // idle quantum after them make no progress.
         let trace = synthetic(4, 300, 12, ArrivalProcess::AllAtOnce, 5);
-        let config = ClusterConfig {
-            max_events: 3,
-            link_latency_s: 0.5,
-            bytes_per_token: 0.0,
-            ..ClusterConfig::default()
-        };
+        let config = ClusterConfig { max_events: 3, ..ClusterConfig::default() };
         let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
         let idle = Engine::new(cost, EngineConfig::default(), Box::new(IdlePolicy));
         let _ = Cluster::new(vec![("idle".to_string(), idle)], &trace, config).run();
@@ -1403,11 +1348,11 @@ mod tests {
 
     #[test]
     fn a_healthy_run_outlasts_its_budget_of_passes_without_progress() {
-        // All 16 requests land at once and decode about 32 tokens each, so the run
-        // takes more than 30 settle passes; only the routing pass makes no progress.
+        // All 16 requests are routed at t=0 and decode about 32 tokens each, so the run
+        // takes more than 80 settle passes. Only the routing pass and the delivery
+        // passes, one per prompt transfer on each link, make no progress: 14 in a row.
         let trace = synthetic(16, 300, 32, ArrivalProcess::AllAtOnce, 5);
-        let config =
-            ClusterConfig { max_events: 4, bytes_per_token: 0.0, ..ClusterConfig::default() };
+        let config = ClusterConfig { max_events: 16, ..ClusterConfig::default() };
         let report = Cluster::new(homogeneous_pair(), &trace, config).run();
         assert_eq!(report.completed, 16);
         assert!(report.streamed_tokens > 16 * 30);

@@ -20,23 +20,24 @@ pub enum Discipline {
     RoundRobin,
     /// Centralized FCFS: one central FIFO; a request is dispatched (FIFO order) to the
     /// least-outstanding engine as soon as some engine's outstanding work (server
-    /// queue depth + requests in flight on its link) is below the configured dispatch
-    /// window. Late binding keeps the queue work-conserving, but the depth signal
+    /// queue depth + requests in flight on its link) is below a dispatch window of 4
+    /// requests. Late binding keeps the queue work-conserving, but the depth signal
     /// counts *requests*, not tokens — it cannot tell a T4 from an H100.
     CFcfs,
     /// Distributed FCFS: early binding through an indirection table — arrival `k`
-    /// lands on `table[k mod E]`, the table initialized round-robin over engines.
-    /// Every `rebalance_every` arrivals one table entry is remapped from the deepest
-    /// to the shallowest engine, the RSS-style correction knob real distributed
-    /// queues get.
+    /// lands on `table[k mod E]`, the table (4 entries per engine) initialized
+    /// round-robin over engines. Every 32 arrivals one table entry is remapped from
+    /// the deepest to the shallowest engine, the RSS-style correction knob real
+    /// distributed queues get.
     DFcfs,
-    /// Least-KV-occupancy: early binding to the engine whose KV pressure —
-    /// `(max per-rank used tokens + prompt tokens routed but not yet started, on the
-    /// link or in [`neo_serve::Server::unstarted_prompt_tokens`]) / min per-rank KV
-    /// capacity` from [`neo_core::Engine::rank_occupancy`] and
-    /// [`neo_core::Engine::rank_budgets`] — is lowest. Capacity-aware, so a
-    /// heterogeneous fleet loads its T4 proportionally to the T4's cache, not to its
-    /// share of the request count.
+    /// Least-KV-occupancy: early binding to the engine with the lowest KV pressure —
+    /// its used GPU KV tokens plus the prompt tokens routed to it but not yet started
+    /// (on its link or in [`neo_serve::Server::unstarted_prompt_tokens`]), over the KV
+    /// capacity of its tightest rank. Every rank caches the same tokens, so the used
+    /// tokens are the KV manager's `gpu_used_tokens`; the capacity is read once per
+    /// engine from [`neo_core::Engine::rank_budgets`] when the cluster is built.
+    /// Capacity-aware, so a heterogeneous fleet loads its T4 proportionally to the
+    /// T4's cache, not to its share of the request count.
     LeastKv,
 }
 

@@ -1,11 +1,13 @@
 //! Deterministic fault injection.
 //!
-//! A [`FaultPlan`] is a list of timed [`FaultEvent`]s — engine fail-stop/recover,
-//! link degradation, per-request deadline expiry — applied to the fleet at exact
-//! simulated instants. The plan is data (serde-round-trippable), not callbacks, so a
-//! fault scenario is reproducible byte-for-byte: the same plan on the same trace
-//! yields the same [`crate::ClusterReport`], which `tests/fault_determinism.rs` pins
-//! for one failure trace.
+//! A [`FaultPlan`] is a list of timed [`FaultEvent`]s — engine fail-stop/recover, link
+//! degradation and restoration — applied to the fleet at exact simulated instants.
+//! The plan is data (serde-round-trippable), not callbacks, so a fault scenario is
+//! reproducible byte-for-byte: the same plan on the same trace yields the same
+//! [`crate::ClusterReport`], which `tests/fault_determinism.rs` pins for one failure
+//! trace. Per-request completion deadlines are not faults: they come from
+//! [`crate::ClusterConfig::slo`], and the cluster applies them right after the plan's
+//! faults of the same instant.
 //!
 //! Plans are either hand-built (the builder methods) or sampled from a seed
 //! ([`FaultPlan::seeded_outages`]) for sweep drivers that need *many* reproducible
@@ -26,26 +28,20 @@ pub enum FaultKind {
     /// Degrade `engine`'s frontend link: multiply bandwidth by `bandwidth_factor`
     /// and add `added_latency_s` of propagation latency.
     LinkDegrade,
-    /// Restore `engine`'s frontend link to its configured rates.
+    /// Restore `engine`'s frontend link to its base rates.
     LinkRestore,
-    /// Expire the completion deadline of frontend request `request`: if it has not
-    /// finished it is shed with a deadline drop, wherever it is.
-    DeadlineExpire,
 }
 
-/// One timed fault. A flat record: `engine`, `request`, `bandwidth_factor` and
-/// `added_latency_s` are read only by the kinds documented on [`FaultKind`] and
-/// ignored (but still serialised) otherwise.
+/// One timed fault. A flat record: `bandwidth_factor` and `added_latency_s` are read
+/// only by [`FaultKind::LinkDegrade`] and ignored (but still serialised) otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// Simulated instant the fault fires.
     pub at: f64,
     /// What happens.
     pub kind: FaultKind,
-    /// Target engine index (`EngineFail`/`EngineRecover`/`LinkDegrade`/`LinkRestore`).
+    /// Target engine index.
     pub engine: usize,
-    /// Target frontend request id (`DeadlineExpire`).
-    pub request: u64,
     /// Bandwidth multiplier in `(0, 1]`-ish (`LinkDegrade`; 1.0 elsewhere).
     pub bandwidth_factor: f64,
     /// Added propagation latency in seconds (`LinkDegrade`; 0.0 elsewhere).
@@ -54,7 +50,7 @@ pub struct FaultEvent {
 
 impl FaultEvent {
     fn new(at: f64, kind: FaultKind) -> Self {
-        Self { at, kind, engine: 0, request: 0, bandwidth_factor: 1.0, added_latency_s: 0.0 }
+        Self { at, kind, engine: 0, bandwidth_factor: 1.0, added_latency_s: 0.0 }
     }
 }
 
@@ -109,15 +105,9 @@ impl FaultPlan {
         self
     }
 
-    /// Restores `engine`'s link to its configured rates at `at`.
+    /// Restores `engine`'s link to its base rates at `at`.
     pub fn link_restore(mut self, at: f64, engine: usize) -> Self {
         self.events.push(FaultEvent { engine, ..FaultEvent::new(at, FaultKind::LinkRestore) });
-        self
-    }
-
-    /// Expires frontend request `request`'s deadline at `at`.
-    pub fn deadline_expire(mut self, at: f64, request: u64) -> Self {
-        self.events.push(FaultEvent { request, ..FaultEvent::new(at, FaultKind::DeadlineExpire) });
         self
     }
 
@@ -168,13 +158,13 @@ mod tests {
             .engine_recover(8.0, 1)
             .engine_fail(2.0, 1)
             .link_degrade(2.0, 0, 0.1, 0.05)
-            .deadline_expire(5.0, 7);
+            .link_restore(5.0, 3);
         assert_eq!(plan.events.len(), 4);
         let sorted = plan.sorted_events();
         assert_eq!(sorted[0].kind, FaultKind::EngineFail);
         assert_eq!(sorted[1].kind, FaultKind::LinkDegrade, "stable at same instant");
-        assert_eq!(sorted[2].kind, FaultKind::DeadlineExpire);
-        assert_eq!(sorted[2].request, 7);
+        assert_eq!(sorted[2].kind, FaultKind::LinkRestore);
+        assert_eq!(sorted[2].engine, 3);
         assert_eq!(sorted[3].kind, FaultKind::EngineRecover);
     }
 

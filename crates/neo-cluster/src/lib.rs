@@ -19,25 +19,24 @@
 //! engine queue depths at instant *t* sees different depths depending on whether an
 //! engine's same-instant completion was processed first. [`Cluster::run`] rules this
 //! out with one loop: it takes the earliest instant at which anything has work and
-//! settles it in a fixed global order — faults → link deliveries → engine steps →
-//! retry re-dispatch → frontend arrivals → central dispatch — then moves on to the next
-//! instant. Every output (routing trace included) is therefore a function of the trace,
-//! the fleet and the configuration alone; the `cluster_determinism` integration suite
-//! pins one routing trace with exact literals.
+//! settles it in a fixed global order — faults → deadlines → link deliveries → engine
+//! steps → retry re-dispatch → frontend arrivals → central dispatch — then moves on to
+//! the next instant. Every output (routing trace included) is therefore a function of
+//! the trace, the fleet and the configuration alone; the `cluster_determinism`
+//! integration suite pins one routing trace with exact literals.
 //!
 //! # Failure model
 //!
 //! Faults are data, not chaos: a [`FaultPlan`] schedules engine fail-stops and
-//! recoveries, link degradations, and per-request deadline expiries at exact
-//! simulated instants, applied in the same fixed settle order as everything else —
-//! so a fault scenario is as bit-reproducible as a faultless run (the
-//! `fault_determinism` suite pins one failure trace). When an engine dies the
-//! router marks it down and, with failover enabled, re-dispatches its orphaned
-//! requests to survivors under capped exponential backoff and a per-request retry
-//! budget; requests that exhaust the budget, miss an [`neo_workload::SloPolicy`]
-//! deadline, or fit no engine are shed with a typed [`neo_serve::DropReason`].
-//! Every request ends in exactly one terminal state: completed, or dropped with a
-//! recorded reason ([`ClusterReport::drops`]).
+//! recoveries and link degradations at exact simulated instants, applied in the same
+//! fixed settle order as everything else — so a fault scenario is as bit-reproducible
+//! as a faultless run (the `fault_determinism` suite pins one failure trace). When an
+//! engine dies the router marks it down and, with failover enabled, re-dispatches its
+//! orphaned requests to survivors under capped exponential backoff and a per-request
+//! budget of [`RETRY_BUDGET`] retries; requests that exhaust the budget, miss an
+//! [`neo_workload::SloPolicy`] deadline, or fit no engine are shed with a typed
+//! [`neo_serve::DropReason`]. Every request ends in exactly one terminal state:
+//! completed, or dropped with a recorded reason ([`ClusterReport::drops`]).
 //!
 //! # Example
 //!
@@ -65,6 +64,8 @@ pub mod cluster;
 pub mod discipline;
 pub mod fault;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterReport, DropRecord, EngineSummary, RouteRecord};
+pub use cluster::{
+    Cluster, ClusterConfig, ClusterReport, DropRecord, EngineSummary, RouteRecord, RETRY_BUDGET,
+};
 pub use discipline::Discipline;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

@@ -2,16 +2,14 @@
 //!
 //! Submission used to be infallible: a request whose prompt exceeds every KV pool
 //! parked in the waitqueue forever, and a serving layer in front of a dead engine had
-//! no way to learn it beyond silence. [`AdmitError`] makes both failure modes a typed,
-//! serialisable value the caller can branch on — the cluster router re-routes a
-//! [`AdmitError::NeverAdmissible`] request to an engine that *can* hold it (or sheds
-//! it with a typed reason), and treats [`AdmitError::EngineDown`] as a failover
-//! trigger instead of a wedge. A request id the engine cannot key —
-//! [`AdmitError::DuplicateId`], [`AdmitError::IdOutOfWindow`] — is refused the same
-//! way, before anything changes.
+//! no way to learn it beyond silence. [`AdmitError`] makes both failure modes a typed
+//! value the caller can branch on — the cluster router re-routes a
+//! [`AdmitError::NeverAdmissible`] request to an engine that *can* hold it (or sheds it
+//! with a typed reason), and treats [`AdmitError::EngineDown`] as a failover trigger
+//! instead of a wedge. A request id the engine cannot key — [`AdmitError::DuplicateId`],
+//! [`AdmitError::IdOutOfWindow`] — is refused the same way, before anything changes.
 
 use neo_kvcache::OutOfWindow;
-use serde::{Deserialize, Error, Serialize, Value};
 
 /// Why a request was refused at submission.
 ///
@@ -50,18 +48,6 @@ pub enum AdmitError {
     },
 }
 
-impl AdmitError {
-    /// Stable snake_case label: the `kind` tag of the serialised form.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AdmitError::NeverAdmissible { .. } => "never_admissible",
-            AdmitError::EngineDown => "engine_down",
-            AdmitError::DuplicateId(_) => "duplicate_id",
-            AdmitError::IdOutOfWindow { .. } => "id_out_of_window",
-        }
-    }
-}
-
 impl From<OutOfWindow> for AdmitError {
     fn from(e: OutOfWindow) -> Self {
         AdmitError::IdOutOfWindow { id: e.id, oldest: e.oldest, newest: e.newest }
@@ -88,55 +74,6 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-// The serde-shim derives cover named-field structs and unit-variant enums only, so the
-// data-carrying variants get hand-written impls: an internally tagged object
-// (`{"kind": ..., ...payload}`), the layout `serde(tag = "kind")` would produce.
-impl Serialize for AdmitError {
-    fn to_value(&self) -> Value {
-        let field = |name: &str, value: Value| (String::from(name), value);
-        let mut fields = vec![field("kind", Value::Str(String::from(self.label())))];
-        match self {
-            AdmitError::NeverAdmissible { required_tokens, capacity_tokens } => {
-                fields.push(field("required_tokens", required_tokens.to_value()));
-                fields.push(field("capacity_tokens", capacity_tokens.to_value()));
-            }
-            AdmitError::EngineDown => {}
-            AdmitError::DuplicateId(id) => fields.push(field("id", id.to_value())),
-            AdmitError::IdOutOfWindow { id, oldest, newest } => {
-                fields.push(field("id", id.to_value()));
-                fields.push(field("oldest", oldest.to_value()));
-                fields.push(field("newest", newest.to_value()));
-            }
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for AdmitError {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| Error::custom(format!("AdmitError: missing field {name:?}")))
-        };
-        let kind = String::from_value(field("kind")?).map_err(|e| e.in_field("kind"))?;
-        match kind.as_str() {
-            "never_admissible" => Ok(AdmitError::NeverAdmissible {
-                required_tokens: usize::from_value(field("required_tokens")?)?,
-                capacity_tokens: usize::from_value(field("capacity_tokens")?)?,
-            }),
-            "engine_down" => Ok(AdmitError::EngineDown),
-            "duplicate_id" => Ok(AdmitError::DuplicateId(u64::from_value(field("id")?)?)),
-            "id_out_of_window" => Ok(AdmitError::IdOutOfWindow {
-                id: u64::from_value(field("id")?)?,
-                oldest: u64::from_value(field("oldest")?)?,
-                newest: u64::from_value(field("newest")?)?,
-            }),
-            other => Err(Error::custom(format!("unknown AdmitError kind {other:?}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,20 +87,5 @@ mod tests {
         assert!(AdmitError::DuplicateId(17).to_string().contains("17"));
         let far = AdmitError::from(OutOfWindow { id: 99, oldest: 4, newest: 7 });
         assert!(far.to_string().contains("99") && far.to_string().contains("4..=7"));
-    }
-
-    #[test]
-    fn round_trips_through_serde() {
-        for e in [
-            AdmitError::NeverAdmissible { required_tokens: 10, capacity_tokens: 3 },
-            AdmitError::EngineDown,
-            AdmitError::DuplicateId(u64::MAX),
-            AdmitError::IdOutOfWindow { id: 1 << 40, oldest: 2, newest: u64::MAX },
-        ] {
-            let json = serde_json::to_string(&e).unwrap();
-            assert!(json.contains(&format!("\"kind\":\"{}\"", e.label())), "{json}");
-            let back: AdmitError = serde_json::from_str(&json).unwrap();
-            assert_eq!(e, back);
-        }
     }
 }

@@ -69,8 +69,12 @@ pub struct StageTimes {
     pub tca: f64,
 }
 
-/// Computes the per-layer stage times of a sub-batch under a cost model.
+/// Computes the per-layer stage times of a sub-batch under a cost model. An empty
+/// sub-batch takes no time and asks the cost model nothing.
 pub fn stage_times(cost: &dyn IterationCost, batch: &SubBatch) -> StageTimes {
+    if batch.is_empty() {
+        return StageTimes { tl: 0.0, tga: 0.0, tca: 0.0 };
+    }
     let tl = cost.linear_time(batch.linear_tokens());
     let tga = cost.gpu_attn_time(
         &batch.prefill_chunks(),

@@ -7,15 +7,17 @@
 //!
 //! * one mid-decode engine failure is pinned with exact literals: which requests
 //!   died, where they failed over, and that the survivor completed them;
-//! * conservation: under seeded outages and under a plan exercising every fault kind,
-//!   every request ends in exactly one terminal state, a shed or retried request's
-//!   partial output is counted exactly once (never double), and retries respect the
-//!   per-request budget.
+//! * conservation: under seeded outages, and under a plan exercising every fault kind
+//!   together with SLO deadlines, every request ends in exactly one terminal state, a
+//!   shed or retried request's partial output is counted exactly once (never double),
+//!   and retries respect the per-request budget.
 
 use neo_bench::{Policy, Scenario};
-use neo_cluster::{Cluster, ClusterConfig, ClusterReport, Discipline, FaultPlan, RouteRecord};
+use neo_cluster::{
+    Cluster, ClusterConfig, ClusterReport, Discipline, FaultPlan, RouteRecord, RETRY_BUDGET,
+};
 use neo_core::Engine;
-use neo_workload::{synthetic, ArrivalProcess, Trace};
+use neo_workload::{synthetic, ArrivalProcess, SloPolicy, Trace};
 use proptest::prelude::*;
 
 /// Same T4 + A10G pair as `cluster_determinism`: heterogeneous enough that failing
@@ -32,19 +34,22 @@ fn pinned_trace() -> Trace {
 }
 
 /// A plan that exercises every fault kind against the pinned trace: the T4 dies
-/// mid-decode and recovers, the A10G's link degrades for a stretch, and one request
-/// is given an explicit deadline.
+/// mid-decode and recovers, and the A10G's link degrades for a stretch. It runs under
+/// [`PINNED_SLO`].
 fn pinned_plan() -> FaultPlan {
     FaultPlan::new()
         .engine_fail(0.9, 0)
         .link_degrade(1.0, 1, 0.25, 0.01)
         .engine_recover(2.5, 0)
         .link_restore(3.0, 1)
-        .deadline_expire(1.5, 9)
 }
 
-fn run_faulted(discipline: Discipline, plan: FaultPlan) -> ClusterReport {
-    let config = ClusterConfig { discipline, fault_plan: plan, ..ClusterConfig::default() };
+/// A completion deadline half a second after each arrival: most requests meet it, and
+/// under every discipline some of those the failure or the slow link delay do not.
+const PINNED_SLO: SloPolicy = SloPolicy { base_s: 0.5, per_output_token_s: 0.0 };
+
+fn run_faulted(discipline: Discipline, plan: FaultPlan, slo: Option<SloPolicy>) -> ClusterReport {
+    let config = ClusterConfig { discipline, fault_plan: plan, slo, ..ClusterConfig::default() };
     Cluster::new(hetero_pair(), &pinned_trace(), config).run()
 }
 
@@ -54,7 +59,7 @@ fn run_faulted(discipline: Discipline, plan: FaultPlan) -> ClusterReport {
 /// shows up as a reviewable diff.
 #[test]
 fn mid_decode_failure_trace_is_pinned() {
-    let report = run_faulted(Discipline::RoundRobin, FaultPlan::new().engine_fail(0.9, 0));
+    let report = run_faulted(Discipline::RoundRobin, FaultPlan::new().engine_fail(0.9, 0), None);
     let expected = vec![
         RouteRecord { id: 0, time: 0.2, engine: 0 },
         RouteRecord { id: 1, time: 0.4, engine: 1 },
@@ -87,21 +92,26 @@ proptest! {
     /// retries stay within the per-request budget, a faulted run never streams more
     /// than the clean run (discarded partial output is not double-counted), and the
     /// latency summaries carry exactly the completed requests' final attempts: one
-    /// first token and `output - 1` gaps each. Each case checks seeded outages and
-    /// the pinned plan that exercises every fault kind.
+    /// first token and `output - 1` gaps each. Each case checks seeded outages, and
+    /// the pinned plan that exercises every fault kind under [`PINNED_SLO`], which
+    /// sheds at least one request on its deadline.
     #[test]
     fn every_request_reaches_exactly_one_terminal_state(
         plan_seed in 0u64..1_000_000u64,
         discipline_index in 0usize..4,
     ) {
         let discipline = Discipline::ALL[discipline_index];
-        let clean = run_faulted(discipline, FaultPlan::new());
-        for plan in [FaultPlan::seeded_outages(2, 2.5, 2, 0.6, plan_seed), pinned_plan()] {
-            let report = run_faulted(discipline, plan);
+        let clean = run_faulted(discipline, FaultPlan::new(), None);
+        let seeded = FaultPlan::seeded_outages(2, 2.5, 2, 0.6, plan_seed);
+        for (plan, slo) in [(seeded, None), (pinned_plan(), Some(PINNED_SLO))] {
+            let report = run_faulted(discipline, plan, slo);
+            if slo.is_some() {
+                prop_assert!(report.drops.iter().any(|d| d.reason == "deadline_expired"),
+                    "the pinned run sheds on its deadlines: {:?}", report.drops);
+            }
             prop_assert_eq!(report.completed + report.dropped, report.requests);
             prop_assert_eq!(report.drops.len(), report.dropped);
-            let config = ClusterConfig::default();
-            prop_assert!(report.retries <= report.requests as u64 * config.retry_budget as u64);
+            prop_assert!(report.retries <= report.requests as u64 * RETRY_BUDGET as u64);
             prop_assert!(report.streamed_tokens <= clean.streamed_tokens);
             let per_engine: u64 = report.engines.iter().map(|e| e.streamed_tokens).sum();
             prop_assert!(report.streamed_tokens <= per_engine,
