@@ -95,7 +95,9 @@ fn bench_neo_queue_depth(c: &mut Criterion) {
 
 /// An overloaded server's shape: a full GPU batch plus a prefill chunk, and 256 CPU
 /// residents of varied context, most of which fit under neither balancing inequality.
-/// Step 4 of NEO's schedule tests every one of them.
+/// Step 4 of NEO's schedule tests them in ascending context and stops at the first one
+/// it rejects, since the noiseless profile's CPU-attention floor is its own query; it
+/// still gathers and sorts all 256.
 fn bench_neo_cpu_heavy(c: &mut Criterion) {
     let mut fx = build(1, 64, 256);
     for (i, &id) in fx.cpu_run.iter().enumerate() {

@@ -8,8 +8,10 @@
 //! 3. admit prefill requests from the waitqueue into batch-0 until the activation/token
 //!    budget is exhausted, keeping the generated KV on the GPU when it fits and marking it
 //!    for swap-out otherwise (*Maximizing GPU*);
-//! 4. place CPU decode requests into batch-0 or batch-1 while maintaining
-//!    `Tca0 ≤ Tl1 + Tga0` and `Tca1 ≤ Tl0` (*Balancing*, *Hiding CPU*);
+//! 4. place CPU decode requests, in ascending context, into batch-0 or batch-1 while
+//!    maintaining `Tca0 ≤ Tl1 + Tga0` and `Tca1 ≤ Tl0` (*Balancing*, *Hiding CPU*),
+//!    stopping at the first rejected request for which [`IterationCost::cpu_attn_floor`]
+//!    rules out every later one;
 //! 5. shed prefill chunks that would force a swap-out, as long as the inequalities keep
 //!    holding (*Balancing*);
 //! 6. build the GPU-only alternative (batch-0 without the CPU decodes added in step 4) and
@@ -147,8 +149,12 @@ impl SchedulerPolicy for NeoScheduler {
     /// Both steps ask the same questions as [`crate::pipeline::balanced`] with the same
     /// cost-model arguments, but price only what a move changes: the stage times of both
     /// sub-batches are kept up to date, and of the two inequalities the one whose inputs
-    /// are already known is tested first. A CPU candidate costs at most two queries when
-    /// it is rejected and one more when it is placed.
+    /// are already known is tested first. A placed CPU candidate costs at most three
+    /// queries. A rejected one costs at most two, plus one
+    /// [`IterationCost::cpu_attn_floor`] per side whose gate is open; step 4 stops once
+    /// every open side's floor breaks that side's inequality (or no side is open), since
+    /// a rejection changes neither side and no later candidate has a smaller context.
+    /// The placed set is the full scan's for any cost model whose floor is a valid bound.
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let cost = ctx.cost;
         let cfg = ctx.config;
@@ -188,7 +194,8 @@ impl SchedulerPolicy for NeoScheduler {
             }
             // Try batch-1 first (it exists to absorb CPU attention under Tl0's shadow).
             // Only its Tl and Tca move; `Tca0 ≤ Tl1 + Tga0` needs no new query.
-            if batch0_cpu_hidden(s0.tca, s1.tl_next, tga0, slack) {
+            let open1 = batch0_cpu_hidden(s0.tca, s1.tl_next, tga0, slack);
+            if open1 {
                 let tca1 = s1.tca_with(cost, c);
                 if batch1_cpu_hidden(tca1, s0.tl, slack) {
                     s1.place(cost, c, tca1);
@@ -197,14 +204,23 @@ impl SchedulerPolicy for NeoScheduler {
                 }
             }
             // Then batch-0, where `Tca1 ≤ Tl0` is the inequality priced already.
-            if batch1_cpu_hidden(s1.tca, s0.tl_next, slack) {
+            let open0 = batch1_cpu_hidden(s1.tca, s0.tl_next, slack);
+            if open0 {
                 let tca0 = s0.tca_with(cost, c);
                 if batch0_cpu_hidden(tca0, s1.tl, tga0, slack) {
                     s0.place(cost, c, tca0);
                     plan.batch0.cpu_decodes.push((id, c));
+                    continue;
                 }
             }
             // Violates both inequalities: leave it for the next iteration (Hiding CPU).
+            // Neither side moved, so a closed gate stays closed, and every later
+            // candidate's `Tca` on an open side is at least that side's floor here.
+            if (!open1 || !batch1_cpu_hidden(s1.tca_floor(cost, c), s0.tl, slack))
+                && (!open0 || !batch0_cpu_hidden(s0.tca_floor(cost, c), s1.tl, tga0, slack))
+            {
+                break;
+            }
         }
 
         // Step 5: shed prefill chunks that force swap-outs while balance still holds.
@@ -256,42 +272,25 @@ impl SchedulerPolicy for NeoScheduler {
         let swap_out_tokens: usize = plan.swap_out.iter().map(|&id| ctx.context_len(id)).sum();
         let swap_in_tokens: usize = plan.swap_in.iter().map(|&id| ctx.context_len(id)).sum();
 
-        let mut asym = plan.into_decision();
-        asym.mode = ExecutionMode::Asymmetric;
-        let asym_est = estimate_decision(
-            cost,
-            &asym,
-            swap_out_tokens,
-            swap_in_tokens,
-            cfg.layerwise_swap_overlap,
-        );
-
-        // GPU-only alternative: batch-0 without the CPU decodes added in step 4.
-        let mut gpu_only_batch0 = asym.batch0.clone();
-        gpu_only_batch0.cpu_decodes.clear();
-        let gpu_only = ScheduleDecision {
-            mode: ExecutionMode::GpuOnly,
-            batch0: gpu_only_batch0,
-            batch1: SubBatch::new(),
-            swap_out: asym.swap_out.clone(),
-            swap_in: asym.swap_in.clone(),
-            preempt: asym.preempt.clone(),
-            demote_disk: asym.demote_disk.clone(),
-            promote_disk: asym.promote_disk.clone(),
+        let throughput = |d: &ScheduleDecision| {
+            estimate_decision(cost, d, swap_out_tokens, swap_in_tokens, cfg.layerwise_swap_overlap)
+                .throughput()
         };
-        let gpu_est = estimate_decision(
-            cost,
-            &gpu_only,
-            swap_out_tokens,
-            swap_in_tokens,
-            cfg.layerwise_swap_overlap,
-        );
 
-        if asym_est.throughput() > gpu_est.throughput() {
-            asym
-        } else {
-            gpu_only
+        let mut decision = plan.into_decision();
+        decision.mode = ExecutionMode::Asymmetric;
+        let asym = throughput(&decision);
+        // The GPU-only alternative is the same decision without the CPU decodes step 4
+        // placed: take them out, price it, and put them back if asymmetric wins.
+        let cpu_decodes0 = std::mem::take(&mut decision.batch0.cpu_decodes);
+        let batch1 = std::mem::take(&mut decision.batch1);
+        decision.mode = ExecutionMode::GpuOnly;
+        if asym > throughput(&decision) {
+            decision.mode = ExecutionMode::Asymmetric;
+            decision.batch0.cpu_decodes = cpu_decodes0;
+            decision.batch1 = batch1;
         }
+        decision
     }
 }
 
@@ -335,6 +334,11 @@ impl Side {
         cost.cpu_attn_time(self.cpu_ctx + c, self.cpu_reqs + 1)
     }
 
+    /// A lower bound on [`Side::tca_with`] for every context of at least `c`.
+    fn tca_floor(&self, cost: &dyn IterationCost, c: usize) -> f64 {
+        cost.cpu_attn_floor(self.cpu_ctx + c, self.cpu_reqs + 1)
+    }
+
     /// Adds a CPU decode of context `c`, whose `Tca` was priced by [`Side::tca_with`].
     fn place(&mut self, cost: &dyn IterationCost, c: usize, tca: f64) {
         self.tokens += 1;
@@ -350,7 +354,9 @@ impl Side {
 mod tests {
     use super::*;
     use crate::pipeline::stage_times;
+    use neo_sim::profiler::ProfiledCostModel;
     use neo_sim::{CostModel, ModelDesc, Testbed};
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     const GPU_ONLY: ExecutionMode = ExecutionMode::GpuOnly;
@@ -549,25 +555,56 @@ mod tests {
         assert!(s.schedule(&ctx).is_idle());
     }
 
-    /// An exact cost model that counts the queries it answers.
-    struct CountingCost {
-        inner: CostModel,
+    /// A cost model that counts the queries it answers. It either forwards the inner
+    /// model's [`IterationCost::cpu_attn_floor`], counting those queries both with the
+    /// others and apart, or hides it behind the trait's default, so step 4 runs its full
+    /// scan.
+    struct CountingCost<C> {
+        inner: C,
+        forward_floor: bool,
         calls: AtomicUsize,
+        floor_calls: AtomicUsize,
     }
 
-    impl CountingCost {
+    impl<C: IterationCost> CountingCost<C> {
+        fn new(inner: C, forward_floor: bool) -> Self {
+            Self {
+                inner,
+                forward_floor,
+                calls: AtomicUsize::new(0),
+                floor_calls: AtomicUsize::new(0),
+            }
+        }
+
         fn count<T>(&self, answer: T) -> T {
             self.calls.fetch_add(1, Ordering::Relaxed);
             answer
         }
+
+        /// Queries answered, floors included.
+        fn calls(&self) -> usize {
+            self.calls.load(Ordering::Relaxed)
+        }
+
+        /// Queries answered other than floors.
+        fn priced_calls(&self) -> usize {
+            self.calls() - self.floor_calls.load(Ordering::Relaxed)
+        }
     }
 
-    impl IterationCost for CountingCost {
+    impl<C: IterationCost> IterationCost for CountingCost<C> {
+        fn cpu_attn_floor(&self, ctx_total: usize, n_reqs: usize) -> f64 {
+            if !self.forward_floor {
+                return 0.0;
+            }
+            self.floor_calls.fetch_add(1, Ordering::Relaxed);
+            self.count(self.inner.cpu_attn_floor(ctx_total, n_reqs))
+        }
         fn linear_time(&self, n_tokens: usize) -> f64 {
             self.count(self.inner.linear_time(n_tokens))
         }
         fn gpu_attn_time(&self, prefill: &[(usize, usize)], ctx: usize, reqs: usize) -> f64 {
-            self.count(IterationCost::gpu_attn_time(&self.inner, prefill, ctx, reqs))
+            self.count(self.inner.gpu_attn_time(prefill, ctx, reqs))
         }
         fn cpu_attn_time(&self, ctx_total: usize, n_reqs: usize) -> f64 {
             self.count(self.inner.cpu_attn_time(ctx_total, n_reqs))
@@ -585,7 +622,7 @@ mod tests {
             self.count(self.inner.n_layers())
         }
         fn tp(&self) -> usize {
-            self.count(IterationCost::tp(&self.inner))
+            self.count(self.inner.tp())
         }
     }
 
@@ -594,7 +631,9 @@ mod tests {
         // An overloaded server's shape: a full GPU batch plus a prefill chunk, and 256
         // CPU residents, most of which fit under neither inequality. Step 4 prices a
         // rejected candidate with at most two queries and a placed one with at most
-        // three; step 5 re-prices batch-0 alone.
+        // three; step 5 re-prices batch-0 alone. The exact model's floor is its own
+        // query, so step 4 stops at the first rejected candidate, after two floor
+        // queries.
         let mut fx = Fixture::new();
         fx.gpu_free = 300; // the prefill chunk goes to the CPU cache, so step 5 runs too
         for id in 0..40 {
@@ -604,15 +643,19 @@ mod tests {
         for id in 100..356 {
             fx.add_running(id, 400 + (id as usize * 37) % 1600, Device::Cpu);
         }
-        let cost = CountingCost { inner: cost(), calls: AtomicUsize::new(0) };
-        let d = fx.schedule(&cost);
+        let counted = CountingCost::new(cost(), true);
+        let d = fx.schedule(&counted);
         let placed = d.batch0.cpu_decodes.len() + d.batch1.cpu_decodes.len();
         assert_eq!(placed, 70);
         assert_eq!(d.batch0.prefills.len(), 1, "shedding the chunk would unbalance");
         // Re-pricing both sub-batches from scratch for every candidate (push,
-        // `balanced`, pop) issued 2,751 queries for this schedule. The GPU-only
-        // alternative's empty batch-1 asks nothing.
-        assert_eq!(cost.calls.load(Ordering::Relaxed), 553);
+        // `balanced`, pop) issued 2,751 queries for this schedule, and testing every
+        // candidate incrementally 553, which a model without a floor still issues. The
+        // GPU-only alternative's empty batch-1 asks nothing.
+        assert_eq!(counted.calls(), 185);
+        let full_scan = CountingCost::new(cost(), false);
+        assert_eq!(fx.schedule(&full_scan), d);
+        assert_eq!(full_scan.calls(), 553);
     }
 
     #[test]
@@ -624,22 +667,74 @@ mod tests {
             fx.add_running(id, 800, Device::Gpu);
         }
         fx.add_waiting(1000, 1500);
-        let cost = CountingCost { inner: cost(), calls: AtomicUsize::new(0) };
+        let cost = CountingCost::new(cost(), true);
         let d = fx.schedule(&cost);
         assert_eq!(
             (d.mode, d.batch0.gpu_decodes.len(), d.batch0.prefills.len()),
             (GPU_ONLY, 40, 1)
         );
-        assert_eq!(cost.calls.load(Ordering::Relaxed), 0);
+        assert_eq!(cost.calls(), 0);
         // A CPU resident too long to hide under either inequality is priced by step 4
-        // alone: its seven stage-time queries and two per rejected candidate.
+        // alone: its seven stage-time queries, two per rejected candidate, and the two
+        // floor queries that end the scan.
         fx.add_running(2000, 200_000, Device::Cpu);
         let d = fx.schedule(&cost);
         assert_eq!(
             (d.mode, d.batch0.cpu_decodes.len(), d.batch1.cpu_decodes.len()),
             (GPU_ONLY, 0, 0)
         );
-        assert_eq!(cost.calls.load(Ordering::Relaxed), 9);
+        assert_eq!(cost.calls(), 11);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Step 4's floor exit decides what its full scan decides, bit for bit, through
+        /// the profiled model at noise 0, 0.05 and 0.2, and it prices no more stage
+        /// times: a noisy floor lies below the query, so the exit may come later than
+        /// the first rejection, but never before the last placement.
+        #[test]
+        fn prop_the_floor_exit_decides_what_the_full_scan_decides(
+            gpu in proptest::collection::vec(16usize..4_000, 0..64),
+            waiting in proptest::collection::vec((16usize..3_000, 0usize..3), 0..4),
+            cpu in proptest::collection::vec(16usize..4_000, 0..301),
+            room in (0usize..6_000, 0usize..3),
+        ) {
+            let mut fx = Fixture::new();
+            fx.gpu_free = room.0;
+            fx.config.balance_slack = [0.0, 0.05, 0.15][room.1];
+            for (id, &(prompt, kind)) in (0u64..).zip(&waiting) {
+                fx.add_waiting(id, prompt);
+                if kind > 0 {
+                    // Partially prefilled with its KV pinned to the CPU cache, so step 5
+                    // has a chunk to shed; kind 1 leaves a short tail.
+                    let r = fx.requests.get_mut(id).expect("just added");
+                    let tail = if kind == 1 { prompt.min(32) } else { prompt };
+                    r.advance_prefill(prompt - (tail / 2).max(1));
+                    fx.prefill_device.insert(id, Device::Cpu).unwrap();
+                }
+            }
+            for (id, &c) in (100u64..).zip(&gpu) {
+                fx.add_running(id, c, Device::Gpu);
+            }
+            for (id, &c) in (1_000u64..).zip(&cpu) {
+                fx.add_running(id, c, Device::Cpu);
+            }
+            for noise in [0.0, 0.05, 0.2] {
+                let real = CountingCost::new(ProfiledCostModel::with_noise(cost(), noise), true);
+                let full_scan =
+                    CountingCost::new(ProfiledCostModel::with_noise(cost(), noise), false);
+                let d = fx.schedule(&real);
+                prop_assert_eq!(&d, &fx.schedule(&full_scan), "noise {}", noise);
+                prop_assert!(
+                    real.priced_calls() <= full_scan.calls(),
+                    "noise {}: {} > {}",
+                    noise,
+                    real.priced_calls(),
+                    full_scan.calls()
+                );
+            }
+        }
     }
 
     #[test]

@@ -76,6 +76,16 @@ impl BlockTable {
         Ok(())
     }
 
+    /// Appends `n` tokens when they fit the final block's slack, so no new block is
+    /// needed, and reports whether they did; the table is unchanged when they do not.
+    pub(crate) fn append_in_slack(&mut self, n: usize) -> bool {
+        let fits = n <= self.slack();
+        if fits {
+            self.num_tokens += n;
+        }
+        fits
+    }
+
     /// Physical location `(block, offset)` of logical token `idx`.
     ///
     /// # Errors

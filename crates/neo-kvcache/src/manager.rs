@@ -325,7 +325,10 @@ impl KvCacheManager {
     /// * [`KvCacheError::UnknownSequence`] if the id is not tracked.
     /// * [`KvCacheError::OutOfMemory`] if the device pool is full (sequence unchanged).
     pub fn append_tokens(&mut self, seq_id: u64, n_tokens: usize) -> Result<(), KvCacheError> {
-        let entry = self.seqs.get(seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
+        let entry = self.seqs.get_mut(seq_id).ok_or(KvCacheError::UnknownSequence(seq_id))?;
+        if entry.table.append_in_slack(n_tokens) {
+            return Ok(());
+        }
         let device = entry.device;
         let needed = entry.table.blocks_needed_for_append(n_tokens);
         if device == Device::Gpu {
@@ -670,6 +673,28 @@ mod tests {
     fn append_to_unknown_sequence_fails() {
         let mut m = mgr(64, 64);
         assert!(matches!(m.append_tokens(42, 1), Err(KvCacheError::UnknownSequence(42))));
+    }
+
+    #[test]
+    fn appends_inside_a_block_allocate_nothing() {
+        for device in [Device::Gpu, Device::Cpu] {
+            let mut m = mgr(256, 256);
+            m.allocate_sequence(1, 13, device).unwrap(); // one block, three slots free
+            let free = m.free_tokens(device);
+            for (n, tokens) in [(2, 15), (1, 16)] {
+                m.append_tokens(1, n).unwrap();
+                assert_eq!(m.num_tokens_of(1).unwrap(), tokens);
+                assert_eq!(
+                    (m.free_tokens(device), m.block_table(1).unwrap().num_blocks()),
+                    (free, 1)
+                );
+            }
+            // The first token past the boundary takes exactly one block.
+            m.append_tokens(1, 1).unwrap();
+            assert_eq!(m.free_tokens(device), free - 16);
+            assert_eq!(m.block_table(1).unwrap().num_blocks(), 2);
+            assert_eq!(m.num_tokens_of(1).unwrap(), 17);
+        }
     }
 
     fn pmgr(gpu: usize, cpu: usize) -> KvCacheManager {

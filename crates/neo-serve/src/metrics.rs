@@ -135,6 +135,8 @@ impl Run {
 #[derive(Debug, Default)]
 pub(crate) struct Stream {
     runs: Vec<Run>,
+    /// Tokens the runs cover, so the count needs no fold.
+    tokens: usize,
 }
 
 impl Stream {
@@ -144,6 +146,7 @@ impl Stream {
     /// a request emitting several tokens in one iteration keeps one index per token
     /// and a zero gap between them.
     pub(crate) fn record(&mut self, index: usize, tokens: usize) {
+        self.tokens += tokens;
         for _ in 0..tokens {
             match self.runs.last_mut() {
                 Some(run) if run.first + run.len == index => run.len += 1,
@@ -154,7 +157,7 @@ impl Stream {
 
     /// Number of tokens streamed.
     pub(crate) fn len(&self) -> usize {
-        self.runs.iter().map(|run| run.len).sum()
+        self.tokens
     }
 
     /// Whether no token has streamed.
@@ -296,6 +299,23 @@ mod tests {
         assert_eq!(stream.indices().collect::<Vec<_>>(), [3, 4, 4, 5, 7, 7, 7]);
         assert_eq!(stream.runs(), 5);
         assert_eq!((stream.len(), stream.last()), (7, Some(7)));
+    }
+
+    proptest! {
+        /// The kept count is the number of token indices the runs cover, after any
+        /// sequence of records, zero-token ones included.
+        #[test]
+        fn prop_len_counts_the_recorded_tokens(
+            records in proptest::collection::vec((0usize..3, 0usize..4), 0..60),
+        ) {
+            let mut stream = Stream::default();
+            let mut index = 0;
+            for (step, tokens) in records {
+                index += step;
+                stream.record(index, tokens);
+                prop_assert_eq!(stream.len(), stream.indices().count());
+            }
+        }
     }
 
     /// The per-token fold the runs replace: TTFT per request and every gap between

@@ -57,6 +57,9 @@ impl Interpolator1d {
 ///
 /// A trait so the scheduler can run against either the exact [`CostModel`] (oracle) or the
 /// profiled/interpolated variant, mirroring the real system's reliance on offline profiles.
+/// Besides the per-stage times it offers one bound, [`IterationCost::cpu_attn_floor`],
+/// which lets NEO's offload split stop testing CPU candidates once none can fit; its
+/// default bounds any model and keeps the full scan.
 pub trait IterationCost: Send + Sync {
     /// Per-layer linear-stage time (`Tl`) of a sub-batch with `n_tokens` tokens.
     fn linear_time(&self, n_tokens: usize) -> f64;
@@ -71,6 +74,13 @@ pub trait IterationCost: Send + Sync {
     /// Per-layer CPU attention time (`Tca`) of `n_reqs` offloaded requests totalling
     /// `ctx_total` cached tokens.
     fn cpu_attn_time(&self, ctx_total: usize, n_reqs: usize) -> f64;
+    /// A lower bound on [`IterationCost::cpu_attn_time`]`(c, n_reqs)` for every
+    /// `c ≥ ctx_total`. The default, `0.0`, is valid for any model; a tighter bound lets
+    /// NEO's offload split stop at the first CPU candidate it rules out, since the
+    /// candidates ascend in context.
+    fn cpu_attn_floor(&self, _ctx_total: usize, _n_reqs: usize) -> f64 {
+        0.0
+    }
     /// Per-layer KV swap-out time for `n_tokens` freshly prefilled tokens. Per-rank
     /// wall-clock: under tensor parallelism each rank moves its own `1/tp` KV shard over
     /// its own PCIe link in parallel with the others.
@@ -103,6 +113,10 @@ impl IterationCost for CostModel {
         CostModel::gpu_attn_time(self, prefill, decode_ctx, decode_reqs)
     }
     fn cpu_attn_time(&self, ctx_total: usize, n_reqs: usize) -> f64 {
+        self.cpu_decode_attn_time(ctx_total, n_reqs)
+    }
+    /// The query itself: the roofline time is non-decreasing in context.
+    fn cpu_attn_floor(&self, ctx_total: usize, n_reqs: usize) -> f64 {
         self.cpu_decode_attn_time(ctx_total, n_reqs)
     }
     fn swap_out_time(&self, n_tokens: usize) -> f64 {
@@ -228,6 +242,15 @@ impl IterationCost for ProfiledCostModel {
         self.perturb(self.cpu_attn.eval(ctx_total as f64).max(0.0), ctx_total)
     }
 
+    /// The interpolant, non-decreasing in context since the profiled times are, scaled
+    /// by `1 − noise`: the query itself at noise 0, and below every perturbed answer.
+    fn cpu_attn_floor(&self, ctx_total: usize, n_reqs: usize) -> f64 {
+        if n_reqs == 0 || ctx_total == 0 {
+            return 0.0;
+        }
+        self.cpu_attn.eval(ctx_total as f64).max(0.0) * (1.0 - self.noise)
+    }
+
     fn swap_out_time(&self, n_tokens: usize) -> f64 {
         self.exact.swap_out_time_per_layer(n_tokens)
     }
@@ -337,5 +360,51 @@ mod tests {
     #[test]
     fn n_layers_passthrough() {
         assert_eq!(profiled().n_layers(), 32);
+    }
+
+    /// Checks `cost`'s CPU-attention floor at every context of `contexts` and at `n_reqs`
+    /// of 1, 8 and 64: it lies at or below the query there and never falls one token on,
+    /// so it bounds the query at every larger context too. With `exact`, it is the query
+    /// itself, bit for bit.
+    fn assert_floor_bounds(cost: &dyn IterationCost, contexts: &[usize], exact: bool, at: &str) {
+        for n_reqs in [1, 8, 64] {
+            for &x in contexts {
+                let (floor, query) =
+                    (cost.cpu_attn_floor(x, n_reqs), cost.cpu_attn_time(x, n_reqs));
+                assert!(floor <= query, "{at}, n_reqs {n_reqs}, ctx {x}: floor {floor} > {query}");
+                let next = cost.cpu_attn_floor(x + 1, n_reqs);
+                assert!(
+                    floor <= next,
+                    "{at}, n_reqs {n_reqs}: floor falls {floor} -> {next} at {x}"
+                );
+                if exact {
+                    assert_eq!(floor.to_bits(), query.to_bits(), "{at}, n_reqs {n_reqs}, ctx {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cpu_attn_floors_bound_the_query_and_never_fall() {
+        // Every context within 1,024 tokens of a profiling grid point, where the
+        // interpolant changes segment, and a stride past the grid's end.
+        let mut contexts: Vec<usize> = ProfiledCostModel::CTX_GRID
+            .iter()
+            .flat_map(|&g| g.saturating_sub(1_024)..=g + 1_024)
+            .collect();
+        contexts.extend((0..=1 << 22).step_by(4_099));
+        let scenarios = [
+            ("A10G-8B", CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1)),
+            ("T4-7B", CostModel::new(ModelDesc::llama2_7b(), Testbed::g4dn_4xlarge(), 1)),
+            ("2xH100-70B TP2", CostModel::new(ModelDesc::llama3_70b(), Testbed::hgx_h100(2), 2)),
+        ];
+        for (name, exact) in scenarios {
+            assert_floor_bounds(&exact, &contexts, true, &format!("{name} exact"));
+            for noise in [0.0, 0.05, 0.2, 0.5] {
+                let profiled = ProfiledCostModel::with_noise(exact.clone(), noise);
+                let at = format!("{name} profiled at noise {noise}");
+                assert_floor_bounds(&profiled, &contexts, noise == 0.0, &at);
+            }
+        }
     }
 }
