@@ -101,7 +101,7 @@ impl SchedulerPolicy for SpecOffloadScheduler {
     /// request demoted to disk this iteration is never claimed.
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let cfg = ctx.config;
-        let candidates = plan.cpu_decode_candidates(ctx);
+        let mut candidates = plan.cpu_decode_candidates(ctx).peekable();
 
         // No GPU work at all to hide behind: run the CPU-residents as a plain CPU batch
         // (there is no latent capacity to speculate on, only idle hardware).
@@ -115,11 +115,11 @@ impl SchedulerPolicy for SpecOffloadScheduler {
             return;
         }
 
-        if candidates.is_empty() {
+        if candidates.peek().is_none() {
             return;
         }
         self.speculations += 1;
-        for (id, c) in candidates.into_iter().take(self.spec_width) {
+        for (id, c) in candidates.take(self.spec_width) {
             if plan.batch1.sequences() >= cfg.max_batch_seqs {
                 break;
             }
@@ -159,6 +159,7 @@ mod tests {
     use neo_core::config::EngineConfig;
     use neo_core::engine::Engine;
     use neo_core::request::Request;
+    use neo_core::scheduler::cpu_by_context;
     use neo_core::Scheduler;
     use neo_kvcache::{Device, IdTable};
     use neo_sim::{CostModel, ModelDesc, Testbed};
@@ -211,6 +212,7 @@ mod tests {
         }
 
         fn schedule(&self, cost: &CostModel, s: &mut SpecOffloadScheduler) -> ScheduleDecision {
+            let cpu_by_context = cpu_by_context(&self.requests, &self.cpu_run);
             let ctx = ScheduleContext {
                 cost,
                 config: &self.config,
@@ -218,6 +220,7 @@ mod tests {
                 waiting: &self.waiting,
                 gpu_run: &self.gpu_run,
                 cpu_run: &self.cpu_run,
+                cpu_by_context: &cpu_by_context,
                 disk_run: &[],
                 gpu_free_tokens: self.gpu_free,
                 cpu_free_tokens: self.cpu_free,

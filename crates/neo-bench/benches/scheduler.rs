@@ -11,7 +11,7 @@ use neo_baselines::{
 };
 use neo_core::config::EngineConfig;
 use neo_core::request::Request;
-use neo_core::scheduler::{NeoScheduler, ScheduleContext, Scheduler};
+use neo_core::scheduler::{cpu_by_context, NeoScheduler, ScheduleContext, Scheduler};
 use neo_kvcache::{Device, IdTable};
 use neo_sim::profiler::ProfiledCostModel;
 use neo_sim::{CostModel, ModelDesc, Testbed};
@@ -23,6 +23,8 @@ struct Fixture {
     waiting: Vec<u64>,
     gpu_run: Vec<u64>,
     cpu_run: Vec<u64>,
+    /// `cpu_run` by context, as the engine would keep it.
+    cpu_by_context: Vec<(u64, usize)>,
     prefill_device: IdTable<Device>,
 }
 
@@ -56,6 +58,7 @@ fn build(n_waiting: usize, n_gpu: usize, n_cpu: usize) -> Fixture {
     Fixture {
         cost,
         config: EngineConfig::default(),
+        cpu_by_context: cpu_by_context(&requests, &cpu_run),
         requests,
         waiting,
         gpu_run,
@@ -72,6 +75,7 @@ fn ctx(fx: &Fixture) -> ScheduleContext<'_> {
         waiting: &fx.waiting,
         gpu_run: &fx.gpu_run,
         cpu_run: &fx.cpu_run,
+        cpu_by_context: &fx.cpu_by_context,
         disk_run: &[],
         gpu_free_tokens: 30_000,
         cpu_free_tokens: 300_000,
@@ -95,9 +99,9 @@ fn bench_neo_queue_depth(c: &mut Criterion) {
 
 /// An overloaded server's shape: a full GPU batch plus a prefill chunk, and 256 CPU
 /// residents of varied context, most of which fit under neither balancing inequality.
-/// Step 4 of NEO's schedule tests them in ascending context and stops at the first one
-/// it rejects, since the noiseless profile's CPU-attention floor is its own query; it
-/// still gathers and sorts all 256.
+/// Step 4 of NEO's schedule walks them in ascending context, as the engine keeps them,
+/// and stops at the first one it rejects, since the noiseless profile's CPU-attention
+/// floor is its own query: it reads the placed residents and that one, not all 256.
 fn bench_neo_cpu_heavy(c: &mut Criterion) {
     let mut fx = build(1, 64, 256);
     for (i, &id) in fx.cpu_run.iter().enumerate() {
@@ -106,6 +110,7 @@ fn bench_neo_cpu_heavy(c: &mut Criterion) {
         r.advance_prefill(len);
         fx.requests.insert(id, r).unwrap();
     }
+    fx.cpu_by_context = cpu_by_context(&fx.requests, &fx.cpu_run);
     let mut group = c.benchmark_group("scheduler/neo_cpu_heavy");
     group.bench_function("256", |b| {
         let mut sched = NeoScheduler::new();

@@ -3,10 +3,13 @@
 //! Every table and figure of the paper's evaluation has a dedicated binary in `src/bin/`
 //! (see the repository `README.md` for the experiment index).
 //! This library provides the pieces they share: scenario presets matching the paper's
-//! hardware/model pairings, scheduler construction by policy name, and small table /
-//! JSON output helpers.
+//! hardware/model pairings, scheduler construction by policy name, small table / JSON
+//! output helpers, and ([`sim`]) the reduced benchmark workloads the simulator's
+//! whole-run bench times and a test pins.
 
 #![forbid(unsafe_code)]
+
+pub mod sim;
 
 use neo_baselines::{
     FastDecodePlusScheduler, GpuOnlyScheduler, PipoScheduler, SimpleOffloadScheduler,

@@ -22,6 +22,7 @@ use neo_sim::{CostModel, SimClock};
 
 use crate::admit::AdmitError;
 use crate::config::EngineConfig;
+use crate::cpu_order::CpuOrder;
 use crate::pipeline::estimate_decision;
 use crate::request::Request;
 use crate::scheduler::{ScheduleContext, Scheduler};
@@ -82,6 +83,8 @@ pub struct Engine {
     waiting: Vec<u64>,
     gpu_run: Vec<u64>,
     cpu_run: Vec<u64>,
+    /// `cpu_run`'s requests by ascending context, ties in `cpu_run` order.
+    cpu_order: CpuOrder,
     disk_run: Vec<u64>,
     /// Each partially prefilled request's device; its ids are live requests', so it
     /// never refuses an insert the request table took.
@@ -152,6 +155,7 @@ impl Engine {
             waiting: Vec::new(),
             gpu_run: Vec::new(),
             cpu_run: Vec::new(),
+            cpu_order: CpuOrder::default(),
             disk_run: Vec::new(),
             prefill_device: IdTable::new(),
             retired: BTreeSet::new(),
@@ -331,9 +335,9 @@ impl Engine {
     /// request there, while retirement and eviction drop it.
     fn release_execution_state(&mut self, id: u64) {
         let _ = self.kv.free_sequence(id);
-        self.gpu_run.retain(|&x| x != id);
-        self.cpu_run.retain(|&x| x != id);
-        self.disk_run.retain(|&x| x != id);
+        for device in [Device::Gpu, Device::Cpu, Device::Disk] {
+            self.leave_run_queue(device, id);
+        }
         self.prefill_device.remove(id);
     }
 
@@ -454,6 +458,7 @@ impl Engine {
                 waiting: &self.waiting,
                 gpu_run: &self.gpu_run,
                 cpu_run: &self.cpu_run,
+                cpu_by_context: self.cpu_order.as_slice(),
                 disk_run: &self.disk_run,
                 gpu_free_tokens: self.kv.free_tokens(Device::Gpu),
                 cpu_free_tokens: self.kv.free_tokens(Device::Cpu),
@@ -506,12 +511,12 @@ impl Engine {
         for (k, (ids, from, to)) in moves.into_iter().enumerate() {
             for &id in ids {
                 if self.kv.swap(id, to).is_ok() {
+                    let context = self.requests[id].context_len();
                     counts[k] += 1;
-                    tokens[k] += self.requests[id].context_len();
-                    self.run_queue(from).retain(|&x| x != id);
-                    let queue = self.run_queue(to);
-                    if !queue.contains(&id) {
-                        queue.push(id);
+                    tokens[k] += context;
+                    self.leave_run_queue(from, id);
+                    if !self.run_queue(to).contains(&id) {
+                        self.join_run_queue(to, id, context);
                     }
                 }
             }
@@ -573,28 +578,26 @@ impl Engine {
                 {
                     let _ = self.kv.insert_prefix(item.req, &request.prompt_runs);
                 }
+                let context = request.context_len();
                 self.waiting.retain(|&w| w != item.req);
                 self.prefill_device.remove(item.req);
                 if finished {
                     self.retire(item.req);
                 } else {
-                    self.run_queue(item.target).push(item.req);
+                    self.join_run_queue(item.target, item.req, context);
                 }
             }
         }
 
         // Decode progress (both sub-batches, GPU and CPU attention alike).
         let cpu_offloaded = decision.batch0.cpu_decodes.len() + decision.batch1.cpu_decodes.len();
-        let decode_ids: Vec<u64> = decision
-            .batch0
-            .gpu_decodes
-            .iter()
-            .chain(decision.batch0.cpu_decodes.iter())
-            .chain(decision.batch1.gpu_decodes.iter())
-            .chain(decision.batch1.cpu_decodes.iter())
-            .map(|&(id, _)| id)
-            .collect();
-        for id in decode_ids {
+        let decodes = [
+            &decision.batch0.gpu_decodes,
+            &decision.batch0.cpu_decodes,
+            &decision.batch1.gpu_decodes,
+            &decision.batch1.cpu_decodes,
+        ];
+        for &(id, _) in decodes.into_iter().flatten() {
             let Some(request) = self.requests.get(id) else { continue };
             if !request.prefill_complete() || request.is_finished() {
                 continue;
@@ -604,13 +607,17 @@ impl Engine {
             }
             self.lift_reservation(id);
             let Some(request) = self.requests.get_mut(id) else { continue };
+            let context = request.context_len();
             request.advance_decode();
+            let finished = request.is_finished();
+            self.cpu_order.advance(id, context);
             decode_tokens += 1;
             self.emitted.push(id);
-            if request.is_finished() {
+            if finished {
                 self.retire(id);
             }
         }
+        debug_assert_eq!(self.cpu_order.as_slice().len(), self.cpu_run.len());
 
         let progressed = prefill_tokens > 0
             || decode_tokens > 0
@@ -684,10 +691,28 @@ impl Engine {
         }
     }
 
+    /// Appends `id`, of context `context`, to the run queue of `device`.
+    fn join_run_queue(&mut self, device: Device, id: u64, context: usize) {
+        self.run_queue(device).push(id);
+        if device == Device::Cpu {
+            self.cpu_order.insert(id, context);
+        }
+    }
+
+    /// Removes `id` from the run queue of `device`.
+    fn leave_run_queue(&mut self, device: Device, id: u64) {
+        self.run_queue(device).retain(|&x| x != id);
+        if device == Device::Cpu {
+            self.cpu_order.remove(id);
+        }
+    }
+
     /// Removes a finished request from every queue, frees its KV cache and counts it.
+    /// Both callers have taken it out of the waitqueue: a decoding request is never in
+    /// it, and a completed prefill leaves it.
     fn retire(&mut self, id: u64) {
+        debug_assert!(!self.waiting.contains(&id), "retiring {id} while it waits");
         self.release_execution_state(id);
-        self.waiting.retain(|&x| x != id);
         self.lift_reservation(id);
         if self.requests.remove(id).is_some() {
             self.retired.insert(id);

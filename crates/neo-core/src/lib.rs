@@ -51,6 +51,7 @@
 pub mod admit;
 pub mod batch;
 pub mod config;
+mod cpu_order;
 pub mod engine;
 pub mod pipeline;
 pub mod policy;

@@ -165,7 +165,8 @@ impl IterationPlan {
     /// the host cache (or preempted entirely when the CPU cache is full too); with free
     /// memory above [`crate::EngineConfig::swap_in_watermark`], CPU-resident requests
     /// are pulled back to the GPU, smallest context first, and decode from batch-0 this
-    /// iteration.
+    /// iteration. Both CPU-side walks read [`ScheduleContext::cpu_by_context`] as far as
+    /// they go; neither gathers nor sorts the CPU residents.
     pub fn form_gpu_first_batches(&mut self, ctx: &ScheduleContext<'_>) {
         let cfg = ctx.config;
         let gpu_capacity = ctx.gpu_free_tokens; // free tokens we may still claim
@@ -178,24 +179,20 @@ impl IterationPlan {
             // Swap out the longest-context requests until the new tokens fit; their KV
             // moves to the CPU cache and they decode on the CPU this iteration.
             gpu_decodes.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+            // Disk-demotion victims: the CPU residents by descending context, equal
+            // contexts in queue order. Every swap-out resumes where the one before
+            // stopped: each victim passed over was demoted, or did not fit the disk
+            // tier, whose room only shrinks here.
+            let mut victims = ctx.cpu_by_context.chunk_by(|a, b| a.1 == b.1).rev().flatten();
             while self.gpu_free < 0 {
                 let Some((id, c)) = gpu_decodes.first().copied() else { break };
                 gpu_decodes.remove(0);
-                if self.cpu_free < (c + 1) as i64 && ctx.config.disk_tier {
-                    // The CPU cache is full: demote its largest-context residents to the
-                    // disk tier (cheaper than discarding KV outright) until the swap-out
-                    // fits or nothing demotable remains.
-                    let mut victims: Vec<(u64, usize)> = ctx
-                        .cpu_run
-                        .iter()
-                        .filter(|v| !self.demote_disk.contains(v))
-                        .map(|&v| (v, ctx.context_len(v)))
-                        .collect();
-                    victims.sort_by_key(|&(_, vc)| std::cmp::Reverse(vc));
-                    for (vid, vc) in victims {
-                        if self.cpu_free >= (c + 1) as i64 {
-                            break;
-                        }
+                if ctx.config.disk_tier {
+                    // While the CPU cache cannot take the swap-out, demote its
+                    // largest-context residents to the disk tier (cheaper than
+                    // discarding KV outright) until nothing demotable remains.
+                    while self.cpu_free < (c + 1) as i64 {
+                        let Some(&(vid, vc)) = victims.next() else { break };
                         if self.disk_free < vc as i64 {
                             continue;
                         }
@@ -219,10 +216,7 @@ impl IterationPlan {
             // Ample space: swap CPU-requests back to the GPU, smallest context first.
             let watermark = (cfg.swap_in_watermark * gpu_capacity as f64) as i64;
             if self.gpu_free > watermark {
-                let mut candidates: Vec<(u64, usize)> =
-                    ctx.cpu_run.iter().map(|&id| (id, ctx.context_len(id))).collect();
-                candidates.sort_by_key(|&(_, c)| c);
-                for (id, c) in candidates {
+                for &(id, c) in ctx.cpu_by_context {
                     if self.gpu_free - (c + 1) as i64 <= watermark {
                         break;
                     }
@@ -262,20 +256,36 @@ impl IterationPlan {
     }
 
     /// The CPU-resident decodes an offload split may place this iteration, with their
-    /// context lengths, in ascending context order (ties keep queue order): the CPU run
-    /// queue minus the requests this plan swaps in or demotes to disk, followed by the
-    /// ones it swaps out. A request demoted to disk this iteration has no CPU-resident
-    /// KV to decode from. Shared by `NeoScheduler` and the SpecOffload baseline.
-    pub fn cpu_decode_candidates(&self, ctx: &ScheduleContext<'_>) -> Vec<(u64, usize)> {
-        let mut candidates: Vec<(u64, usize)> = ctx
-            .cpu_run
+    /// context lengths, in ascending context order: the CPU run queue minus the requests
+    /// this plan swaps in or demotes to disk, in queue order among equal contexts,
+    /// followed at each context by the ones it swaps out, in swap-out order. A request
+    /// demoted to disk this iteration has no CPU-resident KV to decode from. Shared by
+    /// `NeoScheduler` and the SpecOffload baseline.
+    ///
+    /// The walk is lazy: it reads [`ScheduleContext::cpu_by_context`] only as far as the
+    /// caller consumes, merging in this plan's few swap-outs, sorted by context. The
+    /// iterator owns copies of the plan's short move lists, so the caller may change the
+    /// plan while it walks.
+    pub fn cpu_decode_candidates<'a>(
+        &self,
+        ctx: &ScheduleContext<'a>,
+    ) -> impl Iterator<Item = (u64, usize)> + 'a {
+        let leaving: Vec<u64> = self.swap_in.iter().chain(&self.demote_disk).copied().collect();
+        let mut residents = ctx
+            .cpu_by_context
             .iter()
-            .filter(|id| !self.swap_in.contains(id) && !self.demote_disk.contains(id))
-            .map(|&id| (id, ctx.context_len(id)))
-            .collect();
-        candidates.extend(self.swap_out.iter().map(|&id| (id, ctx.context_len(id))));
-        candidates.sort_by_key(|&(_, c)| c);
-        candidates
+            .filter(move |(id, _)| !leaving.contains(id))
+            .copied()
+            .peekable();
+        let mut swapped_out: Vec<(u64, usize)> =
+            self.swap_out.iter().map(|&id| (id, ctx.context_len(id))).collect();
+        swapped_out.sort_by_key(|&(_, c)| c);
+        let mut swapped_out = swapped_out.into_iter().peekable();
+        std::iter::from_fn(move || match (residents.peek(), swapped_out.peek()) {
+            (Some(&(_, r)), Some(&(_, s))) if s < r => swapped_out.next(),
+            (Some(_), _) => residents.next(),
+            (None, _) => swapped_out.next(),
+        })
     }
 
     /// Finalises the plan into the decision the engine will execute.
@@ -350,6 +360,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::request::Request;
+    use crate::scheduler::cpu_by_context;
     use neo_kvcache::IdTable;
     use neo_sim::{CostModel, ModelDesc, Testbed};
 
@@ -386,6 +397,7 @@ mod tests {
         waiting: Vec<u64>,
         gpu_run: Vec<u64>,
         cpu_run: Vec<u64>,
+        cpu_by_context: Vec<(u64, usize)>,
         disk_run: Vec<u64>,
         disk_free: usize,
         prefill_device: IdTable<Device>,
@@ -399,11 +411,19 @@ mod tests {
                 waiting: vec![],
                 gpu_run: vec![],
                 cpu_run: vec![],
+                cpu_by_context: vec![],
                 disk_run: vec![],
                 disk_free: 0,
                 prefill_device: IdTable::new(),
                 config: EngineConfig::default(),
             }
+        }
+
+        fn add_cpu_resident(&mut self, request: Request) {
+            let id = request.id;
+            self.requests.insert(id, request).unwrap();
+            self.cpu_run.push(id);
+            self.cpu_by_context = cpu_by_context(&self.requests, &self.cpu_run);
         }
 
         fn ctx<'a>(&'a self, cost: &'a CostModel) -> ScheduleContext<'a> {
@@ -414,6 +434,7 @@ mod tests {
                 waiting: &self.waiting,
                 gpu_run: &self.gpu_run,
                 cpu_run: &self.cpu_run,
+                cpu_by_context: &self.cpu_by_context,
                 disk_run: &self.disk_run,
                 gpu_free_tokens: 10_000,
                 cpu_free_tokens: 100_000,
@@ -503,8 +524,7 @@ mod tests {
         fx.disk_free = 100_000;
         fx.requests.insert(1, running(1, 500)).unwrap();
         fx.gpu_run.push(1);
-        fx.requests.insert(2, running(2, 900)).unwrap();
-        fx.cpu_run.push(2);
+        fx.add_cpu_resident(running(2, 900));
         let cm = cost();
         let ctx = ScheduleContext { gpu_free_tokens: 0, cpu_free_tokens: 100, ..fx.ctx(&cm) };
         let mut plan = IterationPlan::new(&ctx);
@@ -558,8 +578,7 @@ mod tests {
         assert_eq!(plan.promote_disk, vec![1], "bare fit promotes when the CPU is idle");
 
         // With a CPU resident the hysteresis still applies at the same free level.
-        fx.requests.insert(2, running(2, 100)).unwrap();
-        fx.cpu_run.push(2);
+        fx.add_cpu_resident(running(2, 100));
         let ctx = ScheduleContext { cpu_free_tokens: 900, ..fx.ctx(&cm) };
         let mut plan = IterationPlan::new(&ctx);
         plan.form_gpu_first_batches(&ctx);

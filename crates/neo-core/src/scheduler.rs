@@ -48,8 +48,15 @@ pub struct ScheduleContext<'a> {
     pub waiting: &'a [u64],
     /// GPU decoding runqueue.
     pub gpu_run: &'a [u64],
-    /// CPU decoding runqueue.
+    /// CPU decoding runqueue, in the order its requests joined it (the full-offload
+    /// baselines serve it in this order).
     pub cpu_run: &'a [u64],
+    /// `cpu_run`'s requests with their context lengths, by ascending context, equal
+    /// contexts in `cpu_run` order: `cpu_run` stably sorted by context. The engine keeps
+    /// this order as residents join, leave and decode, so a policy that reads the CPU
+    /// residents by context (NEO's swap-in, offload split and disk demotion) walks it
+    /// instead of sorting. A context built by hand takes it from [`cpu_by_context`].
+    pub cpu_by_context: &'a [(u64, usize)],
     /// Disk-resident requests (demoted from the CPU cache). They cannot decode until
     /// promoted back; always empty unless [`EngineConfig::disk_tier`] is enabled.
     pub disk_run: &'a [u64],
@@ -92,6 +99,21 @@ impl ScheduleContext<'_> {
     pub fn remaining_prefill(&self, id: u64) -> usize {
         self.requests[id].remaining_prefill()
     }
+}
+
+/// `cpu_run`'s requests with their context lengths, stably sorted by context: the order
+/// [`ScheduleContext::cpu_by_context`] holds, built from scratch. The engine maintains
+/// it incrementally; hand-built contexts (fixtures, benchmarks) and the tests that check
+/// the engine's order use this.
+///
+/// # Panics
+///
+/// Panics if an id of `cpu_run` is not in `requests`.
+pub fn cpu_by_context(requests: &IdTable<Request>, cpu_run: &[u64]) -> Vec<(u64, usize)> {
+    let mut order: Vec<(u64, usize)> =
+        cpu_run.iter().map(|&id| (id, requests[id].context_len())).collect();
+    order.sort_by_key(|&(_, c)| c);
+    order
 }
 
 /// A per-iteration scheduling policy.
@@ -155,14 +177,17 @@ impl SchedulerPolicy for NeoScheduler {
     /// every open side's floor breaks that side's inequality (or no side is open), since
     /// a rejection changes neither side and no later candidate has a smaller context.
     /// The placed set is the full scan's for any cost model whose floor is a valid bound.
+    /// The candidates come lazily from the engine's context order
+    /// ([`IterationPlan::cpu_decode_candidates`]), so the ones past the stop are never
+    /// read.
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let cost = ctx.cost;
         let cfg = ctx.config;
         let slack = cfg.balance_slack;
 
-        // Step 4: CPU-resident candidates.
-        let cpu_candidates = plan.cpu_decode_candidates(ctx);
-        if cpu_candidates.is_empty() {
+        // Step 4: CPU-resident candidates, read only as far as the loops below go.
+        let mut cpu_candidates = plan.cpu_decode_candidates(ctx).peekable();
+        if cpu_candidates.peek().is_none() {
             return;
         }
 
@@ -370,6 +395,7 @@ mod tests {
         waiting: Vec<u64>,
         gpu_run: Vec<u64>,
         cpu_run: Vec<u64>,
+        cpu_by_context: Vec<(u64, usize)>,
         prefill_device: IdTable<Device>,
         gpu_free: usize,
         cpu_free: usize,
@@ -383,6 +409,7 @@ mod tests {
                 waiting: vec![],
                 gpu_run: vec![],
                 cpu_run: vec![],
+                cpu_by_context: vec![],
                 prefill_device: IdTable::new(),
                 gpu_free: 20_000,
                 cpu_free: 200_000,
@@ -401,7 +428,10 @@ mod tests {
             self.requests.insert(id, r).unwrap();
             match device {
                 Device::Gpu => self.gpu_run.push(id),
-                Device::Cpu => self.cpu_run.push(id),
+                Device::Cpu => {
+                    self.cpu_run.push(id);
+                    self.cpu_by_context = cpu_by_context(&self.requests, &self.cpu_run);
+                }
                 Device::Disk => unreachable!("tests place requests on GPU or CPU"),
             }
         }
@@ -414,6 +444,7 @@ mod tests {
                 waiting: &self.waiting,
                 gpu_run: &self.gpu_run,
                 cpu_run: &self.cpu_run,
+                cpu_by_context: &self.cpu_by_context,
                 disk_run: &[],
                 gpu_free_tokens: self.gpu_free,
                 cpu_free_tokens: self.cpu_free,
@@ -545,6 +576,7 @@ mod tests {
             waiting: &fx.waiting,
             gpu_run: &fx.gpu_run,
             cpu_run: &fx.cpu_run,
+            cpu_by_context: &fx.cpu_by_context,
             disk_run: &[],
             gpu_free_tokens: fx.gpu_free,
             cpu_free_tokens: fx.cpu_free,

@@ -1,13 +1,20 @@
 //! Property-based integration tests of the load-aware scheduler's invariants, exercised
 //! through the full engine on randomly generated workloads.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use neo_bench::{Policy, Scenario};
 use neo_core::request::Request;
-use neo_core::{AdmitError, ExecutionMode};
+use neo_core::{AdmitError, Engine, EngineConfig, ExecutionMode};
+use neo_core::{ScheduleContext, ScheduleDecision, Scheduler};
 use neo_kvcache::Device;
 use neo_serve::Server;
 use neo_workload::{azure_code_like, fleet_mix, ArrivalProcess, Trace};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Runs a random workload through NEO's engine, checking per-iteration invariants.
 fn check_run(
@@ -173,4 +180,110 @@ fn neo_drains_a_fleet_mix_trace_on_one_t4() {
         serve(&Scenario::t4_7b(), Policy::Neo, &fleet_mix(100, 0.35, 3.0, 11));
     assert!(refused.is_empty());
     assert_eq!(completed, 100);
+}
+
+/// A [`Scheduler`] decorator that checks, before every schedule, the CPU residents'
+/// context order the engine hands its policy, then delegates.
+struct OrderChecked {
+    inner: Box<dyn Scheduler>,
+    /// Schedules checked.
+    schedules: Arc<AtomicU64>,
+    /// Schedules whose CPU residents included two of equal context.
+    tied: Arc<AtomicU64>,
+}
+
+impl Scheduler for OrderChecked {
+    fn schedule(&mut self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
+        // The oracle: gather the CPU run queue and stably sort it by context.
+        let mut expected: Vec<(u64, usize)> =
+            ctx.cpu_run.iter().map(|&id| (id, ctx.context_len(id))).collect();
+        expected.sort_by_key(|&(_, c)| c);
+        assert_eq!(ctx.cpu_by_context, &expected[..], "the engine's order is not cpu_run's");
+        self.schedules.fetch_add(1, Ordering::Relaxed);
+        if expected.windows(2).any(|w| w[0].1 == w[1].1) {
+            self.tied.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.schedule(ctx)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn kv_pools(&self) -> &'static [Device] {
+        self.inner.kv_pools()
+    }
+}
+
+/// Every schedule of the policies that read the CPU residents (NEO, SpecOffload and
+/// FastDecode+) sees them in the order the engine keeps: the CPU run queue stably
+/// sorted by context, current to the last decode. The runs cover the A10G and the T4,
+/// the disk tier on and off, and a tiny host cache, with prompts from a narrow range so
+/// that equal contexts occur, and random evictions and fail-stops along the way.
+#[test]
+fn every_schedule_sees_the_cpu_residents_in_context_order() {
+    let schedules = Arc::new(AtomicU64::new(0));
+    let tied = Arc::new(AtomicU64::new(0));
+    let mut seed = 0;
+    for (base, prompts) in [(Scenario::a10g_8b(), 1_800..1_804), (Scenario::t4_7b(), 200..204)] {
+        for policy in [Policy::Neo, Policy::SpecOffload, Policy::FastDecodePlus] {
+            for (disk_tier, cpu_cache_fraction) in
+                [(false, 0.6), (true, 0.6), (false, 0.01), (true, 0.01)]
+            {
+                seed += 1;
+                let mut scenario = base.clone();
+                scenario.testbed.cpu_cache_fraction = cpu_cache_fraction;
+                let checked = OrderChecked {
+                    inner: policy.scheduler(),
+                    schedules: Arc::clone(&schedules),
+                    tied: Arc::clone(&tied),
+                };
+                let config = EngineConfig { disk_tier, ..EngineConfig::default() };
+                let mut engine = Engine::new(scenario.cost_model(), config, Box::new(checked));
+                run_with_evictions_and_failures(&mut engine, prompts.clone(), seed);
+            }
+        }
+    }
+    let (schedules, tied) = (schedules.load(Ordering::Relaxed), tied.load(Ordering::Relaxed));
+    assert!(tied > 0, "none of {schedules} schedules held equal contexts");
+}
+
+/// Serves 48 requests with prompts from `prompts` on `engine` to the end, evicting a
+/// random request now and then and fail-stopping it up to twice; the requests a
+/// failure loses are resubmitted under new ids.
+fn run_with_evictions_and_failures(engine: &mut Engine, prompts: Range<usize>, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut next_id = 0;
+    for _ in 0..48 {
+        let (prompt, output) = (rng.gen_range(prompts.clone()), rng.gen_range(8..160));
+        // A context larger than every pool the policy keeps KV in is refused.
+        let _ = engine.submit(Request::new(next_id, 0.0, prompt, output));
+        next_id += 1;
+    }
+    let (mut failures, mut iterations) = (0, 0);
+    while !engine.is_idle() && iterations < 200_000 {
+        engine.step();
+        iterations += 1;
+        match rng.gen_range(0..400) {
+            0 => {
+                let _ = engine.evict(rng.gen_range(0..next_id));
+            }
+            1 if failures < 2 => {
+                failures += 1;
+                let lost = engine.fail();
+                engine.recover();
+                for r in lost {
+                    let _ = engine.submit(Request::new(
+                        next_id,
+                        engine.now(),
+                        r.prompt_len,
+                        r.output_len,
+                    ));
+                    next_id += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(engine.is_idle(), "the run did not drain");
 }

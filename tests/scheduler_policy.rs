@@ -14,7 +14,7 @@ use neo_core::config::EngineConfig;
 use neo_core::pipeline::{balanced, estimate_decision};
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::request::Request;
-use neo_core::scheduler::{NeoScheduler, ScheduleContext, Scheduler};
+use neo_core::scheduler::{cpu_by_context, NeoScheduler, ScheduleContext, Scheduler};
 use neo_core::ExecutionMode;
 use neo_kvcache::{Device, IdTable};
 use neo_sim::profiler::{IterationCost, ProfiledCostModel};
@@ -29,9 +29,12 @@ struct Fixture {
     waiting: Vec<u64>,
     gpu_run: Vec<u64>,
     cpu_run: Vec<u64>,
+    /// `cpu_run` by context, rebuilt from scratch whenever a CPU resident is added.
+    cpu_by_context: Vec<(u64, usize)>,
     prefill_device: IdTable<Device>,
     gpu_free: usize,
     cpu_free: usize,
+    disk_free: usize,
     config: EngineConfig,
 }
 
@@ -42,9 +45,11 @@ impl Fixture {
             waiting: vec![],
             gpu_run: vec![],
             cpu_run: vec![],
+            cpu_by_context: vec![],
             prefill_device: IdTable::new(),
             gpu_free,
             cpu_free,
+            disk_free: 0,
             config: EngineConfig::default(),
         }
     }
@@ -60,7 +65,10 @@ impl Fixture {
         self.requests.insert(id, r).unwrap();
         match device {
             Device::Gpu => self.gpu_run.push(id),
-            Device::Cpu => self.cpu_run.push(id),
+            Device::Cpu => {
+                self.cpu_run.push(id);
+                self.cpu_by_context = cpu_by_context(&self.requests, &self.cpu_run);
+            }
             Device::Disk => unreachable!("tests place requests on GPU or CPU"),
         }
     }
@@ -73,10 +81,11 @@ impl Fixture {
             waiting: &self.waiting,
             gpu_run: &self.gpu_run,
             cpu_run: &self.cpu_run,
+            cpu_by_context: &self.cpu_by_context,
             disk_run: &[],
             gpu_free_tokens: self.gpu_free,
             cpu_free_tokens: self.cpu_free,
-            disk_free_tokens: 0,
+            disk_free_tokens: self.disk_free,
             gpu_capacity_tokens: self.gpu_free,
             prefill_device: &self.prefill_device,
         }
@@ -230,21 +239,114 @@ proptest! {
     }
 }
 
-/// NEO with its offload split and mode choice as first written: each CPU candidate is
-/// pushed, the iteration is re-priced from scratch with [`balanced`], and the candidate
-/// is popped if that fails; each shed attempt re-prices both sub-batches too; and step 6
-/// prices both alternatives of every plan, whether or not a CPU decode was placed. The
-/// oracle NEO's incremental split and its mode choice must match bit for bit.
+/// NEO as first written. Batch formation and the CPU candidates gather the CPU run
+/// queue and stably sort it by context every iteration, where NEO walks the order the
+/// engine keeps. The offload split pushes each CPU candidate, re-prices the iteration
+/// from scratch with [`balanced`], and pops the candidate if that fails; each shed
+/// attempt re-prices both sub-batches too; and step 6 prices both alternatives of every
+/// plan, whether or not a CPU decode was placed. The oracle NEO's walks, its
+/// incremental split and its mode choice must match bit for bit.
 #[derive(Default)]
 struct FromScratchNeo(NeoScheduler);
+
+impl FromScratchNeo {
+    /// The CPU run queue minus this plan's swap-ins and disk demotions, plus its
+    /// swap-outs, stably sorted by context.
+    fn candidates(ctx: &ScheduleContext<'_>, plan: &IterationPlan) -> Vec<(u64, usize)> {
+        let mut candidates: Vec<(u64, usize)> = ctx
+            .cpu_run
+            .iter()
+            .filter(|id| !plan.swap_in.contains(id) && !plan.demote_disk.contains(id))
+            .map(|&id| (id, ctx.context_len(id)))
+            .collect();
+        candidates.extend(plan.swap_out.iter().map(|&id| (id, ctx.context_len(id))));
+        candidates.sort_by_key(|&(_, c)| c);
+        candidates
+    }
+}
 
 impl SchedulerPolicy for FromScratchNeo {
     fn policy_name(&self) -> &'static str {
         "neo-from-scratch"
     }
 
+    /// GPU-first batch formation with a sorted gather of the CPU run queue for the
+    /// swap-ins and one more, rebuilt for every swapped-out request, for the disk
+    /// demotions.
     fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
-        self.0.form_batches(ctx, plan);
+        let cfg = ctx.config;
+        let gpu_capacity = ctx.gpu_free_tokens;
+        let mut gpu_decodes: Vec<(u64, usize)> =
+            ctx.gpu_run.iter().map(|&id| (id, ctx.context_len(id))).collect();
+        plan.gpu_free -= gpu_decodes.len() as i64;
+        if plan.gpu_free < 0 {
+            gpu_decodes.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+            while plan.gpu_free < 0 {
+                let Some((id, c)) = gpu_decodes.first().copied() else { break };
+                gpu_decodes.remove(0);
+                if plan.cpu_free < (c + 1) as i64 && cfg.disk_tier {
+                    let mut victims: Vec<(u64, usize)> = ctx
+                        .cpu_run
+                        .iter()
+                        .filter(|v| !plan.demote_disk.contains(v))
+                        .map(|&v| (v, ctx.context_len(v)))
+                        .collect();
+                    victims.sort_by_key(|&(_, vc)| std::cmp::Reverse(vc));
+                    for (vid, vc) in victims {
+                        if plan.cpu_free >= (c + 1) as i64 {
+                            break;
+                        }
+                        if plan.disk_free < vc as i64 {
+                            continue;
+                        }
+                        plan.demote_disk.push(vid);
+                        plan.disk_free -= vc as i64;
+                        plan.cpu_free += vc as i64;
+                    }
+                }
+                if plan.cpu_free < (c + 1) as i64 {
+                    plan.preempt.push(id);
+                } else {
+                    plan.swap_out.push(id);
+                    plan.cpu_free -= (c + 1) as i64;
+                }
+                plan.gpu_free += (c + 1) as i64;
+            }
+        } else {
+            let watermark = (cfg.swap_in_watermark * gpu_capacity as f64) as i64;
+            if plan.gpu_free > watermark {
+                let mut candidates: Vec<(u64, usize)> =
+                    ctx.cpu_run.iter().map(|&id| (id, ctx.context_len(id))).collect();
+                candidates.sort_by_key(|&(_, c)| c);
+                for (id, c) in candidates {
+                    if plan.gpu_free - (c + 1) as i64 <= watermark {
+                        break;
+                    }
+                    plan.swap_in.push(id);
+                    plan.gpu_free -= (c + 1) as i64;
+                    plan.cpu_free += c as i64;
+                    gpu_decodes.push((id, c));
+                }
+            }
+        }
+        plan.batch0.gpu_decodes = gpu_decodes;
+        if cfg.disk_tier && plan.demote_disk.is_empty() {
+            let smallest = ctx
+                .disk_run
+                .iter()
+                .map(|&id| (ctx.context_len(id), id))
+                .min()
+                .map(|(c, id)| (id, c));
+            if let Some((id, c)) = smallest {
+                let needed = (c + 1) as i64;
+                let threshold = if ctx.cpu_run.is_empty() { needed } else { 2 * needed };
+                if plan.cpu_free >= threshold {
+                    plan.promote_disk.push(id);
+                    plan.cpu_free -= c as i64;
+                    plan.disk_free += c as i64;
+                }
+            }
+        }
     }
 
     fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
@@ -253,14 +355,7 @@ impl SchedulerPolicy for FromScratchNeo {
 
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let (cost, cfg) = (ctx.cost, ctx.config);
-        let mut cpu_candidates: Vec<(u64, usize)> = ctx
-            .cpu_run
-            .iter()
-            .filter(|id| !plan.swap_in.contains(id) && !plan.demote_disk.contains(id))
-            .map(|&id| (id, ctx.context_len(id)))
-            .collect();
-        cpu_candidates.extend(plan.swap_out.iter().map(|&id| (id, ctx.context_len(id))));
-        cpu_candidates.sort_by_key(|&(_, c)| c);
+        let mut cpu_candidates = Self::candidates(ctx, plan);
 
         if plan.batch0.is_empty() && !cpu_candidates.is_empty() {
             for (id, c) in cpu_candidates.drain(..) {
@@ -323,24 +418,38 @@ impl SchedulerPolicy for FromScratchNeo {
 }
 
 /// One randomised context for the split-equivalence property. `shape` aims it at one
-/// path of NEO's offload split and `seed` draws everything else:
+/// path of NEO's batch formation or offload split and `seed` draws everything else:
 /// - 0: a GPU batch with CPU-targeted prefill chunks, which step 5 may shed;
 /// - 1: nothing on the GPU, so batch-0 is empty and the CPU residents run as a plain
 ///   CPU batch;
-/// - 2: a `max_batch_seqs` small enough for the candidates to overrun.
+/// - 2: a `max_batch_seqs` small enough for the candidates to overrun;
+/// - 3: more GPU decodes than GPU room, a nearly full CPU pool and the disk tier on,
+///   with every context drawn from a narrow range: swap-outs that demote CPU residents
+///   to disk first, placed swap-outs, and ties between equal contexts.
 fn split_case(shape: usize, seed: u64) -> Fixture {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fx = Fixture::new(rng.gen_range(0..4_000), rng.gen_range(20_000..400_000));
     fx.config.balance_slack = rng.gen_range(0.0..0.2);
+    let mut contexts: std::ops::Range<usize> = 16..4_000;
     let (n_waiting, n_gpu, n_cpu): (u64, u64, u64) = match shape {
         0 => (rng.gen_range(1..6), rng.gen_range(1..64), rng.gen_range(0..300)),
         1 => {
             fx.gpu_free = 0;
             (0, 0, rng.gen_range(1..300))
         }
-        _ => {
+        2 => {
             fx.config.max_batch_seqs = rng.gen_range(1..12);
             (rng.gen_range(0..4), rng.gen_range(0..16), rng.gen_range(0..64))
+        }
+        _ => {
+            fx.config.disk_tier = true;
+            fx.disk_free = rng.gen_range(0..3_000);
+            let low: usize = rng.gen_range(100..1_500);
+            contexts = low..low + rng.gen_range(1usize..8);
+            let n_gpu = rng.gen_range(1..48);
+            fx.gpu_free = rng.gen_range(0..n_gpu as usize);
+            fx.cpu_free = rng.gen_range(0..2 * contexts.end);
+            (rng.gen_range(0..3), n_gpu, rng.gen_range(1..64))
         }
     };
     for id in 0..n_waiting {
@@ -357,10 +466,10 @@ fn split_case(shape: usize, seed: u64) -> Fixture {
         }
     }
     for id in 100..100 + n_gpu {
-        fx.add_running(id, rng.gen_range(16..4_000), Device::Gpu);
+        fx.add_running(id, rng.gen_range(contexts.clone()), Device::Gpu);
     }
     for id in 1_000..1_000 + n_cpu {
-        fx.add_running(id, rng.gen_range(16..4_000), Device::Cpu);
+        fx.add_running(id, rng.gen_range(contexts.clone()), Device::Cpu);
     }
     fx
 }
@@ -368,12 +477,12 @@ fn split_case(shape: usize, seed: u64) -> Fixture {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// NEO's incremental offload split, and its mode choice that prices nothing when no
-    /// CPU decode was placed, decide exactly what the from-scratch NEO does, under the
-    /// exact cost model and under a noisy profile, whose costs are not monotone in
-    /// context.
+    /// NEO's walks of the engine's context order, its incremental offload split, and
+    /// its mode choice that prices nothing when no CPU decode was placed, decide exactly
+    /// what the from-scratch NEO does, under the exact cost model and under a noisy
+    /// profile, whose costs are not monotone in context.
     #[test]
-    fn prop_incremental_split_matches_from_scratch(case in (0usize..3, 0u64..1 << 48)) {
+    fn prop_incremental_split_matches_from_scratch(case in (0usize..4, 0u64..1 << 48)) {
         let (shape, seed) = case;
         let fx = split_case(shape, seed);
         let exact = a10g_cost();
@@ -392,38 +501,49 @@ proptest! {
 }
 
 /// The equivalence property's cases reach every path they aim at: step 5 sheds a
-/// chunk, batch-0 is empty while CPU residents wait, the sequence cap stops step 4, and
-/// a plan schedules work with no CPU decode, which step 6 does not price.
+/// chunk, batch-0 is empty while CPU residents wait, the sequence cap stops step 4, a
+/// plan schedules work with no CPU decode, which step 6 does not price, a swapped-out
+/// request is placed as a CPU decode, a swap-out demotes CPU residents to disk, and
+/// the candidates hold equal contexts, whose order the walks must keep.
 #[test]
 fn split_cases_reach_every_path() {
     let cost = a10g_cost();
     let (mut shed, mut empty_batch0, mut capped, mut unpriced) = (0, 0, 0, 0);
+    let (mut placed_swap_out, mut demoted, mut tied) = (0, 0, 0);
     for seed in 0..32 {
-        for shape in 0..3 {
+        for shape in 0..4 {
             let fx = split_case(shape, seed);
             let ctx = fx.ctx(&cost);
             let mut neo = FromScratchNeo::default();
             let mut plan = IterationPlan::new(&ctx);
             neo.form_batches(&ctx, &mut plan);
             neo.admit(&ctx, &mut plan);
-            let candidates = plan.cpu_decode_candidates(&ctx).len();
+            let candidates = FromScratchNeo::candidates(&ctx, &plan);
             let before = plan.clone();
             neo.split_offload(&ctx, &mut plan);
             let cpu_decodes =
                 |p: &IterationPlan| p.batch0.cpu_decodes.len() + p.batch1.cpu_decodes.len();
             let placed = cpu_decodes(&plan) - cpu_decodes(&before);
             shed += usize::from(plan.batch0.prefills.len() < before.batch0.prefills.len());
-            empty_batch0 += usize::from(before.batch0.is_empty() && candidates > 0);
+            empty_batch0 += usize::from(before.batch0.is_empty() && !candidates.is_empty());
             capped += usize::from(
-                placed < candidates && plan.sequences() >= 2 * fx.config.max_batch_seqs,
+                placed < candidates.len() && plan.sequences() >= 2 * fx.config.max_batch_seqs,
             );
             unpriced += usize::from(cpu_decodes(&plan) == 0 && plan.sequences() > 0);
+            placed_swap_out += usize::from(plan.swap_out.iter().any(|id| {
+                plan.batch0.cpu_decodes.iter().chain(&plan.batch1.cpu_decodes).any(|d| d.0 == *id)
+            }));
+            demoted += usize::from(!plan.demote_disk.is_empty());
+            tied += usize::from(candidates.windows(2).any(|w| w[0].1 == w[1].1));
         }
     }
     assert!(shed > 0, "no case shed a prefill chunk");
     assert!(empty_batch0 > 0, "no case left batch-0 empty");
     assert!(capped > 0, "no case hit the sequence cap");
     assert!(unpriced > 0, "no case scheduled work without a CPU decode");
+    assert!(placed_swap_out > 0, "no case placed a swapped-out request");
+    assert!(demoted > 0, "no case demoted a CPU resident to disk");
+    assert!(tied > 0, "no case had equal-context candidates");
 }
 
 /// Batch-0 empty and every CPU decode in batch-1: the mode choice has something to
