@@ -3,6 +3,7 @@
 //! over the sub-batches differently, but the eviction/admission bookkeeping is one
 //! rule: all KV belongs on the host.
 
+use neo_core::config::PREFILL_CHUNK;
 use neo_core::policy::IterationPlan;
 use neo_core::scheduler::ScheduleContext;
 use neo_kvcache::Device;
@@ -44,7 +45,7 @@ pub(crate) fn collect_full_offload_decodes(
 /// (prefill is compute-bound and stays there), but the generated KV always lands in the
 /// CPU cache.
 pub(crate) fn admit_prefills_to_cpu(ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
-    plan.admit_prefills(ctx, ctx.config.prefill_chunk, |plan, _id, chunk| {
+    plan.admit_prefills(ctx, PREFILL_CHUNK, |plan, _id, chunk| {
         (plan.cpu_free >= chunk as i64).then_some(Device::Cpu)
     });
 }

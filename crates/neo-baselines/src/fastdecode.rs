@@ -7,6 +7,7 @@
 //! baseline (Figure 8b); when the prefill waitqueue is empty it has no choice but to run
 //! CPU-bound batches, hurting latency (Figure 8a).
 
+use neo_core::config::MAX_BATCH_SEQS;
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
 use neo_core::ExecutionMode;
@@ -36,7 +37,7 @@ impl SchedulerPolicy for FastDecodePlusScheduler {
     /// attention overlaps with whatever prefill work batch-0 carries.
     fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         plan.mode = ExecutionMode::Asymmetric;
-        let decodes = collect_full_offload_decodes(ctx, plan, ctx.config.max_batch_seqs);
+        let decodes = collect_full_offload_decodes(ctx, plan, MAX_BATCH_SEQS);
         plan.batch1.cpu_decodes = decodes;
     }
 

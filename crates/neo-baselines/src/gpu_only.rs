@@ -5,6 +5,7 @@
 //! memory and the token budget allow, and requests that cannot fit simply wait. This is
 //! the "GPU-only" baseline every figure of the paper normalises against.
 
+use neo_core::config::{MAX_BATCH_SEQS, PREFILL_CHUNK};
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
 use neo_kvcache::Device;
@@ -45,7 +46,6 @@ impl SchedulerPolicy for GpuOnlyScheduler {
     /// recompute later), exactly like vLLM's recompute-mode preemption. GPU-only policies
     /// never swap: the CPU cache does not exist for them.
     fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
-        let cfg = ctx.config;
         let mut decodes: Vec<(u64, usize)> =
             ctx.gpu_run.iter().map(|&id| (id, ctx.context_len(id))).collect();
         // Earliest-arrival first, so victims are taken from the back (latest arrivals).
@@ -60,7 +60,7 @@ impl SchedulerPolicy for GpuOnlyScheduler {
             plan.gpu_free += ctx_len as i64;
         }
         for (id, c) in decodes {
-            if plan.gpu_free <= 0 || plan.batch0.sequences() >= cfg.max_batch_seqs {
+            if plan.gpu_free <= 0 || plan.batch0.sequences() >= MAX_BATCH_SEQS {
                 break;
             }
             plan.batch0.gpu_decodes.push((id, c));
@@ -69,13 +69,12 @@ impl SchedulerPolicy for GpuOnlyScheduler {
     }
 
     /// Admit prefills while the token budget and GPU memory allow: vLLM-like chunks at
-    /// [`neo_core::EngineConfig::prefill_chunk`], SwiftLLM-like whole prompts. When the
-    /// rest of the budget cannot take a whole prompt, SwiftLLM-like admission stops
-    /// there (head-of-line blocking); prompts longer than the whole budget are
-    /// necessarily chunked.
+    /// [`PREFILL_CHUNK`], SwiftLLM-like whole prompts. When the rest of the budget cannot
+    /// take a whole prompt, SwiftLLM-like admission stops there (head-of-line blocking);
+    /// prompts longer than the whole budget are necessarily chunked.
     fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         let cfg = ctx.config;
-        let chunk_cap = if self.chunked_prefill { cfg.prefill_chunk } else { usize::MAX };
+        let chunk_cap = if self.chunked_prefill { PREFILL_CHUNK } else { usize::MAX };
         plan.admit_prefills(ctx, chunk_cap, |plan, id, chunk| {
             let remaining = ctx.remaining_prefill(id);
             if !self.chunked_prefill && chunk < remaining && remaining <= cfg.max_batch_tokens {
@@ -134,7 +133,7 @@ mod tests {
         let mut e = engine(GpuOnlyScheduler::vllm_like());
         e.submit(Request::new(1, 0.0, 1500, 4)).unwrap();
         let report = e.step();
-        assert_eq!(report.prefill_tokens, EngineConfig::default().prefill_chunk);
+        assert_eq!(report.prefill_tokens, PREFILL_CHUNK);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! throughput decays — the contrast with NEO, which moves only Q/K/V/O activations for
 //! its offloaded requests, is the point of the fig8c offload-family comparison.
 
+use neo_core::config::MAX_BATCH_SEQS;
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
 use neo_core::ExecutionMode;
@@ -46,7 +47,7 @@ impl SchedulerPolicy for PipoScheduler {
     /// balancing, no fallback, no adaptation.
     fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         plan.mode = ExecutionMode::Streamed;
-        let decodes = collect_full_offload_decodes(ctx, plan, ctx.config.max_batch_seqs);
+        let decodes = collect_full_offload_decodes(ctx, plan, MAX_BATCH_SEQS);
         plan.batch0.cpu_decodes = decodes;
     }
 

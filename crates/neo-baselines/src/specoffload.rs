@@ -24,6 +24,7 @@
 //! below NEO's with the same general shape.
 
 use neo_core::batch::ScheduleDecision;
+use neo_core::config::MAX_BATCH_SEQS;
 use neo_core::pipeline::balanced;
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
@@ -100,27 +101,18 @@ impl SchedulerPolicy for SpecOffloadScheduler {
     /// NEO's ([`IterationPlan::cpu_decode_candidates`]), smallest context first, so a
     /// request demoted to disk this iteration is never claimed.
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
-        let cfg = ctx.config;
-        let mut candidates = plan.cpu_decode_candidates(ctx).peekable();
-
-        // No GPU work at all to hide behind: run the CPU-residents as a plain CPU batch
+        // No GPU work at all to hide behind: the CPU residents run as a plain CPU batch
         // (there is no latent capacity to speculate on, only idle hardware).
-        if plan.batch0.is_empty() {
-            for (id, c) in candidates {
-                if plan.batch1.sequences() >= cfg.max_batch_seqs {
-                    break;
-                }
-                plan.batch1.cpu_decodes.push((id, c));
-            }
+        if plan.offload_without_gpu_work(ctx) {
             return;
         }
-
+        let mut candidates = plan.cpu_decode_candidates(ctx).peekable();
         if candidates.peek().is_none() {
             return;
         }
         self.speculations += 1;
         for (id, c) in candidates.take(self.spec_width) {
-            if plan.batch1.sequences() >= cfg.max_batch_seqs {
+            if plan.batch1.sequences() >= MAX_BATCH_SEQS {
                 break;
             }
             plan.batch1.cpu_decodes.push((id, c));
@@ -128,10 +120,10 @@ impl SchedulerPolicy for SpecOffloadScheduler {
 
         // Judge the claim by the same balance rule NEO schedules with: do the
         // inequalities still hold for the expansion?
-        let hidden = balanced(ctx.cost, &plan.batch0, &plan.batch1, cfg.balance_slack);
+        let hidden = balanced(ctx.cost, &plan.batch0, &plan.batch1, ctx.config.balance_slack);
         if hidden {
             // Hit: the latent capacity was real — probe for more next iteration.
-            self.spec_width = (self.spec_width + SPEC_INCREASE).min(cfg.max_batch_seqs);
+            self.spec_width = (self.spec_width + SPEC_INCREASE).min(MAX_BATCH_SEQS);
         } else {
             // Mis-speculation: the over-expanded iteration executes anyway (its exposed
             // CPU time is the rollback cost); back off multiplicatively.
@@ -146,9 +138,8 @@ impl SchedulerPolicy for SpecOffloadScheduler {
         _ctx: &ScheduleContext<'_>,
         mut plan: IterationPlan,
     ) -> ScheduleDecision {
-        let has_cpu_work =
-            !plan.batch0.cpu_decodes.is_empty() || !plan.batch1.cpu_decodes.is_empty();
-        plan.mode = if has_cpu_work { ExecutionMode::Asymmetric } else { ExecutionMode::GpuOnly };
+        plan.mode =
+            if plan.has_cpu_decodes() { ExecutionMode::Asymmetric } else { ExecutionMode::GpuOnly };
         plan.into_decision()
     }
 }

@@ -9,6 +9,7 @@
 //!   in the same GPU stream but contributes nothing to hiding CPU work) and GPU KV memory
 //!   is left unused.
 
+use neo_core::config::MAX_BATCH_SEQS;
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::scheduler::ScheduleContext;
 use neo_core::ExecutionMode;
@@ -37,7 +38,7 @@ impl SchedulerPolicy for SimpleOffloadScheduler {
     /// overlap — exactly the simple-offloading timeline of Figure 3.
     fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         plan.mode = ExecutionMode::Asymmetric;
-        let decodes = collect_full_offload_decodes(ctx, plan, ctx.config.max_batch_seqs);
+        let decodes = collect_full_offload_decodes(ctx, plan, MAX_BATCH_SEQS);
         plan.batch0.cpu_decodes = decodes;
     }
 
@@ -70,7 +71,7 @@ impl SchedulerPolicy for SymmetricPipelineScheduler {
     /// halves whose linear and attention stages overlap (Figure 4).
     fn form_batches(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
         plan.mode = ExecutionMode::Asymmetric;
-        let decodes = collect_full_offload_decodes(ctx, plan, 2 * ctx.config.max_batch_seqs);
+        let decodes = collect_full_offload_decodes(ctx, plan, 2 * MAX_BATCH_SEQS);
         for (i, item) in decodes.into_iter().enumerate() {
             if i % 2 == 0 {
                 plan.batch0.cpu_decodes.push(item);

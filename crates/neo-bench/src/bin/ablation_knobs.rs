@@ -27,13 +27,12 @@ struct Row {
 fn main() {
     let scenario = Scenario::t4_7b();
     let trace = synthetic(scaled(100), 300, 120, ArrivalProcess::AllAtOnce, 77);
-    let baseline =
-        run_offline(scenario.engine(Policy::SwiftLlmLike), &trace, 50_000_000).token_throughput;
+    let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace).token_throughput;
 
     let mut rows: Vec<Row> = Vec::new();
     let mut run = |ablation: &str, value: &str, config: EngineConfig| {
         let engine = scenario.engine_with_config(Policy::Neo, config);
-        let result = run_offline(engine, &trace, 50_000_000);
+        let result = run_offline(engine, &trace);
         rows.push(Row {
             ablation: ablation.to_string(),
             value: value.to_string(),

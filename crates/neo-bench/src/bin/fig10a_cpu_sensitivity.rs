@@ -33,8 +33,8 @@ fn main() {
         let cpu_bw = scenario.testbed.cpu.mem_bw / 1e9;
         for &output in &outputs {
             let trace = synthetic(requests, input, output, ArrivalProcess::AllAtOnce, 44);
-            let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace, 50_000_000);
-            let neo = run_offline(scenario.engine(Policy::Neo), &trace, 50_000_000);
+            let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace);
+            let neo = run_offline(scenario.engine(Policy::Neo), &trace);
             let relative = neo.token_throughput / baseline.token_throughput;
             rows.push(vec![
                 format!("g5.{n}xlarge"),

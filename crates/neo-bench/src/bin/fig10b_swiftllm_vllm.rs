@@ -42,7 +42,7 @@ fn main() {
                 GpuOnlyScheduler::swiftllm_like()
             };
             let engine = Engine::new(cost, EngineConfig::default(), Box::new(scheduler));
-            let result = run_offline(engine, &trace, 50_000_000);
+            let result = run_offline(engine, &trace);
             rows.push(vec![
                 scenario.name.clone(),
                 system.to_string(),

@@ -32,10 +32,9 @@ fn main() {
         // A decode-heavy workload that stresses the offloading design choices.
         let (input, output) = if scenario.name.contains("T4") { (200, 100) } else { (1000, 200) };
         let trace = synthetic(scaled(100), input, output, ArrivalProcess::AllAtOnce, 66);
-        let baseline =
-            run_offline(scenario.engine(Policy::SwiftLlmLike), &trace, 50_000_000).token_throughput;
+        let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace).token_throughput;
         for &policy in &policies {
-            let result = run_offline(scenario.engine(policy), &trace, 50_000_000);
+            let result = run_offline(scenario.engine(policy), &trace);
             let relative = result.token_throughput / baseline;
             rows.push(vec![
                 scenario.name.clone(),

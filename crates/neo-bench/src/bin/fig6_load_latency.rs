@@ -78,7 +78,7 @@ fn main() {
             for policy in [Policy::Neo, Policy::VllmLike] {
                 let trace = (setting.trace)(setting.requests, rate, 42);
                 let engine = setting.scenario.engine(policy);
-                let result = run_online(engine, &trace, rate, 50_000_000);
+                let result = run_online(engine, &trace);
                 let point = RatePoint {
                     setting: setting.scenario.name.clone(),
                     policy: policy.label().to_string(),

@@ -31,7 +31,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut summaries = Vec::new();
     for policy in [Policy::Neo, Policy::VllmLike] {
-        let result = run_online(scenario.engine(policy), &trace, rate, 50_000_000);
+        let result = run_online(scenario.engine(policy), &trace);
         let cdf = result.cdf();
         let quantiles: Vec<(f64, f64)> =
             quantile_grid.iter().map(|&q| (q, cdf.quantile(q).unwrap_or(f64::NAN))).collect();

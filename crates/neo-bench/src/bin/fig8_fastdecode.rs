@@ -41,7 +41,7 @@ fn main() {
     for &rate in &[0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5] {
         for policy in [Policy::Neo, Policy::FastDecodePlus] {
             let trace = azure_code_like(scaled(120), ArrivalProcess::Poisson { rate }, 21);
-            let result = run_online(scenario.engine(policy), &trace, rate, 50_000_000);
+            let result = run_online(scenario.engine(policy), &trace);
             online_rows.push(vec![
                 policy.label().to_string(),
                 format!("{rate:.1}"),
@@ -67,10 +67,9 @@ fn main() {
     let mut offline_points = Vec::new();
     for &output in &[50usize, 100, 150, 200, 250, 300] {
         let trace = synthetic(scaled(120), 2000, output, ArrivalProcess::AllAtOnce, 22);
-        let baseline =
-            run_offline(scenario.engine(Policy::SwiftLlmLike), &trace, 50_000_000).token_throughput;
+        let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace).token_throughput;
         for policy in [Policy::Neo, Policy::FastDecodePlus] {
-            let result = run_offline(scenario.engine(policy), &trace, 50_000_000);
+            let result = run_offline(scenario.engine(policy), &trace);
             let relative = result.token_throughput / baseline;
             offline_rows.push(vec![
                 policy.label().to_string(),
@@ -96,10 +95,9 @@ fn main() {
     let mut family_points = Vec::new();
     for &output in &[50usize, 100, 150, 200, 250, 300] {
         let trace = synthetic(scaled(120), 2000, output, ArrivalProcess::AllAtOnce, 23);
-        let baseline =
-            run_offline(scenario.engine(Policy::SwiftLlmLike), &trace, 50_000_000).token_throughput;
+        let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace).token_throughput;
         for policy in family {
-            let result = run_offline(scenario.engine(policy), &trace, 50_000_000);
+            let result = run_offline(scenario.engine(policy), &trace);
             let relative = result.token_throughput / baseline;
             family_rows.push(vec![
                 policy.label().to_string(),

@@ -58,9 +58,8 @@ fn main() {
             for &output in &setting.outputs {
                 let trace =
                     synthetic(setting.requests, input, output, ArrivalProcess::AllAtOnce, 33);
-                let baseline =
-                    run_offline(setting.scenario.engine(Policy::SwiftLlmLike), &trace, 50_000_000);
-                let neo = run_offline(setting.scenario.engine(Policy::Neo), &trace, 50_000_000);
+                let baseline = run_offline(setting.scenario.engine(Policy::SwiftLlmLike), &trace);
+                let neo = run_offline(setting.scenario.engine(Policy::Neo), &trace);
                 let relative = neo.token_throughput / baseline.token_throughput;
                 rows.push(vec![
                     input.to_string(),

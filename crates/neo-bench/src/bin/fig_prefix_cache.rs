@@ -65,7 +65,7 @@ fn main() {
         for cache in [true, false] {
             let config = EngineConfig { prefix_cache: cache, ..EngineConfig::default() };
             let engine = scenario.engine_with_config(Policy::Neo, config);
-            let result = run_sessions(engine, &trace, request_rate, 50_000_000);
+            let result = run_sessions(engine, &trace);
             let point = PrefixPoint {
                 setting: scenario.name.clone(),
                 policy: Policy::Neo.label().to_string(),

@@ -56,8 +56,8 @@ fn main() {
         let (neo_tps, gpu_tps) = if feasible {
             // The Figure-8b offline workload at a fixed mid-sweep output length.
             let trace = synthetic(scaled(120), 2000, 150, ArrivalProcess::AllAtOnce, 24);
-            let neo = run_offline(scenario.engine(Policy::Neo), &trace, 50_000_000);
-            let gpu = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace, 50_000_000);
+            let neo = run_offline(scenario.engine(Policy::Neo), &trace);
+            let gpu = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace);
             (neo.token_throughput, gpu.token_throughput)
         } else {
             (0.0, 0.0)

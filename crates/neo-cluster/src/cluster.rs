@@ -49,13 +49,13 @@
 //! from the *frontend* arrival, by folding the token streams each server keeps, never
 //! from the server-local admission time.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
 
 use neo_core::Engine;
 use neo_serve::metrics::{LatencyFold, LatencySummary};
 use neo_serve::{DropReason, RequestHandle, RequestStatus, Server};
 use neo_sim::event::SerialLine;
+use neo_sim::SimTime;
 use neo_workload::{SloPolicy, Trace, TraceRequest};
 use serde::Serialize;
 
@@ -211,31 +211,7 @@ struct Slot {
     kv_capacity: usize,
     /// The slot's key in the wake-up index: the earlier of its link head and its
     /// server's next activity, `None` while it has neither.
-    due: Option<Due>,
-}
-
-/// An instant ordered by [`f64::total_cmp`], so it can key the wake-up index.
-#[derive(Debug, Clone, Copy)]
-struct Due(f64);
-
-impl PartialEq for Due {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Due {}
-
-impl Ord for Due {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl PartialOrd for Due {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+    due: Option<SimTime>,
 }
 
 /// Where a request currently sits — the index the failover path uses to find and
@@ -281,7 +257,7 @@ struct RouterState {
 pub struct Cluster {
     slots: Vec<Slot>,
     /// Wake-up index: `(due, engine)` for every slot that has work, earliest first.
-    wake: BTreeSet<(Due, usize)>,
+    wake: BTreeSet<(SimTime, usize)>,
     /// The slots the latest settle pass visited, in ascending engine id (kept to reuse
     /// its allocation).
     due_slots: Vec<usize>,
@@ -320,7 +296,7 @@ impl Cluster {
     /// it only becomes dispatchable as a consequence of one of these, and every settle
     /// pass ends with a dispatch attempt.
     fn next_due(&self) -> Option<f64> {
-        let mut due: Option<f64> = self.wake.first().map(|&(Due(at), _)| at);
+        let mut due: Option<f64> = self.wake.first().map(|&(SimTime(at), _)| at);
         let mut fold = |t: f64| due = Some(due.map_or(t, |d: f64| d.min(t)));
         if let Some(request) = self.requests.get(self.next_arrival) {
             fold(request.arrival);
@@ -365,7 +341,7 @@ impl Cluster {
         self.apply_faults(at);
         let mut due = std::mem::take(&mut self.due_slots);
         due.clear();
-        due.extend(self.wake.iter().take_while(|&&(Due(t), _)| t <= at).map(|&(_, e)| e));
+        due.extend(self.wake.iter().take_while(|&&(SimTime(t), _)| t <= at).map(|&(_, e)| e));
         due.sort_unstable();
         for &e in &due {
             while let Some(&(deliver_at, id)) = self.slots[e].inflight.front() {
@@ -755,7 +731,7 @@ impl Cluster {
         let slot = &mut self.slots[engine];
         let link = slot.inflight.front().map(|&(deliver_at, _)| deliver_at);
         let due =
-            [link, slot.server.next_activity()].into_iter().flatten().reduce(f64::min).map(Due);
+            [link, slot.server.next_activity()].into_iter().flatten().reduce(f64::min).map(SimTime);
         if due != slot.due {
             if let Some(old) = slot.due {
                 self.wake.remove(&(old, engine));
@@ -1252,11 +1228,11 @@ mod tests {
                     _ => {}
                 }
             }
-            let keyed: BTreeSet<(Due, usize)> =
-                fleet.clone().filter_map(|e| Some((Due(brute_due(&cluster, e)?), e))).collect();
+            let keyed: BTreeSet<(SimTime, usize)> =
+                fleet.clone().filter_map(|e| Some((SimTime(brute_due(&cluster, e)?), e))).collect();
             assert_eq!(cluster.wake, keyed, "the index is stale after the pass at t={at}");
             let minimum = fleet.clone().filter_map(|e| brute_due(&cluster, e)).reduce(f64::min);
-            assert_eq!(cluster.wake.first().map(|&(Due(t), _)| t), minimum);
+            assert_eq!(cluster.wake.first().map(|&(SimTime(t), _)| t), minimum);
             for e in fleet {
                 assert_eq!(
                     cluster.kv_score(e).to_bits(),

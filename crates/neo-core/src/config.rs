@@ -1,6 +1,21 @@
-//! Engine and scheduler configuration.
+//! Engine and scheduler configuration: the settings that vary between runs, and the
+//! engine limits every run shares.
 
 use serde::{Deserialize, Serialize};
+
+/// Maximum number of sequences a single sub-batch may contain.
+pub const MAX_BATCH_SEQS: usize = 256;
+
+/// Prefill chunk size used when a prompt does not fit the remaining token budget of an
+/// iteration (also the chunk of the vLLM-like baseline's chunked prefill).
+pub const PREFILL_CHUNK: usize = 512;
+
+/// Admission backpressure threshold: once this many requests sit in the prefill
+/// waitqueue the engine reports itself as saturated ([`crate::Engine::can_admit`]
+/// returns `false`) and the serving layer holds further arrivals in its own backlog
+/// instead of submitting them. Requests are *delayed*, never dropped. High enough that
+/// the paper-figure workloads are unaffected.
+pub const MAX_WAITING_REQUESTS: usize = 1024;
 
 /// Configuration shared by the engine and all schedulers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -8,11 +23,6 @@ pub struct EngineConfig {
     /// Maximum number of *new* tokens (prefill chunks + one per decode) a single sub-batch
     /// may contain; bounds activation memory and iteration latency.
     pub max_batch_tokens: usize,
-    /// Maximum number of sequences a single sub-batch may contain.
-    pub max_batch_seqs: usize,
-    /// Prefill chunk size used when a prompt does not fit the remaining token budget of an
-    /// iteration (also used by the vLLM-like baseline's chunked prefill).
-    pub prefill_chunk: usize,
     /// Fraction of free GPU KV tokens above which the scheduler tries to swap CPU-requests
     /// back to the GPU ("ample space" in step 2 of §3.2).
     pub swap_in_watermark: f64,
@@ -26,12 +36,6 @@ pub struct EngineConfig {
     /// Whether the engine models layer-wise swap overlap (true, NEO) or charges the whole
     /// transfer at the end of the iteration (false, the strawman in §3.1).
     pub layerwise_swap_overlap: bool,
-    /// Admission backpressure threshold: once this many requests sit in the prefill
-    /// waitqueue the engine reports itself as saturated ([`crate::Engine::can_admit`]
-    /// returns `false`) and the serving layer holds further arrivals in its own backlog
-    /// instead of submitting them. Requests are *delayed*, never dropped. The default is
-    /// high enough that the paper-figure workloads are unaffected.
-    pub max_waiting_requests: usize,
     /// Whether the shared-prefix KV cache is enabled: prompt blocks of prefilled GPU
     /// sequences are indexed by token-run identity and later requests adopt matching
     /// prefixes copy-on-write instead of re-prefilling them. Off by default; with no
@@ -49,13 +53,10 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_batch_tokens: 2048,
-            max_batch_seqs: 256,
-            prefill_chunk: 512,
             swap_in_watermark: 0.25,
             balance_slack: 0.05,
             profile_noise: 0.0,
             layerwise_swap_overlap: true,
-            max_waiting_requests: 1024,
             prefix_cache: false,
             disk_tier: false,
         }
@@ -70,12 +71,6 @@ impl EngineConfig {
         if self.max_batch_tokens == 0 {
             problems.push("max_batch_tokens must be positive".to_string());
         }
-        if self.max_batch_seqs == 0 {
-            problems.push("max_batch_seqs must be positive".to_string());
-        }
-        if self.prefill_chunk == 0 {
-            problems.push("prefill_chunk must be positive".to_string());
-        }
         if !(0.0..=1.0).contains(&self.swap_in_watermark) {
             problems.push("swap_in_watermark must be within [0, 1]".to_string());
         }
@@ -84,9 +79,6 @@ impl EngineConfig {
         }
         if self.profile_noise < 0.0 || self.profile_noise > 0.5 {
             problems.push("profile_noise must be within [0, 0.5]".to_string());
-        }
-        if self.max_waiting_requests == 0 {
-            problems.push("max_waiting_requests must be positive".to_string());
         }
         problems
     }
@@ -105,18 +97,15 @@ mod tests {
     fn invalid_fields_are_reported_individually() {
         let bad = EngineConfig {
             max_batch_tokens: 0,
-            max_batch_seqs: 0,
-            prefill_chunk: 0,
             swap_in_watermark: 2.0,
             balance_slack: -1.0,
             profile_noise: 0.9,
             layerwise_swap_overlap: true,
-            max_waiting_requests: 0,
             prefix_cache: true,
             disk_tier: true,
         };
         let problems = bad.validate();
-        assert_eq!(problems.len(), 7);
+        assert_eq!(problems.len(), 4);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use neo_sim::profiler::ProfiledCostModel;
 use neo_sim::{CostModel, SimClock};
 
 use crate::admit::AdmitError;
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, MAX_WAITING_REQUESTS};
 use crate::cpu_order::CpuOrder;
 use crate::pipeline::estimate_decision;
 use crate::request::Request;
@@ -305,11 +305,11 @@ impl Engine {
     /// Whether the prefill waitqueue has room for another admission.
     ///
     /// This is the engine's admission-backpressure signal: when the waitqueue already
-    /// holds [`EngineConfig::max_waiting_requests`] requests, a serving loop should hold
-    /// further arrivals in its own backlog (delaying, never dropping them) instead of
-    /// calling [`Engine::submit`]. A fail-stopped engine has no admission room at all.
+    /// holds [`MAX_WAITING_REQUESTS`] requests, a serving loop should hold further
+    /// arrivals in its own backlog (delaying, never dropping them) instead of calling
+    /// [`Engine::submit`]. A fail-stopped engine has no admission room at all.
     pub fn can_admit(&self) -> bool {
-        !self.down && self.waiting.len() < self.config.max_waiting_requests
+        !self.down && self.waiting.len() < MAX_WAITING_REQUESTS
     }
 
     /// A live (submitted, not yet finished or evicted) request by id.
@@ -442,9 +442,11 @@ impl Engine {
         self.disk_run.len()
     }
 
-    /// Executes one iteration and returns its report. An iteration that moved nothing
-    /// is still charged and reported as decided; the engine's progress rule then moves
-    /// on its own if any request holds KV (see `Engine::enforce_progress`).
+    /// Executes one iteration and returns its report. An idle decision is charged one
+    /// idle quantum, unpriced, and reported as a GPU-only idle iteration. An iteration
+    /// that moved nothing is still charged and reported as decided; the engine's
+    /// progress rule then moves on its own if any request holds KV (see
+    /// `Engine::enforce_progress`).
     pub fn step(&mut self) -> IterationReport {
         self.iterations += 1;
         self.emitted.clear();
@@ -468,26 +470,7 @@ impl Engine {
             };
             self.scheduler.schedule(&ctx)
         };
-
-        if decision.is_idle() {
-            self.clock.advance(IDLE_QUANTUM);
-            self.enforce_progress();
-            return IterationReport {
-                iteration: self.iterations,
-                start_time,
-                duration: IDLE_QUANTUM,
-                mode: ExecutionMode::GpuOnly,
-                batch_size: 0,
-                prefill_tokens: 0,
-                decode_tokens: 0,
-                cpu_offloaded: 0,
-                swapped_out: 0,
-                swapped_in: 0,
-                demoted_disk: 0,
-                promoted_disk: 0,
-                idle: true,
-            };
-        }
+        let idle = decision.is_idle();
 
         // Apply preemptions first: the victim's KV cache is discarded and it rejoins the
         // prefill waitqueue for recomputation.
@@ -525,19 +508,25 @@ impl Engine {
         let [demote_tokens, swap_out_tokens, swap_in_tokens, promote_tokens] = tokens;
 
         // "Execute": charge the iteration's duration from the exact cost model through
-        // the paper's closed-form iteration formulas.
-        let estimate = estimate_decision(
-            &self.cost,
-            &decision,
-            swap_out_tokens,
-            swap_in_tokens,
-            self.config.layerwise_swap_overlap,
-        );
-        // NVMe traffic does not share the PCIe swap path's layer-wise overlap machinery:
-        // disk demotions/promotions are charged serially on top of the iteration.
-        let disk_time = self.cost.disk_write_time_total(demote_tokens)
-            + self.cost.disk_read_time_total(promote_tokens);
-        let end_time = self.clock.advance((estimate.total_time + disk_time).max(1e-6));
+        // the paper's closed-form iteration formulas; an idle decision costs one quantum.
+        let duration = if idle {
+            self.clock.advance(IDLE_QUANTUM);
+            IDLE_QUANTUM
+        } else {
+            let estimate = estimate_decision(
+                &self.cost,
+                &decision,
+                swap_out_tokens,
+                swap_in_tokens,
+                self.config.layerwise_swap_overlap,
+            );
+            // NVMe traffic does not share the PCIe swap path's layer-wise overlap
+            // machinery: disk demotions/promotions are charged serially on top of the
+            // iteration.
+            let disk_time = self.cost.disk_write_time_total(demote_tokens)
+                + self.cost.disk_read_time_total(promote_tokens);
+            self.clock.advance((estimate.total_time + disk_time).max(1e-6)) - start_time
+        };
 
         // Prefill progress.
         let mut prefill_tokens = 0usize;
@@ -638,8 +627,9 @@ impl Engine {
         IterationReport {
             iteration: self.iterations,
             start_time,
-            duration: end_time - start_time,
-            mode: decision.mode,
+            duration,
+            // Some policies set a mode before they find nothing to run.
+            mode: if idle { ExecutionMode::GpuOnly } else { decision.mode },
             batch_size: decision.batch_size(),
             prefill_tokens,
             decode_tokens,
@@ -648,7 +638,7 @@ impl Engine {
             swapped_in,
             demoted_disk,
             promoted_disk,
-            idle: false,
+            idle,
         }
     }
 
@@ -660,6 +650,11 @@ impl Engine {
     /// The newest other holder on that pool is preempted, or the owner itself when it
     /// is alone there, and the pool is reserved for the owner: `step` skips other
     /// requests' prefill chunks bound for it. With no holder, a reservation lapses.
+    ///
+    /// Cold: it runs only after a stalled iteration. Inlined into its one call site it
+    /// made `step`'s hot loops slower (simbench's `a10g_ac_overload` about 2%, release
+    /// build, 2-vCPU container).
+    #[cold]
     fn enforce_progress(&mut self) {
         let by_age = |a: &&Request, b: &&Request| {
             a.arrival_time.total_cmp(&b.arrival_time).then(a.id.cmp(&b.id))
@@ -735,6 +730,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::batch::ScheduleDecision;
+    use crate::config::PREFILL_CHUNK;
     use crate::policy::{IterationPlan, SchedulerPolicy};
     use crate::scheduler::NeoScheduler;
     use neo_sim::{ModelDesc, Testbed};
@@ -936,20 +932,20 @@ mod tests {
 
     #[test]
     fn admission_backpressure_reflects_the_waitqueue() {
-        let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
-        let config = EngineConfig { max_waiting_requests: 2, ..EngineConfig::default() };
-        let mut e = Engine::new(cost, config, Box::new(NeoScheduler::new()));
-        assert!(e.can_admit());
-        e.submit(Request::new(1, 0.0, 50, 4)).unwrap();
-        assert!(e.can_admit());
-        e.submit(Request::new(2, 0.0, 50, 4)).unwrap();
-        assert!(!e.can_admit(), "waitqueue at max_waiting_requests means backpressure");
+        let mut e = a10g_engine();
+        let cap = MAX_WAITING_REQUESTS as u64;
+        for id in 0..cap {
+            assert!(e.can_admit());
+            e.submit(Request::new(id, 0.0, 8, 4)).unwrap();
+        }
+        assert!(!e.can_admit(), "waitqueue at MAX_WAITING_REQUESTS means backpressure");
         // Prefilling drains the waitqueue and lifts the backpressure.
         while !e.can_admit() {
             e.step();
         }
-        e.run_to_completion(10_000);
-        assert_eq!(e.completed(), 2);
+        e.submit(Request::new(cap, 0.0, 8, 4)).unwrap();
+        e.run_to_completion(100_000);
+        assert_eq!(e.completed(), MAX_WAITING_REQUESTS + 1);
     }
 
     #[test]
@@ -1313,7 +1309,7 @@ mod tests {
         }
 
         fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
-            plan.admit_prefills(ctx, ctx.config.prefill_chunk, |plan, _, chunk| {
+            plan.admit_prefills(ctx, PREFILL_CHUNK, |plan, _, chunk| {
                 (plan.gpu_free >= chunk as i64).then_some(Device::Gpu)
             });
         }

@@ -26,6 +26,7 @@
 use neo_kvcache::Device;
 
 use crate::batch::{PrefillItem, ScheduleDecision, SubBatch};
+use crate::config::{MAX_BATCH_SEQS, PREFILL_CHUNK};
 use crate::scheduler::{ScheduleContext, Scheduler};
 use crate::ExecutionMode;
 
@@ -94,22 +95,20 @@ impl IterationPlan {
     /// budget, charging the free-token counters as it goes.
     ///
     /// Each chunk is the request's remaining prompt, cut to the budget left and to
-    /// `chunk_cap` tokens (at least one): chunked-prefill policies pass
-    /// [`crate::EngineConfig::prefill_chunk`], whole-prompt ones `usize::MAX`. Partially
-    /// prefilled requests keep arriving until their prompt is done. `target_for` is
-    /// asked, per candidate, where the chunk's KV should land given the plan so far, the
-    /// request id and the chunk size; returning `None` stops admission (the policy's
-    /// budget, memory or head-of-line rule fired).
+    /// `chunk_cap` tokens (at least one): chunked-prefill policies pass [`PREFILL_CHUNK`],
+    /// whole-prompt ones `usize::MAX`. Partially prefilled requests keep arriving until
+    /// their prompt is done. `target_for` is asked, per candidate, where the chunk's KV
+    /// should land given the plan so far, the request id and the chunk size; returning
+    /// `None` stops admission (the policy's budget, memory or head-of-line rule fired).
     pub fn admit_prefills(
         &mut self,
         ctx: &ScheduleContext<'_>,
         chunk_cap: usize,
         mut target_for: impl FnMut(&Self, u64, usize) -> Option<Device>,
     ) {
-        let cfg = ctx.config;
         let mut token_budget = self.token_budget(ctx);
         for &id in ctx.waiting {
-            if token_budget == 0 || self.batch0.sequences() >= cfg.max_batch_seqs {
+            if token_budget == 0 || self.batch0.sequences() >= MAX_BATCH_SEQS {
                 break;
             }
             let remaining = ctx.remaining_prefill(id);
@@ -139,7 +138,7 @@ impl IterationPlan {
     /// host cache otherwise. A partially prefilled request continues on the device its
     /// earlier chunks landed on, and admission stops when that device has no room.
     pub fn admit_gpu_first(&mut self, ctx: &ScheduleContext<'_>) {
-        self.admit_prefills(ctx, ctx.config.prefill_chunk, |plan, id, chunk| {
+        self.admit_prefills(ctx, PREFILL_CHUNK, |plan, id, chunk| {
             let target = match ctx.prefill_device.get(id) {
                 Some(&d) => d,
                 // A prompt that exceeds the *whole* GPU pool can never finish a GPU
@@ -288,6 +287,32 @@ impl IterationPlan {
         })
     }
 
+    /// The offload rule for an iteration with nothing on the GPU (no prefill chunk, no
+    /// GPU decode in batch-0): the balancing inequalities would forbid every CPU decode
+    /// (`Tca ≤ Tl0 = 0`) and starve the CPU residents, and there is no GPU work to hide
+    /// them behind anyway, so the [`IterationPlan::cpu_decode_candidates`] run as a plain
+    /// batch-1, up to [`MAX_BATCH_SEQS`] sequences. Returns whether it applied (batch-0
+    /// was empty); a plan with GPU work is left as it is. Shared by `NeoScheduler` and
+    /// the SpecOffload baseline.
+    pub fn offload_without_gpu_work(&mut self, ctx: &ScheduleContext<'_>) -> bool {
+        if !self.batch0.is_empty() {
+            return false;
+        }
+        for decode in self.cpu_decode_candidates(ctx) {
+            if self.batch1.sequences() >= MAX_BATCH_SEQS {
+                break;
+            }
+            self.batch1.cpu_decodes.push(decode);
+        }
+        true
+    }
+
+    /// Whether either sub-batch carries a CPU decode: only then is there CPU attention
+    /// to balance, and an asymmetric mode to choose.
+    pub fn has_cpu_decodes(&self) -> bool {
+        !self.batch0.cpu_decodes.is_empty() || !self.batch1.cpu_decodes.is_empty()
+    }
+
     /// Finalises the plan into the decision the engine will execute.
     pub fn into_decision(self) -> ScheduleDecision {
         ScheduleDecision {
@@ -383,7 +408,7 @@ mod tests {
         }
         fn admit(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
             self.phases_seen.push("admit");
-            plan.admit_prefills(ctx, ctx.config.prefill_chunk, |plan, _id, chunk| {
+            plan.admit_prefills(ctx, PREFILL_CHUNK, |plan, _id, chunk| {
                 (plan.gpu_free >= chunk as i64).then_some(Device::Gpu)
             });
         }
@@ -476,7 +501,6 @@ mod tests {
     fn admit_prefills_respects_budget_and_charges_memory() {
         let mut fx = Fixture::new();
         fx.config.max_batch_tokens = 600;
-        fx.config.prefill_chunk = 512;
         for id in 0..4 {
             fx.requests.insert(id, Request::new(id, 0.0, 500, 10)).unwrap();
             fx.waiting.push(id);
@@ -484,7 +508,7 @@ mod tests {
         let cm = cost();
         let ctx = fx.ctx(&cm);
         let mut plan = IterationPlan::new(&ctx);
-        plan.admit_prefills(&ctx, fx.config.prefill_chunk, |_, _, _| Some(Device::Gpu));
+        plan.admit_prefills(&ctx, PREFILL_CHUNK, |_, _, _| Some(Device::Gpu));
         assert!(plan.batch0.linear_tokens() <= 600);
         assert_eq!(plan.gpu_free, 10_000 - plan.batch0.linear_tokens() as i64);
     }
@@ -500,7 +524,7 @@ mod tests {
         let ctx = fx.ctx(&cm);
         let mut plan = IterationPlan::new(&ctx);
         let mut admitted = 0;
-        plan.admit_prefills(&ctx, fx.config.prefill_chunk, |_, _, _| {
+        plan.admit_prefills(&ctx, PREFILL_CHUNK, |_, _, _| {
             admitted += 1;
             (admitted <= 2).then_some(Device::Cpu)
         });

@@ -27,7 +27,7 @@ use neo_kvcache::{Device, IdTable};
 use neo_sim::profiler::IterationCost;
 
 use crate::batch::{ScheduleDecision, SubBatch};
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, MAX_BATCH_SEQS};
 use crate::pipeline::{batch0_cpu_hidden, batch1_cpu_hidden, estimate_decision};
 use crate::policy::{IterationPlan, SchedulerPolicy};
 use crate::request::Request;
@@ -181,27 +181,16 @@ impl SchedulerPolicy for NeoScheduler {
     /// ([`IterationPlan::cpu_decode_candidates`]), so the ones past the stop are never
     /// read.
     fn split_offload(&mut self, ctx: &ScheduleContext<'_>, plan: &mut IterationPlan) {
+        // Nothing runs on the GPU: the CPU residents run as a plain CPU batch.
+        if plan.offload_without_gpu_work(ctx) {
+            return;
+        }
         let cost = ctx.cost;
-        let cfg = ctx.config;
-        let slack = cfg.balance_slack;
+        let slack = ctx.config.balance_slack;
 
         // Step 4: CPU-resident candidates, read only as far as the loops below go.
         let mut cpu_candidates = plan.cpu_decode_candidates(ctx).peekable();
         if cpu_candidates.peek().is_none() {
-            return;
-        }
-
-        // Degenerate case: nothing at all runs on the GPU this iteration (no prefills, no
-        // GPU decodes). The balancing inequalities would then forbid every CPU decode
-        // (`Tca ≤ Tl0 = 0`), starving CPU-resident requests forever; run them as a plain
-        // CPU batch instead — there is no GPU work to hide them behind anyway.
-        if plan.batch0.is_empty() {
-            for (id, c) in cpu_candidates {
-                if plan.batch1.sequences() >= cfg.max_batch_seqs {
-                    break;
-                }
-                plan.batch1.cpu_decodes.push((id, c));
-            }
             return;
         }
 
@@ -214,7 +203,7 @@ impl SchedulerPolicy for NeoScheduler {
         let mut s0 = Side::new(cost, b0);
         let mut s1 = Side::new(cost, &plan.batch1);
         for (id, c) in cpu_candidates {
-            if plan.batch0.sequences() + plan.batch1.sequences() >= 2 * cfg.max_batch_seqs {
+            if plan.sequences() >= 2 * MAX_BATCH_SEQS {
                 break;
             }
             // Try batch-1 first (it exists to absorb CPU attention under Tl0's shadow).
@@ -254,9 +243,7 @@ impl SchedulerPolicy for NeoScheduler {
         // progress under GPU memory pressure and must not be shed (otherwise it would
         // starve forever). Batch-1 is final by now, and shedding moves only batch-0's
         // `Tl` and `Tga`.
-        let has_cpu_work =
-            !plan.batch0.cpu_decodes.is_empty() || !plan.batch1.cpu_decodes.is_empty();
-        if !has_cpu_work {
+        if !plan.has_cpu_decodes() {
             return;
         }
         let mut tokens0 = s0.tokens;
@@ -289,7 +276,7 @@ impl SchedulerPolicy for NeoScheduler {
     /// empty, the GPU-only alternative is the plan itself, and the two estimates are
     /// bit-equal (`Tl1 = Tca0 = Tca1 = 0`), a tie the greedy rule gives to GPU-only.
     fn select_mode(&mut self, ctx: &ScheduleContext<'_>, plan: IterationPlan) -> ScheduleDecision {
-        if plan.batch0.cpu_decodes.is_empty() && plan.batch1.cpu_decodes.is_empty() {
+        if !plan.has_cpu_decodes() {
             return ScheduleDecision { mode: ExecutionMode::GpuOnly, ..plan.into_decision() };
         }
         let cost = ctx.cost;
@@ -480,7 +467,6 @@ mod tests {
     fn prefill_respects_token_budget() {
         let mut fx = Fixture::new();
         fx.config.max_batch_tokens = 512;
-        fx.config.prefill_chunk = 512;
         for id in 0..10 {
             fx.add_waiting(id, 400);
         }
@@ -772,7 +758,6 @@ mod tests {
     #[test]
     fn partially_prefilled_request_stays_on_its_device() {
         let mut fx = Fixture::new();
-        fx.config.prefill_chunk = 128;
         let mut r = Request::new(7, 0.0, 600, 32);
         r.advance_prefill(128);
         fx.requests.insert(7, r).unwrap();

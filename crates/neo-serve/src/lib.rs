@@ -30,7 +30,7 @@
 //! let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
 //! let engine = Engine::new(cost, EngineConfig::default(), Box::new(NeoScheduler::new()));
 //! let trace = synthetic(8, 300, 40, ArrivalProcess::AllAtOnce, 1);
-//! let result = run_offline(engine, &trace, 1_000_000);
+//! let result = run_offline(engine, &trace);
 //! assert_eq!(result.completed, 8);
 //! assert!(result.token_throughput > 0.0);
 //! ```

@@ -20,8 +20,6 @@ pub struct OfflineResult {
     pub token_throughput: f64,
     /// Output-token throughput: output tokens / makespan.
     pub decode_throughput: f64,
-    /// Request throughput: requests / makespan.
-    pub request_throughput: f64,
     /// Fraction of non-idle iterations that offloaded attention to the CPU.
     pub offload_fraction: f64,
     /// Fraction of non-idle iterations that ran in asymmetric (two-sub-batch) mode.
@@ -34,11 +32,11 @@ pub struct OfflineResult {
 /// # Panics
 ///
 /// Panics if the trace is empty, the engine is not fresh (see [`Server::new`]), a request
-/// can never be admitted, or `max_iterations` iterations in a row make no progress (a
-/// scheduler livelock; see [`Server::with_max_iterations`]).
-pub fn run_offline(engine: Engine, trace: &Trace, max_iterations: u64) -> OfflineResult {
+/// can never be admitted, or the server's stall guard fires (a scheduler livelock; see
+/// [`crate::server::DEFAULT_STALL_BUDGET`]).
+pub fn run_offline(engine: Engine, trace: &Trace) -> OfflineResult {
     assert!(!trace.is_empty(), "cannot run an empty trace");
-    let mut server = Server::new(engine).with_max_iterations(max_iterations);
+    let mut server = Server::new(engine);
     for r in trace.requests() {
         // neo-lint: allow(panic-hygiene) -- driver entry point documented to panic (see `# Panics`); an inadmissible trace request is a configuration error
         server.submit(0.0, r.prompt_len, r.output_len).unwrap();
@@ -58,7 +56,6 @@ pub fn run_offline(engine: Engine, trace: &Trace, max_iterations: u64) -> Offlin
         makespan,
         token_throughput: (input_tokens + output_tokens) as f64 / makespan,
         decode_throughput: output_tokens as f64 / makespan,
-        request_throughput: total as f64 / makespan,
         offload_fraction,
         asymmetric_fraction,
     }
@@ -97,11 +94,10 @@ mod tests {
     #[test]
     fn offline_metrics_are_consistent() {
         let trace = synthetic(60, 200, 50, ArrivalProcess::AllAtOnce, 3);
-        let r = run_offline(a10g_engine(true), &trace, 2_000_000);
+        let r = run_offline(a10g_engine(true), &trace);
         assert_eq!(r.completed, 60);
         assert!(r.makespan > 0.0);
         assert!(r.token_throughput > r.decode_throughput);
-        assert!((r.request_throughput - 60.0 / r.makespan).abs() < 1e-9);
         assert!(r.offload_fraction >= 0.0 && r.offload_fraction <= 1.0);
     }
 
@@ -111,8 +107,8 @@ mod tests {
         // only a handful of requests' KV; NEO's CPU offload lifts throughput
         // substantially (the paper reports up to 7.5x on this testbed).
         let trace = synthetic(96, 200, 80, ArrivalProcess::AllAtOnce, 5);
-        let gpu_only = run_offline(t4_engine(false), &trace, 5_000_000);
-        let neo = run_offline(t4_engine(true), &trace, 5_000_000);
+        let gpu_only = run_offline(t4_engine(false), &trace);
+        let neo = run_offline(t4_engine(true), &trace);
         let gain = neo.token_throughput / gpu_only.token_throughput;
         assert!(
             gain > 1.2,
@@ -130,8 +126,8 @@ mod tests {
         // With ample GPU memory (A10G + small workload) NEO falls back to GPU-only-like
         // behaviour and stays within a few percent of the baseline (§5.4).
         let trace = synthetic(40, 100, 20, ArrivalProcess::AllAtOnce, 6);
-        let gpu_only = run_offline(a10g_engine(false), &trace, 2_000_000);
-        let neo = run_offline(a10g_engine(true), &trace, 2_000_000);
+        let gpu_only = run_offline(a10g_engine(false), &trace);
+        let neo = run_offline(a10g_engine(true), &trace);
         let ratio = neo.token_throughput / gpu_only.token_throughput;
         assert!(ratio > 0.9, "NEO must not collapse when offloading does not help: {ratio:.2}");
     }
@@ -148,13 +144,13 @@ mod tests {
 
         let pipo_engine =
             Engine::new(cost(), EngineConfig::default(), Box::new(PipoScheduler::new()));
-        let pipo = run_offline(pipo_engine, &trace, 5_000_000);
+        let pipo = run_offline(pipo_engine, &trace);
         assert_eq!(pipo.completed, 48);
         assert!(pipo.offload_fraction > 0.9, "PIPO decodes are always offloaded");
 
         let spec_engine =
             Engine::new(cost(), EngineConfig::default(), Box::new(SpecOffloadScheduler::new()));
-        let spec = run_offline(spec_engine, &trace, 5_000_000);
+        let spec = run_offline(spec_engine, &trace);
         assert_eq!(spec.completed, 48);
         assert!(spec.offload_fraction > 0.0, "memory pressure must trigger speculation");
     }
@@ -162,7 +158,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_trace_panics() {
-        let _ = run_offline(a10g_engine(false), &Trace::default(), 100);
+        let _ = run_offline(a10g_engine(false), &Trace::default());
     }
 
     #[test]
@@ -170,17 +166,18 @@ mod tests {
         // The budget bounds iterations in a row without progress, not the run's length,
         // and the run is the server's: same makespan as draining a `Server` by hand.
         let trace = synthetic(60, 200, 50, ArrivalProcess::AllAtOnce, 3);
-        let mut server = Server::new(a10g_engine(true));
+        let budget = 5;
+        let mut server = Server::new(a10g_engine(true)).with_max_iterations(budget);
         for r in trace.requests() {
             server.submit(0.0, r.prompt_len, r.output_len).unwrap();
         }
-        let iterations = server.run_until_idle().iterations;
-        let budget = 5;
+        let report = server.run_until_idle();
+        let iterations = report.iterations;
+        assert_eq!(report.completed, 60);
         assert!(iterations > 10 * budget, "a healthy run takes {iterations} iterations");
-        let r = run_offline(a10g_engine(true), &trace, budget);
+        let r = run_offline(a10g_engine(true), &trace);
         assert_eq!(r.completed, 60);
         assert_eq!(r.makespan, server.now());
-        assert_eq!(r, run_offline(a10g_engine(true), &trace, u64::MAX));
     }
 
     /// A livelocked policy: it stays idle whatever waits.
@@ -197,10 +194,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeded 50 iterations without progress with 0 of 4 requests")]
+    #[should_panic(expected = "exceeded 1000000 iterations without progress with 0 of 4 requests")]
     fn a_run_without_progress_panics_through_the_stall_guard() {
         let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
         let engine = Engine::new(cost, EngineConfig::default(), Box::new(IdlePolicy));
-        let _ = run_offline(engine, &synthetic(4, 200, 50, ArrivalProcess::AllAtOnce, 3), 50);
+        let _ = run_offline(engine, &synthetic(4, 200, 50, ArrivalProcess::AllAtOnce, 3));
     }
 }

@@ -15,10 +15,6 @@ use crate::server::Server;
 /// Result of one online serving run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineResult {
-    /// Scheduling policy that produced this result.
-    pub scheduler: String,
-    /// Offered request rate (requests per second), as recorded by the caller.
-    pub request_rate: f64,
     /// Number of requests completed.
     pub completed: usize,
     /// Average per-token latency (each request's latency divided by its output length,
@@ -52,30 +48,24 @@ impl OnlineResult {
 }
 
 /// Runs the engine over the trace with its real arrival times and collects latency
-/// metrics. `request_rate` is recorded in the result for labelling; the arrival times in
-/// the trace are authoritative.
+/// metrics.
 ///
 /// Implemented on the event-driven [`Server`] loop: each trace request is submitted at
 /// its arrival time, so this replay takes the exact code path a live client would.
 ///
 /// # Panics
 ///
-/// Panics if the trace is empty or if `max_iterations` iterations in a row make no
-/// progress (which indicates a scheduler livelock; see [`Server::with_max_iterations`]).
-pub fn run_online(
-    engine: Engine,
-    trace: &Trace,
-    request_rate: f64,
-    max_iterations: u64,
-) -> OnlineResult {
+/// Panics if the trace is empty or if the server's stall guard fires (a scheduler
+/// livelock; see [`crate::server::DEFAULT_STALL_BUDGET`]).
+pub fn run_online(engine: Engine, trace: &Trace) -> OnlineResult {
     assert!(!trace.is_empty(), "cannot serve an empty trace");
     let total = trace.len();
-    let mut server = Server::new(engine).with_max_iterations(max_iterations);
+    let mut server = Server::new(engine);
     for r in trace.requests() {
         // neo-lint: allow(panic-hygiene) -- driver entry point documented to panic (see `# Panics`); an inadmissible trace request is a configuration error
         server.submit(r.arrival, r.prompt_len, r.output_len).unwrap();
     }
-    drain_and_summarise(&mut server, total, request_rate)
+    drain_and_summarise(&mut server, total)
 }
 
 /// Result of one session-workload serving run: the usual online metrics plus the
@@ -109,23 +99,17 @@ impl SessionsResult {
 ///
 /// # Panics
 ///
-/// Panics if the trace is empty or if `max_iterations` iterations in a row make no
-/// progress.
-pub fn run_sessions(
-    engine: Engine,
-    trace: &SessionTrace,
-    request_rate: f64,
-    max_iterations: u64,
-) -> SessionsResult {
+/// Panics if the trace is empty or if the server's stall guard fires.
+pub fn run_sessions(engine: Engine, trace: &SessionTrace) -> SessionsResult {
     assert!(!trace.is_empty(), "cannot serve an empty trace");
     let total = trace.len();
     let prompt_tokens = trace.requests().iter().map(|r| r.prompt_len()).sum();
-    let mut server = Server::new(engine).with_max_iterations(max_iterations);
+    let mut server = Server::new(engine);
     for request in trace.requests() {
         // neo-lint: allow(panic-hygiene) -- driver entry point documented to panic (see `# Panics`); an inadmissible trace request is a configuration error
         server.submit_with_runs(request.arrival, request.runs.clone(), request.output_len).unwrap();
     }
-    let online = drain_and_summarise(&mut server, total, request_rate);
+    let online = drain_and_summarise(&mut server, total);
     SessionsResult {
         online,
         prefix_hit_tokens: server.engine().prefix_hit_tokens(),
@@ -137,8 +121,7 @@ pub fn run_sessions(
 /// Drains the server and assembles the shared [`OnlineResult`] metrics. Request latency
 /// runs from arrival to the last token; per-token latency divides it by the output
 /// length. Samples are taken in completion order.
-fn drain_and_summarise(server: &mut Server, total: usize, request_rate: f64) -> OnlineResult {
-    let scheduler = server.engine().scheduler_name().to_string();
+fn drain_and_summarise(server: &mut Server, total: usize) -> OnlineResult {
     let report = server.run_until_idle();
     assert_eq!(report.completed, total, "all submitted requests must finish");
 
@@ -153,8 +136,6 @@ fn drain_and_summarise(server: &mut Server, total: usize, request_rate: f64) -> 
     let decode_tokens = server.engine().total_decode_tokens();
 
     OnlineResult {
-        scheduler,
-        request_rate,
         completed: report.completed,
         avg_per_token_latency: per_token_samples.iter().sum::<f64>()
             / per_token_samples.len().max(1) as f64,
@@ -199,7 +180,7 @@ mod tests {
 
     #[test]
     fn online_run_completes_and_reports_sane_metrics() {
-        let result = run_online(engine(true), &small_trace(2.0), 2.0, 2_000_000);
+        let result = run_online(engine(true), &small_trace(2.0));
         assert_eq!(result.completed, 40);
         assert!(result.avg_per_token_latency > 0.0);
         assert!(result.per_token_latency.p50 <= result.per_token_latency.p99);
@@ -217,8 +198,8 @@ mod tests {
     #[test]
     fn latency_grows_with_request_rate() {
         // Queueing: at higher offered load the same engine shows higher per-token latency.
-        let low = run_online(engine(false), &small_trace(0.5), 0.5, 2_000_000);
-        let high = run_online(engine(false), &small_trace(20.0), 20.0, 2_000_000);
+        let low = run_online(engine(false), &small_trace(0.5));
+        let high = run_online(engine(false), &small_trace(20.0));
         assert!(
             high.avg_per_token_latency >= low.avg_per_token_latency,
             "high load {} should not be faster than low load {}",
@@ -233,7 +214,7 @@ mod tests {
         // makespan is dominated by the last arrival.
         let trace = small_trace(0.2);
         let last_arrival = trace.requests().last().unwrap().arrival;
-        let result = run_online(engine(false), &trace, 0.2, 2_000_000);
+        let result = run_online(engine(false), &trace);
         assert!(result.makespan >= last_arrival);
     }
 
@@ -248,18 +229,17 @@ mod tests {
         for sched in schedulers {
             let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
             let engine = Engine::new(cost, EngineConfig::default(), sched);
-            let result = run_online(engine, &trace, 1.0, 5_000_000);
+            let result = run_online(engine, &trace);
             assert_eq!(result.completed, 40);
             assert!(result.ttft.mean > 0.0);
             assert!(result.decode_throughput > 0.0);
-            assert!(!result.scheduler.is_empty());
         }
     }
 
     #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_trace_panics() {
-        let _ = run_online(engine(false), &Trace::default(), 1.0, 1000);
+        let _ = run_online(engine(false), &Trace::default());
     }
 
     fn caching_engine(prefix_cache: bool) -> Engine {
@@ -287,14 +267,14 @@ mod tests {
     #[test]
     fn sessions_reuse_prefixes_when_caching_is_on() {
         let trace = chat_trace();
-        let cached = run_sessions(caching_engine(true), &trace, 1.0, 2_000_000);
+        let cached = run_sessions(caching_engine(true), &trace);
         assert_eq!(cached.online.completed, trace.len());
         // Later turns re-send their session history and all sessions share a system
         // prompt, so the cache must have served a substantial number of prompt tokens.
         assert!(cached.prefix_hit_tokens > 0, "chat turns must hit the cache");
         assert!(cached.hit_rate() > 0.2, "hit rate {}", cached.hit_rate());
         assert!(cached.hit_rate() < 1.0, "new user messages are never cached");
-        let plain = run_sessions(caching_engine(false), &trace, 1.0, 2_000_000);
+        let plain = run_sessions(caching_engine(false), &trace);
         assert_eq!(plain.prefix_hit_tokens, 0);
         assert_eq!(plain.online.completed, trace.len());
         assert!(
@@ -310,8 +290,8 @@ mod tests {
         // With the prefix cache off, run identities are inert: serving the session
         // trace is the same run as serving its flattened length-only trace.
         let trace = chat_trace();
-        let with_runs = run_sessions(caching_engine(false), &trace, 1.0, 2_000_000);
-        let flat = run_online(caching_engine(false), &trace.to_trace(), 1.0, 2_000_000);
+        let with_runs = run_sessions(caching_engine(false), &trace);
+        let flat = run_online(caching_engine(false), &trace.to_trace());
         assert_eq!(with_runs.online.per_token_samples, flat.per_token_samples);
         assert_eq!(with_runs.online.makespan, flat.makespan);
         assert_eq!(with_runs.online.decode_throughput, flat.decode_throughput);

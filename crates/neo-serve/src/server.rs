@@ -27,11 +27,13 @@
 //! clients (or a future HTTP front-end) use [`Server::submit`] / [`Server::cancel`]
 //! directly.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use neo_core::request::Request;
 use neo_core::{AdmitError, Engine, ExecutionMode, IterationReport};
 use neo_kvcache::TokenRun;
+use neo_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{LatencyFold, LatencySummary, Stream};
@@ -145,8 +147,6 @@ pub struct ServerReport {
     pub makespan: f64,
     /// Engine iterations executed (including idle quanta).
     pub iterations: u64,
-    /// Iterations that executed work.
-    pub busy_iterations: u64,
     /// Fraction of busy iterations that offloaded attention to the CPU.
     pub offload_fraction: f64,
     /// Tokens delivered through streaming callbacks (all requests).
@@ -178,42 +178,26 @@ pub struct ServerCounts {
     pub asymmetric_fraction: f64,
 }
 
-/// Internal event kinds, ordered by time on the event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The livelock guard every [`Server`] starts with: the loop panics once this many
+/// iterations in a row emit no token while no request ends. Healthy runs stay far
+/// below it: the longest such streak is 14 iterations over the 13 figure drivers, 1
+/// over the examples, 15 over the 64 servers of simbench's `fleet64_faults` and 6 on
+/// its `a10g_ac_overload` (seeds 1 and 7, counted by a probe in a copy of the server).
+/// A stalled policy reaches it in about a second of a debug build (2-vCPU container).
+/// [`Server::with_max_iterations`] replaces it.
+pub const DEFAULT_STALL_BUDGET: u64 = 1_000_000;
+
+/// Internal event kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     Arrival(u64),
     Cancel(u64),
 }
 
-/// A timed event. The `seq` number breaks ties so same-time events are delivered in
-/// submission order.
-#[derive(Debug, Clone, Copy)]
-struct TimedEvent {
-    time: f64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for TimedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl Eq for TimedEvent {}
-
-impl Ord for TimedEvent {
-    // Reversed so the std max-heap pops the *earliest* event first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.time.total_cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for TimedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// A pending event: its time, its submission sequence number and what it is. Reversed
+/// so the std max-heap pops the earliest event first, and same-time events in
+/// submission order (sequence numbers are unique, so the kind never decides).
+type TimedEvent = Reverse<(SimTime, u64, EventKind)>;
 
 /// Server-side record of one submitted request.
 struct Session {
@@ -296,7 +280,7 @@ impl Server {
             emit_ends: Vec::new(),
             backlog: VecDeque::new(),
             next_seq: 0,
-            max_iterations: u64::MAX,
+            max_iterations: DEFAULT_STALL_BUDGET,
             stalled: 0,
             iterations: 0,
             busy_iterations: 0,
@@ -309,8 +293,9 @@ impl Server {
         }
     }
 
-    /// Sets the livelock guard: the loop panics once this many iterations in a row
-    /// emitted no token while no request ended. A healthy run of any length passes.
+    /// Replaces the livelock guard's budget ([`DEFAULT_STALL_BUDGET`]): the loop panics
+    /// once this many iterations in a row emitted no token while no request ended. A
+    /// healthy run of any length passes.
     pub fn with_max_iterations(mut self, max_iterations: u64) -> Self {
         self.max_iterations = max_iterations;
         self
@@ -362,9 +347,9 @@ impl Server {
         // suppress it.
         let mut cancels: std::collections::BTreeMap<u64, (f64, u64)> =
             std::collections::BTreeMap::new();
-        for event in self.events.iter() {
-            if let EventKind::Cancel(id) = event.kind {
-                let key = (event.time, event.seq);
+        for &Reverse((SimTime(time), seq, kind)) in self.events.iter() {
+            if let EventKind::Cancel(id) = kind {
+                let key = (time, seq);
                 cancels
                     .entry(id)
                     .and_modify(|existing| {
@@ -376,17 +361,15 @@ impl Server {
             }
         }
         let mut earliest: Option<f64> = None;
-        for event in self.events.iter() {
-            if let EventKind::Arrival(id) = event.kind {
+        for &Reverse((SimTime(time), seq, kind)) in self.events.iter() {
+            if let EventKind::Arrival(id) = kind {
                 if self.sessions[id as usize].state != SessionState::Scheduled {
                     continue;
                 }
-                if let Some(&(time, seq)) = cancels.get(&id) {
-                    if (time, seq) < (event.time, event.seq) {
-                        continue; // suppressed before it lands
-                    }
+                if cancels.get(&id).is_some_and(|&cancel| cancel < (time, seq)) {
+                    continue; // suppressed before it lands
                 }
-                earliest = Some(earliest.map_or(event.time, |t: f64| t.min(event.time)));
+                earliest = Some(earliest.map_or(time, |t: f64| t.min(time)));
             }
         }
         earliest
@@ -597,15 +580,15 @@ impl Server {
     fn push_event(&mut self, time: f64, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.events.push(TimedEvent { time, seq, kind });
+        self.events.push(Reverse((SimTime(time), seq, kind)));
     }
 
     /// Delivers every event due at or before the current simulated time.
     fn deliver_due_events(&mut self) {
         let now = self.engine.now();
-        while self.events.peek().is_some_and(|e| e.time <= now) {
-            let Some(event) = self.events.pop() else { break };
-            match event.kind {
+        while self.events.peek().is_some_and(|&Reverse((SimTime(time), ..))| time <= now) {
+            let Some(Reverse((_, _, kind))) = self.events.pop() else { break };
+            match kind {
                 EventKind::Arrival(id) => self.deliver_arrival(id),
                 EventKind::Cancel(id) => self.end_unfinished(id, SessionState::Cancelled),
             }
@@ -713,10 +696,11 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if the budget set by [`Server::with_max_iterations`] runs out: that many
-    /// iterations in a row without progress (scheduler livelock), or if a request
-    /// reaches admission [`neo_kvcache::MAX_ID_WINDOW`] submissions after one the
-    /// engine still holds, past the ids its request table indexes.
+    /// Panics if the stall budget ([`DEFAULT_STALL_BUDGET`], or the one set by
+    /// [`Server::with_max_iterations`]) runs out: that many iterations in a row without
+    /// progress (scheduler livelock), or if a request reaches admission
+    /// [`neo_kvcache::MAX_ID_WINDOW`] submissions after one the engine still holds, past
+    /// the ids its request table indexes.
     pub fn tick(&mut self) -> bool {
         loop {
             self.deliver_due_events();
@@ -726,7 +710,9 @@ impl Server {
             }
             // An idle engine always has admission room, so the backlog is empty here.
             debug_assert!(self.backlog.is_empty());
-            let Some(next) = self.events.peek().copied() else { return false };
+            let Some(&Reverse((SimTime(time), _, kind))) = self.events.peek() else {
+                return false;
+            };
             // Only an arrival of a still-scheduled request can create engine work, so
             // only that advances the clock. Everything else pending while idle is
             // inert — a cancel whose target already drained, or an arrival suppressed
@@ -734,16 +720,16 @@ impl Server {
             // the makespan (and every throughput metric derived from it) out to its
             // timestamp.
             let creates_work = matches!(
-                next.kind,
+                kind,
                 EventKind::Arrival(id)
                     if self.sessions[id as usize].state == SessionState::Scheduled
             );
             if creates_work {
-                self.engine.advance_to(next.time.max(self.engine.now()));
+                self.engine.advance_to(time.max(self.engine.now()));
             } else {
-                // `next` is a copy of the head event; drop the original and act on it.
+                // `kind` is a copy of the head event's; drop the event and act on it.
                 let _ = self.events.pop();
-                match next.kind {
+                match kind {
                     EventKind::Arrival(id) => self.deliver_arrival(id),
                     EventKind::Cancel(id) => self.end_unfinished(id, SessionState::Cancelled),
                 }
@@ -860,7 +846,6 @@ impl Server {
             dropped,
             makespan: self.engine.now(),
             iterations: self.iterations,
-            busy_iterations: self.busy_iterations,
             offload_fraction,
             streamed_tokens,
             ttft,
@@ -877,7 +862,7 @@ mod tests {
     use std::rc::Rc;
 
     use neo_baselines::GpuOnlyScheduler;
-    use neo_core::config::EngineConfig;
+    use neo_core::config::{EngineConfig, MAX_WAITING_REQUESTS};
     use neo_core::scheduler::NeoScheduler;
     use neo_core::ScheduleDecision;
     use neo_sim::{CostModel, ModelDesc, Testbed};
@@ -887,9 +872,9 @@ mod tests {
         Engine::new(cost, EngineConfig::default(), Box::new(NeoScheduler::new()))
     }
 
-    fn engine_with(config: EngineConfig) -> Engine {
+    fn vllm_engine() -> Engine {
         let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
-        Engine::new(cost, config, Box::new(GpuOnlyScheduler::vllm_like()))
+        Engine::new(cost, EngineConfig::default(), Box::new(GpuOnlyScheduler::vllm_like()))
     }
 
     #[test]
@@ -1035,17 +1020,18 @@ mod tests {
 
     #[test]
     fn backpressure_delays_but_never_drops() {
-        let config = EngineConfig { max_waiting_requests: 2, ..EngineConfig::default() };
-        let mut server = Server::new(engine_with(config));
+        let mut server = Server::new(vllm_engine());
+        let total = MAX_WAITING_REQUESTS + 24;
         let handles: Vec<RequestHandle> =
-            (0..24).map(|_| server.submit(0.0, 600, 12).unwrap()).collect();
-        // Deliver the arrivals: only 2 fit the waitqueue, the rest must queue server-side.
+            (0..total).map(|_| server.submit(0.0, 16, 2).unwrap()).collect();
+        // Deliver the arrivals: only the waitqueue's worth enter the engine, the rest
+        // must queue server-side.
         assert!(server.tick());
-        assert!(server.max_backlog() >= 20, "backpressure must engage");
+        assert_eq!(server.backlog_len(), 24, "backpressure must engage");
         let report = server.run_until_idle();
-        assert_eq!(report.completed, 24, "backpressure delays requests, never drops them");
+        assert_eq!(report.completed, total, "backpressure delays requests, never drops them");
         assert_eq!(report.cancelled, 0);
-        assert!(report.max_backlog >= 20);
+        assert!(report.max_backlog >= 24);
         for h in handles {
             assert!(matches!(server.status(h), RequestStatus::Finished { .. }));
         }
@@ -1071,17 +1057,18 @@ mod tests {
 
     #[test]
     fn queue_depth_counts_backlog_and_live_engine_requests() {
-        let config = EngineConfig { max_waiting_requests: 2, ..EngineConfig::default() };
-        let mut server = Server::new(engine_with(config));
+        let mut server = Server::new(vllm_engine());
         assert_eq!(server.queue_depth(), 0);
-        for _ in 0..6 {
-            server.submit(0.0, 400, 8).unwrap();
+        let total = MAX_WAITING_REQUESTS + 4;
+        for _ in 0..total {
+            server.submit(0.0, 16, 8).unwrap();
         }
         assert!(server.tick());
-        // Two admitted into the engine, four held in the server backlog: the router
-        // signal must count both.
+        // A full waitqueue admitted into the engine, four held in the server backlog:
+        // the router signal must count both.
+        assert_eq!(server.backlog_len(), 4);
         assert_eq!(server.queue_depth(), server.backlog_len() + server.engine().live_requests());
-        assert!(server.queue_depth() >= 6 - 1, "nothing finished after one iteration");
+        assert_eq!(server.queue_depth(), total, "nothing finished after one iteration");
         let _ = server.run_until_idle();
         assert_eq!(server.queue_depth(), 0);
     }
@@ -1236,30 +1223,40 @@ mod tests {
 
     #[test]
     fn unstarted_prompt_tokens_count_held_requests_until_their_first_token() {
-        // A one-slot waitqueue holds `queued` in the backlog behind `long`, whose
-        // 2000-token prompt prefills in 512-token chunks.
-        let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
-        let config = EngineConfig { max_waiting_requests: 1, ..EngineConfig::default() };
-        let engine = Engine::new(cost, config, Box::new(NeoScheduler::new()));
-        let mut server = Server::new(engine);
+        // A full waitqueue holds `queued` in the backlog: `long`, whose 2000-token prompt
+        // prefills in 512-token chunks, and one-token fillers behind it.
+        let mut server = Server::new(engine());
         let long = server.submit(0.0, 2_000, 4).unwrap();
+        let fillers: Vec<RequestHandle> =
+            (1..MAX_WAITING_REQUESTS).map(|_| server.submit(0.0, 1, 1).unwrap()).collect();
+        let unstarted_fillers =
+            |server: &Server| fillers.iter().filter(|&&h| server.token_times(h).is_empty()).count();
         let queued = server.submit(0.0, 300, 4).unwrap();
         let later = server.submit(50.0, 200, 4).unwrap();
         let doomed = server.submit(60.0, 100, 4).unwrap();
-        assert_eq!(server.unstarted_prompt_tokens(), 2_600);
+        assert_eq!(server.unstarted_prompt_tokens(), 2_600 + fillers.len());
         server.cancel_now(doomed);
         assert!(server.tick());
         assert!(matches!(server.status(doomed), RequestStatus::Cancelled { generated: 0 }));
         assert_eq!(server.status(queued), RequestStatus::Backlogged);
         assert_eq!(server.status(later), RequestStatus::Scheduled);
-        assert_eq!(server.unstarted_prompt_tokens(), 2_500, "cancelled before it started");
+        assert_eq!(
+            server.unstarted_prompt_tokens(),
+            2_500 + unstarted_fillers(&server),
+            "cancelled before it started"
+        );
         let prefilled = server.engine().request(long.id()).map_or(0, |r| r.prefilled);
         assert!(prefilled > 0 && prefilled < 2_000, "long is mid-prefill");
         server.drop_now(long, DropReason::DeadlineExpired);
-        assert_eq!(server.unstarted_prompt_tokens(), 500, "dropped mid-prefill");
+        assert_eq!(
+            server.unstarted_prompt_tokens(),
+            500 + unstarted_fillers(&server),
+            "dropped mid-prefill"
+        );
         while server.token_times(queued).is_empty() {
             assert!(server.tick());
         }
+        assert_eq!(unstarted_fillers(&server), 0, "the fillers ahead of it streamed first");
         assert_eq!(server.unstarted_prompt_tokens(), 200, "queued streamed its first token");
         let _ = server.fail();
         assert_eq!(server.unstarted_prompt_tokens(), 0, "a failed server holds nothing");
@@ -1282,6 +1279,16 @@ mod tests {
         fn name(&self) -> &'static str {
             "idle"
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeded 1000000 iterations without progress with 0 of 1 requests")]
+    fn a_server_is_stall_guarded_by_default() {
+        let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
+        let idle = Engine::new(cost, EngineConfig::default(), Box::new(IdlePolicy));
+        let mut server = Server::new(idle);
+        server.submit(0.0, 100, 40).unwrap();
+        let _ = server.run_until_idle();
     }
 
     #[test]

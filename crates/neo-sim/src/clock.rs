@@ -4,6 +4,33 @@
 //! forms a batch, the cost model produces the iteration's duration, and the clock moves
 //! forward.
 
+use std::cmp::Ordering;
+
+/// A simulated instant, in seconds, totally ordered by [`f64::total_cmp`] so it can key
+/// ordered collections: the serving loop's event heap and the cluster's wake-up index.
+#[derive(Debug, Clone, Copy)]
+pub struct SimTime(pub f64);
+
+impl PartialEq for SimTime {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for SimTime {}
+
+impl Ord for SimTime {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+impl PartialOrd for SimTime {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// Monotonically advancing simulated time, in seconds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimClock {
@@ -66,6 +93,15 @@ mod tests {
         c.advance_to(10.0);
         c.advance_to(12.0);
         assert_eq!(c.now(), 12.0);
+    }
+
+    #[test]
+    fn sim_time_orders_by_total_cmp() {
+        let mut times = [SimTime(2.5), SimTime(0.0), SimTime(-0.0), SimTime(1e-9)];
+        times.sort();
+        assert_eq!(times.map(|t| t.0.to_bits()), [-0.0f64, 0.0, 1e-9, 2.5].map(f64::to_bits));
+        assert_eq!(SimTime(1.0), SimTime(1.0));
+        assert_ne!(SimTime(0.0), SimTime(-0.0), "total order tells the zeros apart");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! * [`transfer`] — the closed-form transfer/compute overlap terms: §3.1's layer-wise
 //!   swap-out pipeline, which NEO's iteration estimate charges, and the double-buffered
 //!   stream of the pipelined-offloading baselines (PIPO-style KV streaming).
-//! * [`clock`] — the simulation clock used by the serving harness.
+//! * [`clock`] — the simulation clock used by the serving harness, and [`SimTime`], the
+//!   totally ordered instant its event queues key on.
 //! * [`event`] — the [`event::SerialLine`] FIFO link the cluster prices frontend→engine
 //!   hops with.
 //!
@@ -71,7 +72,7 @@ pub mod profiler;
 pub mod roofline;
 pub mod transfer;
 
-pub use clock::SimClock;
+pub use clock::{SimClock, SimTime};
 pub use costmodel::{CostModel, RankBudget};
 pub use event::SerialLine;
 pub use hardware::{CpuSpec, GpuSpec, InterconnectSpec, PcieSpec, Testbed};

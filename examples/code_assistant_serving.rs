@@ -32,7 +32,7 @@ fn main() {
     );
 
     for policy in [Policy::VllmLike, Policy::Neo] {
-        let mut server = Server::new(scenario.engine(policy)).with_max_iterations(20_000_000);
+        let mut server = Server::new(scenario.engine(policy));
 
         // Submit each trace request at its arrival time. The first request streams its
         // tokens; everyone else is submitted plainly.

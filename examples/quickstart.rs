@@ -21,7 +21,7 @@ fn run(label: &str, scheduler: Box<dyn Scheduler>) -> (f64, f64) {
     // A g5.4xlarge (one A10G GPU, 8-core EPYC host) serving LLaMa-3.1-8B.
     let cost = CostModel::new(ModelDesc::llama3_8b(), Testbed::g5_xlarge(4), 1);
     let engine = Engine::new(cost, EngineConfig::default(), scheduler);
-    let mut server = Server::new(engine).with_max_iterations(1_000_000);
+    let mut server = Server::new(engine);
 
     // Chat-style requests all arriving at once: their 184,320 tokens of KV are more than
     // three times what the A10G's 51,728-token GPU pool holds.

@@ -34,7 +34,7 @@ fn main() {
 
     let mut results = Vec::new();
     for policy in [Policy::SwiftLlmLike, Policy::FastDecodePlus, Policy::Neo] {
-        let result = run_offline(scenario.engine(policy), &trace, 20_000_000);
+        let result = run_offline(scenario.engine(policy), &trace);
         println!(
             "{:>12}: {:>6.0} tokens/s (makespan {:.1}s, offloaded {:.0}% of iterations)",
             policy.label(),

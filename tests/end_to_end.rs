@@ -5,8 +5,6 @@ use neo_bench::{Policy, Scenario};
 use neo_serve::{run_offline, run_online};
 use neo_workload::{azure_code_like, osc_like, synthetic, ArrivalProcess};
 
-const MAX_ITERS: u64 = 20_000_000;
-
 #[test]
 fn every_policy_drains_an_offline_workload_on_every_testbed() {
     let policies = [
@@ -20,7 +18,7 @@ fn every_policy_drains_an_offline_workload_on_every_testbed() {
     for scenario in [Scenario::a10g_8b(), Scenario::t4_7b(), Scenario::h100_70b()] {
         let trace = synthetic(30, 300, 40, ArrivalProcess::AllAtOnce, 1);
         for &policy in &policies {
-            let result = run_offline(scenario.engine(policy), &trace, MAX_ITERS);
+            let result = run_offline(scenario.engine(policy), &trace);
             assert_eq!(result.completed, 30, "{} on {}", policy.label(), scenario.name);
             assert!(result.token_throughput > 0.0);
         }
@@ -32,8 +30,8 @@ fn neo_latency_tracks_vllm_at_low_load() {
     // §5.2: at low request rates NEO behaves like the GPU-only engine.
     let scenario = Scenario::a10g_8b();
     let trace = azure_code_like(40, ArrivalProcess::Poisson { rate: 0.3 }, 2);
-    let neo = run_online(scenario.engine(Policy::Neo), &trace, 0.3, MAX_ITERS);
-    let vllm = run_online(scenario.engine(Policy::VllmLike), &trace, 0.3, MAX_ITERS);
+    let neo = run_online(scenario.engine(Policy::Neo), &trace);
+    let vllm = run_online(scenario.engine(Policy::VllmLike), &trace);
     let ratio = neo.avg_per_token_latency / vllm.avg_per_token_latency;
     assert!(
         ratio < 1.5,
@@ -52,8 +50,8 @@ fn neo_sustains_more_load_than_vllm_on_the_t4() {
     let scenario = Scenario::t4_7b();
     let rate = 2.0;
     let trace = osc_like(60, ArrivalProcess::Poisson { rate }, 3);
-    let neo = run_online(scenario.engine(Policy::Neo), &trace, rate, MAX_ITERS);
-    let vllm = run_online(scenario.engine(Policy::VllmLike), &trace, rate, MAX_ITERS);
+    let neo = run_online(scenario.engine(Policy::Neo), &trace);
+    let vllm = run_online(scenario.engine(Policy::VllmLike), &trace);
     assert!(
         neo.avg_per_token_latency < vllm.avg_per_token_latency,
         "at {rate} req/s the T4 GPU-only engine should already be saturating: NEO {:.3}s vs vLLM {:.3}s",
@@ -69,8 +67,8 @@ fn neo_beats_the_baseline_where_the_paper_says_it_should() {
     for (scenario, min_gain) in [(Scenario::a10g_8b(), 1.02), (Scenario::t4_7b(), 1.3)] {
         let trace =
             synthetic(80, 1000.min(scenario.model.hidden * 4), 150, ArrivalProcess::AllAtOnce, 4);
-        let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace, MAX_ITERS);
-        let neo = run_offline(scenario.engine(Policy::Neo), &trace, MAX_ITERS);
+        let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace);
+        let neo = run_offline(scenario.engine(Policy::Neo), &trace);
         let gain = neo.token_throughput / baseline.token_throughput;
         assert!(
             gain >= min_gain,
@@ -86,9 +84,9 @@ fn fastdecode_plus_collapses_at_long_outputs_but_neo_does_not() {
     // GPU-only baseline, while NEO's greedy fallback keeps it at or above the baseline.
     let scenario = Scenario::h100_70b();
     let trace = synthetic(60, 2000, 300, ArrivalProcess::AllAtOnce, 5);
-    let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace, MAX_ITERS);
-    let fastdecode = run_offline(scenario.engine(Policy::FastDecodePlus), &trace, MAX_ITERS);
-    let neo = run_offline(scenario.engine(Policy::Neo), &trace, MAX_ITERS);
+    let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace);
+    let fastdecode = run_offline(scenario.engine(Policy::FastDecodePlus), &trace);
+    let neo = run_offline(scenario.engine(Policy::Neo), &trace);
     let fd_rel = fastdecode.token_throughput / baseline.token_throughput;
     let neo_rel = neo.token_throughput / baseline.token_throughput;
     assert!(
@@ -105,7 +103,7 @@ fn online_latency_is_monotone_in_request_rate_for_neo() {
     let mut last = 0.0;
     for &rate in &[0.3, 1.0, 2.5] {
         let trace = azure_code_like(50, ArrivalProcess::Poisson { rate }, 6);
-        let result = run_online(scenario.engine(Policy::Neo), &trace, rate, MAX_ITERS);
+        let result = run_online(scenario.engine(Policy::Neo), &trace);
         assert!(
             result.avg_per_token_latency + 1e-6 >= last * 0.8,
             "latency should not drop sharply as load rises"
@@ -121,8 +119,8 @@ fn cpu_sensitivity_gain_increases_with_bandwidth() {
     let trace = synthetic(60, 1000, 250, ArrivalProcess::AllAtOnce, 7);
     let gain = |n: usize| {
         let scenario = Scenario::a10g_8b_on(n);
-        let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace, MAX_ITERS);
-        let neo = run_offline(scenario.engine(Policy::Neo), &trace, MAX_ITERS);
+        let baseline = run_offline(scenario.engine(Policy::SwiftLlmLike), &trace);
+        let neo = run_offline(scenario.engine(Policy::Neo), &trace);
         neo.token_throughput / baseline.token_throughput
     };
     let small = gain(2);

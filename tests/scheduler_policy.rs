@@ -10,7 +10,7 @@ use neo_baselines::{
 };
 use neo_bench::{Policy, Scenario};
 use neo_core::batch::{ScheduleDecision, SubBatch};
-use neo_core::config::EngineConfig;
+use neo_core::config::{EngineConfig, MAX_BATCH_SEQS};
 use neo_core::pipeline::{balanced, estimate_decision};
 use neo_core::policy::{IterationPlan, SchedulerPolicy};
 use neo_core::request::Request;
@@ -359,14 +359,14 @@ impl SchedulerPolicy for FromScratchNeo {
 
         if plan.batch0.is_empty() && !cpu_candidates.is_empty() {
             for (id, c) in cpu_candidates.drain(..) {
-                if plan.batch1.sequences() >= cfg.max_batch_seqs {
+                if plan.batch1.sequences() >= MAX_BATCH_SEQS {
                     break;
                 }
                 plan.batch1.cpu_decodes.push((id, c));
             }
         }
         for (id, c) in cpu_candidates {
-            if plan.batch0.sequences() + plan.batch1.sequences() >= 2 * cfg.max_batch_seqs {
+            if plan.batch0.sequences() + plan.batch1.sequences() >= 2 * MAX_BATCH_SEQS {
                 break;
             }
             plan.batch1.cpu_decodes.push((id, c));
@@ -422,10 +422,12 @@ impl SchedulerPolicy for FromScratchNeo {
 /// - 0: a GPU batch with CPU-targeted prefill chunks, which step 5 may shed;
 /// - 1: nothing on the GPU, so batch-0 is empty and the CPU residents run as a plain
 ///   CPU batch;
-/// - 2: a `max_batch_seqs` small enough for the candidates to overrun;
+/// - 2: short contexts behind a batch-0 of GPU decodes, and more CPU residents than the
+///   2 × [`MAX_BATCH_SEQS`] sequences step 4 may schedule, so the cap stops it;
 /// - 3: more GPU decodes than GPU room, a nearly full CPU pool and the disk tier on,
 ///   with every context drawn from a narrow range: swap-outs that demote CPU residents
-///   to disk first, placed swap-outs, and ties between equal contexts.
+///   to disk first, placed swap-outs, and ties between equal contexts;
+/// - 4: GPU work and no CPU resident, so step 6 has no mode choice to price.
 fn split_case(shape: usize, seed: u64) -> Fixture {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fx = Fixture::new(rng.gen_range(0..4_000), rng.gen_range(20_000..400_000));
@@ -438,10 +440,11 @@ fn split_case(shape: usize, seed: u64) -> Fixture {
             (0, 0, rng.gen_range(1..300))
         }
         2 => {
-            fx.config.max_batch_seqs = rng.gen_range(1..12);
-            (rng.gen_range(0..4), rng.gen_range(0..16), rng.gen_range(0..64))
+            contexts = 16..64;
+            let cap = 2 * MAX_BATCH_SEQS as u64;
+            (0, rng.gen_range(16..64), rng.gen_range(cap..cap + 160))
         }
-        _ => {
+        3 => {
             fx.config.disk_tier = true;
             fx.disk_free = rng.gen_range(0..3_000);
             let low: usize = rng.gen_range(100..1_500);
@@ -451,6 +454,7 @@ fn split_case(shape: usize, seed: u64) -> Fixture {
             fx.cpu_free = rng.gen_range(0..2 * contexts.end);
             (rng.gen_range(0..3), n_gpu, rng.gen_range(1..64))
         }
+        _ => (rng.gen_range(0..4), rng.gen_range(1..64), 0),
     };
     for id in 0..n_waiting {
         fx.add_waiting(id, rng.gen_range(16..3_000));
@@ -482,7 +486,7 @@ proptest! {
     /// what the from-scratch NEO does, under the exact cost model and under a noisy
     /// profile, whose costs are not monotone in context.
     #[test]
-    fn prop_incremental_split_matches_from_scratch(case in (0usize..4, 0u64..1 << 48)) {
+    fn prop_incremental_split_matches_from_scratch(case in (0usize..5, 0u64..1 << 48)) {
         let (shape, seed) = case;
         let fx = split_case(shape, seed);
         let exact = a10g_cost();
@@ -511,7 +515,7 @@ fn split_cases_reach_every_path() {
     let (mut shed, mut empty_batch0, mut capped, mut unpriced) = (0, 0, 0, 0);
     let (mut placed_swap_out, mut demoted, mut tied) = (0, 0, 0);
     for seed in 0..32 {
-        for shape in 0..4 {
+        for shape in 0..5 {
             let fx = split_case(shape, seed);
             let ctx = fx.ctx(&cost);
             let mut neo = FromScratchNeo::default();
@@ -526,9 +530,8 @@ fn split_cases_reach_every_path() {
             let placed = cpu_decodes(&plan) - cpu_decodes(&before);
             shed += usize::from(plan.batch0.prefills.len() < before.batch0.prefills.len());
             empty_batch0 += usize::from(before.batch0.is_empty() && !candidates.is_empty());
-            capped += usize::from(
-                placed < candidates.len() && plan.sequences() >= 2 * fx.config.max_batch_seqs,
-            );
+            capped +=
+                usize::from(placed < candidates.len() && plan.sequences() >= 2 * MAX_BATCH_SEQS);
             unpriced += usize::from(cpu_decodes(&plan) == 0 && plan.sequences() > 0);
             placed_swap_out += usize::from(plan.swap_out.iter().any(|id| {
                 plan.batch0.cpu_decodes.iter().chain(&plan.batch1.cpu_decodes).any(|d| d.0 == *id)

@@ -6,10 +6,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use neo_bench::{Policy, Scenario};
-use neo_core::EngineConfig;
+use neo_core::config::MAX_WAITING_REQUESTS;
 use neo_kvcache::Device;
 use neo_serve::{run_online, RequestStatus, Server, TokenEvent};
-use neo_workload::{azure_code_like, osc_like, ArrivalProcess};
+use neo_workload::{azure_code_like, synthetic, ArrivalProcess};
 
 #[test]
 fn streaming_callbacks_fire_once_per_token_in_arrival_order() {
@@ -24,7 +24,7 @@ fn streaming_callbacks_fire_once_per_token_in_arrival_order() {
         (Scenario::t4_7b(), Policy::Neo, true),
     ];
     for (scenario, policy, recomputes) in cases {
-        let mut server = Server::new(scenario.engine(policy)).with_max_iterations(20_000_000);
+        let mut server = Server::new(scenario.engine(policy));
         let log: Rc<RefCell<Vec<TokenEvent>>> = Rc::new(RefCell::new(Vec::new()));
         let mut handles = Vec::new();
         for r in trace.requests() {
@@ -76,7 +76,7 @@ fn cancellation_mid_decode_frees_kv_blocks_on_the_t4() {
     // The memory-starved T4: cancelled KV must come back to the pools immediately,
     // otherwise abandoned requests would keep strangling the GPU cache.
     let scenario = Scenario::t4_7b();
-    let mut server = Server::new(scenario.engine(Policy::Neo)).with_max_iterations(20_000_000);
+    let mut server = Server::new(scenario.engine(Policy::Neo));
     let victims: Vec<_> = (0..8).map(|_| server.submit(0.0, 300, 4_000).unwrap()).collect();
     let survivor = server.submit(0.0, 300, 60).unwrap();
 
@@ -112,19 +112,17 @@ fn cancellation_mid_decode_frees_kv_blocks_on_the_t4() {
 
 #[test]
 fn admission_backpressure_delays_but_never_drops_requests() {
-    // A tiny waitqueue forces the server-side backlog to absorb an arrival burst.
+    // A burst larger than the waitqueue forces the server-side backlog to absorb it.
     let scenario = Scenario::a10g_8b();
-    let config = EngineConfig { max_waiting_requests: 3, ..EngineConfig::default() };
-    let trace = osc_like(50, ArrivalProcess::Poisson { rate: 50.0 }, 13);
-    let mut server = Server::new(scenario.engine_with_config(Policy::Neo, config))
-        .with_max_iterations(20_000_000);
+    let trace = synthetic(MAX_WAITING_REQUESTS + 64, 32, 8, ArrivalProcess::AllAtOnce, 13);
+    let mut server = Server::new(scenario.engine(Policy::Neo));
     let handles: Vec<_> = trace
         .requests()
         .iter()
         .map(|r| server.submit(r.arrival, r.prompt_len, r.output_len).unwrap())
         .collect();
     let report = server.run_until_idle();
-    assert!(report.max_backlog > 0, "the burst must exercise the backlog");
+    assert!(report.max_backlog >= 64, "the burst must exercise the backlog");
     assert_eq!(report.completed, trace.len(), "backpressure delays, never drops");
     assert_eq!(report.cancelled, 0);
     assert_eq!(server.backlog_len(), 0);
@@ -139,9 +137,9 @@ fn run_online_matches_a_manual_event_loop_replay() {
     // completions, same makespan, same latency metrics.
     let scenario = Scenario::a10g_8b();
     let trace = azure_code_like(40, ArrivalProcess::Poisson { rate: 1.5 }, 17);
-    let result = run_online(scenario.engine(Policy::Neo), &trace, 1.5, 20_000_000);
+    let result = run_online(scenario.engine(Policy::Neo), &trace);
 
-    let mut server = Server::new(scenario.engine(Policy::Neo)).with_max_iterations(20_000_000);
+    let mut server = Server::new(scenario.engine(Policy::Neo));
     let handles: Vec<_> = trace
         .requests()
         .iter()
@@ -182,7 +180,7 @@ fn ttft_and_itl_degrade_gracefully_under_load() {
     let scenario = Scenario::a10g_8b();
     let run = |rate: f64| {
         let trace = azure_code_like(40, ArrivalProcess::Poisson { rate }, 19);
-        run_online(scenario.engine(Policy::VllmLike), &trace, rate, 20_000_000)
+        run_online(scenario.engine(Policy::VllmLike), &trace)
     };
     let low = run(0.3);
     let high = run(8.0);
