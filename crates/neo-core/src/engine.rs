@@ -325,9 +325,18 @@ impl Engine {
     pub fn evict(&mut self, id: u64) -> Option<Request> {
         let request = self.requests.remove(id)?;
         self.release_execution_state(id);
-        self.waiting.retain(|&x| x != id);
+        self.leave_waitqueue(id);
         self.lift_reservation(id);
         Some(request)
+    }
+
+    /// Takes `id` out of the prefill waitqueue if it is there, keeping the others' order.
+    fn leave_waitqueue(&mut self, id: u64) {
+        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
+            self.waiting.remove(pos);
+            // `submit` refuses a live id and `preempt` re-queues only an absent one.
+            debug_assert!(!self.waiting[pos..].contains(&id), "{id} was queued twice");
+        }
     }
 
     /// Frees a request's KV cache and removes it from the run queues and prefill
@@ -568,7 +577,7 @@ impl Engine {
                     let _ = self.kv.insert_prefix(item.req, &request.prompt_runs);
                 }
                 let context = request.context_len();
-                self.waiting.retain(|&w| w != item.req);
+                self.leave_waitqueue(item.req);
                 self.prefill_device.remove(item.req);
                 if finished {
                     self.retire(item.req);

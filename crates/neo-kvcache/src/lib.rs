@@ -17,8 +17,9 @@
 //! * [`manager::KvCacheManager`] — the multi-tier manager: sequence allocation, growth,
 //!   release, GPU↔CPU (and optional disk-tier) swaps with byte accounting, plus the
 //!   shared-prefix adoption/insertion hooks.
-//! * [`prefix::PrefixIndex`] — a block-granular radix tree over prompt token runs so
-//!   requests sharing a prefix reuse cached KV copy-on-write instead of re-prefilling.
+//! * [`prefix::PrefixIndex`] — a radix tree over prompt token runs whose edges hold
+//!   unbranched chains of KV blocks, so requests sharing a prefix reuse cached KV
+//!   copy-on-write instead of re-prefilling.
 //! * [`storage::PagedStorage`] — a real `f32` backing store for the functional attention
 //!   kernels in `neo-kernels` (the "PACPU" equivalent), addressed through block tables.
 //!

@@ -398,7 +398,8 @@ impl Server {
         self.unstarted_prompt_tokens
     }
 
-    /// Highest admission-backlog depth observed so far.
+    /// Most requests left in the admission backlog after an admission pass so far (0
+    /// means backpressure never engaged).
     pub fn max_backlog(&self) -> usize {
         self.max_backlog
     }
@@ -602,7 +603,6 @@ impl Server {
         }
         session.state = SessionState::Backlogged;
         self.backlog.push_back(id);
-        self.max_backlog = self.max_backlog.max(self.backlog.len());
     }
 
     /// Moves an unfinished request to the terminal `state`, evicting it wherever it is
@@ -629,7 +629,8 @@ impl Server {
         self.stalled = 0;
     }
 
-    /// Admits backlogged requests in FIFO order while the engine has admission room.
+    /// Admits backlogged requests in FIFO order while the engine has admission room, then
+    /// records the high-water mark of the requests left waiting.
     fn admit_from_backlog(&mut self) {
         while self.engine.can_admit() {
             let Some(id) = self.backlog.pop_front() else { break };
@@ -647,6 +648,7 @@ impl Server {
                 // neo-lint: allow(panic-hygiene) -- admission capacity and down-state were checked before enqueueing, and session ids are fresh and dense (the engine's id window bound needs 2^24 sessions behind a live one); losing a validated submission quietly would wedge the session as Scheduled forever
                 .expect("submission was validated against capacity and down-state");
         }
+        self.max_backlog = self.max_backlog.max(self.backlog.len());
     }
 
     /// Streams the tokens of the last iteration's emitters, in id (= submission)
@@ -1031,10 +1033,21 @@ mod tests {
         let report = server.run_until_idle();
         assert_eq!(report.completed, total, "backpressure delays requests, never drops them");
         assert_eq!(report.cancelled, 0);
-        assert!(report.max_backlog >= 24);
+        assert_eq!(report.max_backlog, 24, "only the requests past the waitqueue waited");
         for h in handles {
             assert!(matches!(server.status(h), RequestStatus::Finished { .. }));
         }
+    }
+
+    #[test]
+    fn a_burst_the_waitqueue_holds_never_backlogs() {
+        let mut server = Server::new(vllm_engine());
+        for _ in 0..MAX_WAITING_REQUESTS {
+            server.submit(0.0, 16, 2).unwrap();
+        }
+        let report = server.run_until_idle();
+        assert_eq!(report.completed, MAX_WAITING_REQUESTS);
+        assert_eq!(report.max_backlog, 0, "backpressure never engaged");
     }
 
     #[test]
